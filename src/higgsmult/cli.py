@@ -11,7 +11,9 @@ serialized as decimal strings (they outgrow 53-bit JSON consumers fast);
 coefficient arrays stay native integers.  ``--format text`` prints the same
 result as aligned ``key = value`` lines instead of the envelope.
 
-Exit codes: 0 success, 2 domain error, 3 resource limit, 64 usage.
+Exit codes: 0 success, 2 domain error, 3 resource limit, 64 usage, 70
+internal error (a broken invariant, i.e. a bug; EX_SOFTWARE).  Codes 2, 3
+and 70 come with a one-line message on standard error.
 Simple-root nodes use Bourbaki numbering throughout.
 """
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Sequence
 
 from . import __version__
 from .chain import chain_from_json, chain_from_m, chain_to_json, is_stable, unstable_index
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, InternalError, ResourceLimitError
 from .hecke import (
     ENUMERATION_CAP,
     apply_move,
@@ -34,7 +36,6 @@ from .hecke import (
 )
 from .multgl import MultResult, euler_pairing_series, mult_type12_rank3, mult_type111, mult_type_n
 from .multsimple import SCAN_CAP, mult_simple, polynomiality_scan
-from .polyalg import IntPoly
 from .rootsys import LieType, build, cominuscule_nodes, degrees, height_histogram
 
 
@@ -208,16 +209,16 @@ def _cmd_scan(ns) -> tuple[dict, dict]:
     return inputs, result
 
 
-def _pair_side(label: str, selector: str, g: int, n: int) -> IntPoly:
+def _pair_side(label: str, selector: str, g: int, n: int) -> MultResult:
     if selector == "n":
-        return mult_type_n(g, n).polynomial
+        return mult_type_n(g, n)
     m = _m_vector(selector)
     if len(m) != n - 1:
         raise DomainError(f"--{label} m-vector needs {n - 1} entries for n = {n}")
     result = mult_type111(chain_from_m(g, m))
     if not result.is_polynomial:
         raise DomainError(f"--{label} multiplicity is not a polynomial")
-    return result.polynomial
+    return result
 
 
 def _cmd_pair(ns) -> tuple[dict, dict]:
@@ -352,6 +353,9 @@ def run(argv: Sequence[str] | None = None) -> int:
     except DomainError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    except InternalError as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 70
     _emit(ns.format, ns.command_path, inputs, result, elapsed_ms)
     return 0
 

@@ -4,7 +4,7 @@ Three kinds of failure are kept apart deliberately: bad input data
 (DomainError), a computation that would exceed a configured cap
 (ResourceLimitError), and a broken internal invariant that callers
 should never be able to trigger (InternalError).  The command line
-maps the first two to exit codes 2 and 3.
+maps them to exit codes 2, 3 and 70.
 """
 
 

@@ -21,23 +21,13 @@ of every b_i, counted in closed form and by brute force respectively.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
 
-from .chain import ChainHiggsBundle, Divisor, Point, PointLike, as_point, is_stable, is_very_stable
+from .chain import ChainHiggsBundle, Divisor, PointLike, as_point, is_stable, is_very_stable
 from .errors import DomainError, InternalError, ResourceLimitError, UnstableResultError
 
 ENUMERATION_CAP = 10 ** 6
-
-
-@dataclass(frozen=True)
-class HeckeMove:
-    """A single transform: the point and the invariant subspace dimension k
-    (the first k summands of the fibre)."""
-
-    point: Point
-    k: int
 
 
 def hecke_remove_zero(c: ChainHiggsBundle, i: int, pt: PointLike) -> ChainHiggsBundle:

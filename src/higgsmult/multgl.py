@@ -25,8 +25,8 @@ from .polyalg import (
     IntPoly,
     NotPolynomial,
     TruncatedSeries,
-    divides,
     expand,
+    is_polynomial,
     qbinom_factored,
     series_expand,
 )
@@ -58,23 +58,25 @@ class MultResult:
         return None
 
 
+def _ratio_factored(tplus: WeightDims, base: WeightDims) -> FactoredChar:
+    return FactoredChar([(k, -d) for k, d in tplus] + [(k, d) for k, d in base])
+
+
 def virtual_multiplicity(tplus: WeightDims, base: WeightDims) -> MultResult:
     """The ratio of Sym characters in factored form: exponent of
     (1-t^k) is base[k] - tplus[k]."""
-    exps: dict[int, int] = {}
-    for k, d in tplus:
-        exps[k] = exps.get(k, 0) - d
-    for k, d in base:
-        exps[k] = exps.get(k, 0) + d
-    return MultResult.from_factored(FactoredChar(exps))
+    return MultResult.from_factored(_ratio_factored(tplus, base))
+
+
+def _type_n_factored(g: int, n: int) -> FactoredChar:
+    tplus = WeightDims({1: n * n * (g - 1) + 1})
+    return _ratio_factored(tplus, gl_hitchin_base_dims(g, n))
 
 
 def mult_type_n(g: int, n: int) -> MultResult:
     """Multiplicity of the component downstream of the Hitchin section:
     prod_{i=2..n} [i]_t^{(2i-1)(g-1)}."""
-    base = gl_hitchin_base_dims(g, n)
-    tplus = WeightDims({1: n * n * (g - 1) + 1})
-    result = virtual_multiplicity(tplus, base)
+    result = MultResult.from_factored(_type_n_factored(g, n))
     if not result.is_polynomial:
         raise InternalError("the type (n) multiplicity must expand to a polynomial")
     return result
@@ -83,20 +85,20 @@ def mult_type_n(g: int, n: int) -> MultResult:
 def mult_type111(c: ChainHiggsBundle) -> MultResult:
     """Multiplicity of a chain fixed point's component:
     prod_i qbinom(n, i)^{m_i}, cross-checked against the weight-ratio
-    definition on every call."""
+    definition on every call.  Equal canonical factored forms are equal
+    characters, so the check compares factored forms and only the
+    closed form is expanded."""
     if not is_stable(c):
         raise DomainError("multiplicity of a chain needs a stable chain")
     n = c.rank
     factored = FactoredChar.one()
     for i, m in enumerate(c.m_vector, start=1):
         factored = factored * (qbinom_factored(n, i) ** m)
-    closed = MultResult.from_factored(factored)
-    ratio = virtual_multiplicity(tplus_dims(c), gl_hitchin_base_dims(c.genus, n))
-    if closed.polynomial != ratio.polynomial or closed.factored != ratio.factored:
+    if factored != _ratio_factored(tplus_dims(c), gl_hitchin_base_dims(c.genus, n)):
         raise InternalError(
             "chain multiplicity: quantum binomial closed form disagrees with the weight ratio"
         )
-    return closed
+    return MultResult.from_factored(factored)
 
 
 def mult_type12_rank3(g: int, twol_minus_v: int) -> MultResult:
@@ -120,12 +122,14 @@ def mult_type12_rank3(g: int, twol_minus_v: int) -> MultResult:
 
 
 def master_divisibility(m: MultResult, g: int, n: int) -> bool:
-    """Whether m divides the type (n) master multiplicity at (g, n)."""
-    if not isinstance(m.polynomial, IntPoly):
+    """Whether m divides the type (n) master multiplicity at (g, n).
+
+    Both are products of cyclotomic polynomials, so m divides the master
+    exactly when their quotient has no negative cyclotomic exponent; the
+    master is never expanded."""
+    if not m.is_polynomial:
         raise DomainError("divisibility needs a polynomial multiplicity")
-    master = mult_type_n(g, n).polynomial
-    assert isinstance(master, IntPoly)
-    return divides(m.polynomial, master)
+    return is_polynomial(_type_n_factored(g, n) * m.factored.inverse())
 
 
 def euler_prefactor(g: int, n: int) -> int:
@@ -151,17 +155,21 @@ def euler_pairing_series(
     """Series of m_A(t) * m_B(t) * chi_T(Sym A*) through t^order.
 
     The character pairing of the two components' structure sheaves over
-    the moduli space; visibly symmetric in its two arguments.
+    the moduli space; visibly symmetric in its two arguments.  Factored
+    sides are folded into chi_T(Sym A*) and expanded as one series; only
+    a bare IntPoly side is multiplied into it.
     """
+    base = gl_hitchin_base_dims(g, n)
+    factored = FactoredChar({k: -d for k, d in base})
     polys = []
     for m in (mA, mB):
-        p = m.polynomial if isinstance(m, MultResult) else m
-        if not isinstance(p, IntPoly):
+        if isinstance(m, MultResult) and m.is_polynomial:
+            factored = factored * m.factored
+        elif isinstance(m, IntPoly):
+            polys.append(m)
+        else:
             raise DomainError("the pairing needs polynomial multiplicities")
-        polys.append(p)
-    base = gl_hitchin_base_dims(g, n)
-    sym = FactoredChar({k: -d for k, d in base})
-    out = series_expand(sym, order)
+    out = series_expand(factored, order)
     for p in polys:
         out = out * p
     return out

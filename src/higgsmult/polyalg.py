@@ -1,21 +1,33 @@
 """Exact polynomial arithmetic over the integers in one variable t.
 
 Everything is exact: coefficients are arbitrary-precision Python ints,
-division is classical long division, and a failed division is reported
-as a value (NotPolynomial), never as a rounded answer.  Graded
-characters are carried around in the factored form
+and a failed expansion is reported as a value (NotPolynomial), never as
+a rounded answer.  Graded characters are carried around in the factored
+form
 
-    prod_k (1 - t^k)^{e_k},   e_k integer (possibly negative),
+    prod_k (1 - t^k)^{e_k},   e_k integer (possibly negative).
 
-and `expand` converts that to an honest polynomial exactly when the
-denominator divides the numerator.  `series_expand` gives the power
-series expansion to a finite order whether or not the quotient is a
-polynomial.
+Since t^k - 1 = prod_{d|k} Phi_d (cyclotomic polynomials), such a
+character is +-prod_d Phi_d^{c_d} with c_d = sum_{d|k} e_k, and it is a
+polynomial exactly when every c_d >= 0 (`is_polynomial`); divisibility
+of one character by another is the same test on the quotient.
+
+One kernel turns a factored character into its power series through a
+given order, in place on one coefficient list: multiplying by (1 - t^k)
+subtracts the list shifted by k, dividing by (1 - t^k) takes prefix sums
+over each residue class mod k, and multiply and divide steps alternate
+so the coefficients stay small.  `expand` runs it to half the degree of
+a polynomial and mirrors the rest (each (1 - t^k) is anti-palindromic);
+`series_expand` runs it to the requested order.  `poly_divmod` and
+`divides` remain as the general IntPoly long-division API.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, zip_longest
+from math import isqrt
+from operator import sub
 from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import DomainError, InternalError
@@ -270,41 +282,74 @@ class FactoredChar:
         return " * ".join(f"(1-t^{k})^{e}" for k, e in self.factors)
 
 
-def _one_minus_t_power(k: int) -> IntPoly:
-    return IntPoly((1,) + (0,) * (k - 1) + (-1,))
+def cyclotomic_exponents(f: FactoredChar) -> dict[int, int]:
+    """Exponents c_d of f = +-prod_d Phi_d^{c_d}; zero exponents are dropped.
+
+    >>> cyclotomic_exponents(FactoredChar({2: 3, 1: -3}))
+    {2: 3}
+    """
+    out: dict[int, int] = {}
+    for k, e in f:
+        for d in _divisors(k):
+            out[d] = out.get(d, 0) + e
+    return {d: c for d, c in sorted(out.items()) if c}
+
+
+def _divisors(k: int) -> list[int]:
+    small = [d for d in range(1, isqrt(k) + 1) if k % d == 0]
+    return small + [k // d for d in small if d * d != k]
+
+
+def is_polynomial(f: FactoredChar) -> bool:
+    """True when f expands to a polynomial: every cyclotomic exponent is >= 0.
+
+    >>> is_polynomial(FactoredChar({3: 5, 1: -6}))
+    False
+    """
+    return all(c >= 0 for c in cyclotomic_exponents(f).values())
+
+
+def _series(f: FactoredChar, length: int) -> list[int]:
+    """The first `length` series coefficients of f, on one list in place."""
+    c = [1] + [0] * (length - 1)
+    ups = [k for k, e in f if e > 0 and k < length for _ in range(e)]
+    downs = [k for k, e in f if e < 0 and k < length for _ in range(-e)]
+    for up, down in zip_longest(ups, downs):
+        if up:  # times (1 - t^up)
+            c[up:] = map(sub, c[up:], c[:-up])
+        if down:  # over (1 - t^down)
+            for r in range(down):
+                c[r::down] = accumulate(c[r::down])
+    return c
 
 
 def expand(f: FactoredChar) -> "IntPoly | NotPolynomial":
     """Expand a factored character to a polynomial, if it is one.
 
-    Splits f into numerator (positive exponents) and denominator
-    (negative exponents) and long-divides.  An inexact division returns
-    a NotPolynomial witness carrying the remainder's degree.
+    Polynomiality comes from the cyclotomic exponents.  A polynomial of
+    degree D = sum k*e_k satisfies t^D p(1/t) = (-1)^{sum e_k} p(t), so
+    only its lower half is computed.  Otherwise the series runs to the
+    numerator degree N, and the witness carries the degree N - j of the
+    remainder that long division of numerator by denominator would leave,
+    where j is the first index past D with a nonzero series coefficient.
 
     >>> expand(FactoredChar({2: 3, 1: -3})).coeffs
     (1, 3, 3, 1)
     >>> expand(FactoredChar({3: 5, 1: -6}))
     NotPolynomial(remainder_degree=5)
     """
-    num = IntPoly.one()
-    den = IntPoly.one()
-    for k, e in f:
-        block = _one_minus_t_power(k) ** abs(e)
-        if e > 0:
-            num = num * block
-        else:
-            den = den * block
-    if den == IntPoly.one():
-        return num
-    qr = poly_divmod(num, den)
-    if qr is None:
-        # den is a product of (1 - t^k) factors, so its leading
-        # coefficient is +-1 and every division step is exact
-        raise InternalError("denominator with unit leading coefficient failed to divide")
-    q, r = qr
-    if r.is_zero:
-        return q
-    return NotPolynomial(remainder_degree=r.degree)
+    degree = sum(k * e for k, e in f)
+    if is_polynomial(f):
+        half = _series(f, degree // 2 + 1)
+        sign = -1 if sum(e for _, e in f) % 2 else 1
+        mirrored = reversed(half[: degree - degree // 2])
+        return IntPoly(tuple(half) + tuple(sign * a for a in mirrored))
+    top = sum(k * e for k, e in f if e > 0)
+    c = _series(f, top + 1)
+    for j in range(max(degree + 1, 0), top + 1):
+        if c[j]:
+            return NotPolynomial(remainder_degree=top - j)
+    raise InternalError("a non-polynomial character left no remainder")
 
 
 def is_palindromic_monic(p: IntPoly) -> bool:
@@ -372,34 +417,14 @@ class TruncatedSeries:
         )
 
 
-def _truncated_power(base: tuple[int, ...], n: int, order: int) -> TruncatedSeries:
-    result = TruncatedSeries(order, (1,))
-    b = TruncatedSeries(order, base[: order + 1])
-    while n:
-        if n & 1:
-            result = result * b
-        b = b * b
-        n >>= 1
-    return result
-
-
 def series_expand(f: FactoredChar, order: int) -> TruncatedSeries:
     """Power series of a factored character through t^order.
 
-    Negative exponents expand through the geometric series
-    1/(1-t^k) = sum_j t^(jk), so the result is exact whether or not
-    the character is a polynomial.
+    Exact whether or not the character is a polynomial.
 
     >>> series_expand(FactoredChar({2: 1, 1: -1}), 3).coeffs
     (1, 1, 0, 0)
     """
     if order < 1:
         raise DomainError(f"series order must be >= 1, got {order}")
-    out = TruncatedSeries(order, (1,))
-    for k, e in f:
-        if e > 0:
-            out = out * _truncated_power(_one_minus_t_power(k).coeffs, e, order)
-        else:
-            geom = tuple(1 if i % k == 0 else 0 for i in range(order + 1))
-            out = out * _truncated_power(geom, -e, order)
-    return out
+    return TruncatedSeries(order, tuple(_series(f, order + 1)))

@@ -98,6 +98,19 @@ class TestExitCodes:
         )
         assert code == 3 and "ResourceLimitError" in err
 
+    def test_internal_error_is_70(self, capsys, monkeypatch):
+        import higgsmult.cli
+        from higgsmult.errors import InternalError
+
+        def broken(ns):
+            raise InternalError("invariant broken")
+
+        monkeypatch.setattr(higgsmult.cli, "_cmd_rootinfo", broken)
+        code, out, err = invoke(capsys, ["rootinfo", "--type", "A", "--rank", "2"])
+        assert code == 70
+        assert out == ""
+        assert err == "InternalError: invariant broken\n"
+
     def test_main_exits(self, capsys):
         with pytest.raises(SystemExit) as exc:
             import sys

@@ -16,9 +16,29 @@ from higgsmult.multgl import (
     mult_type_n,
     virtual_multiplicity,
 )
-from higgsmult.polyalg import FactoredChar, IntPoly, NotPolynomial, is_palindromic_monic, qbinom, qint
+from higgsmult.polyalg import (
+    FactoredChar,
+    IntPoly,
+    NotPolynomial,
+    divides,
+    is_palindromic_monic,
+    qbinom,
+    qint,
+)
 
-from oracles import factored_series
+from oracles import divmod_fractions, factored_series, mul_lists
+
+
+# polynomial multiplicities: products of (1-t^(j*q))^e / (1-t^j)^e, each a
+# power of a polynomial since 1-t^j divides 1-t^(j*q)
+@st.composite
+def polynomial_mults(draw):
+    f = FactoredChar.one()
+    for j, q, e in draw(
+        st.lists(st.tuples(st.integers(1, 3), st.integers(2, 4), st.integers(0, 5)), max_size=3)
+    ):
+        f = f * FactoredChar({j * q: e, j: -e})
+    return MultResult.from_factored(f)
 
 
 class TestVirtualMultiplicity:
@@ -159,6 +179,13 @@ class TestMasterDivisibility:
             c = chain_from_m(g, m)
             assert master_divisibility(mult_type111(c), g, c.rank)
 
+    @given(polynomial_mults(), st.integers(2, 3), st.integers(1, 4))
+    @settings(max_examples=80, deadline=None)
+    def test_against_division_oracle(self, m, g, n):
+        master = mult_type_n(g, n).polynomial
+        _, rem = divmod_fractions(master.coeffs, m.polynomial.coeffs)
+        assert master_divisibility(m, g, n) == (not rem) == divides(m.polynomial, master)
+
 
 class TestEulerPrefactor:
     def test_examples(self):
@@ -216,6 +243,26 @@ class TestEulerPairing:
         den = mul_lists(pow_list([1, -1], 2), pow_list([1, 0, -1], 3))
         expected = series_quotient(num, den, 8)
         assert [int(x) for x in expected] == list(s.coeffs)
+
+    @given(
+        polynomial_mults(),
+        polynomial_mults(),
+        st.booleans(),
+        st.integers(2, 3),
+        st.integers(1, 3),
+        st.integers(1, 20),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_folded_against_oracle_product(self, a, b, bare, g, n, order):
+        side_b = b.polynomial if bare else b
+        s = euler_pairing_series(a, side_b, g, n, order)
+        sym = {k: -d for k, d in gl_hitchin_base_dims(g, n)}
+        expected = mul_lists(
+            mul_lists(factored_series(sym, order), list(a.polynomial.coeffs)),
+            list(b.polynomial.coeffs),
+        )
+        expected = (expected + [0] * (order + 1))[: order + 1]
+        assert list(s.coeffs) == expected
 
 
 class TestCotangentCross:

@@ -11,9 +11,11 @@ from higgsmult.polyalg import (
     IntPoly,
     NotPolynomial,
     TruncatedSeries,
+    cyclotomic_exponents,
     divides,
     expand,
     is_palindromic_monic,
+    is_polynomial,
     poly_divmod,
     qbinom,
     qbinom_factored,
@@ -21,7 +23,13 @@ from higgsmult.polyalg import (
     series_expand,
 )
 
-from oracles import divmod_fractions, factored_series, gaussian_binomial, mul_lists
+from oracles import (
+    divmod_fractions,
+    factored_series,
+    factored_to_num_den,
+    gaussian_binomial,
+    mul_lists,
+)
 
 
 def test_doctests():
@@ -224,6 +232,36 @@ class TestFactoredChar:
         p = expand(f)
         assert isinstance(p, IntPoly)
         assert is_palindromic_monic(p)
+
+
+# arbitrary factored characters, polynomial or not
+random_factors = st.dictionaries(st.integers(1, 12), st.integers(-6, 6), max_size=4)
+
+
+class TestExpandAgainstOracle:
+    @given(random_factors)
+    @settings(max_examples=300, deadline=None)
+    def test_quotient_and_remainder_degree(self, exps):
+        num, den = factored_to_num_den(exps)
+        q, r = divmod_fractions(num, den)
+        out = expand(FactoredChar(exps))
+        if r:
+            assert out == NotPolynomial(remainder_degree=len(r) - 1)
+        else:
+            assert isinstance(out, IntPoly)
+            assert list(out.coeffs) == [int(x) for x in q]
+        assert is_polynomial(FactoredChar(exps)) == (not r)
+
+    @given(random_factors, st.integers(1, 60))
+    @settings(max_examples=100, deadline=None)
+    def test_series_against_recurrence(self, exps, order):
+        assert list(series_expand(FactoredChar(exps), order).coeffs) == factored_series(exps, order)
+
+    def test_cyclotomic_exponents(self):
+        # (1-t^6)/(1-t^2)^2 = Phi_3 Phi_6 / (Phi_1 Phi_2)
+        assert cyclotomic_exponents(FactoredChar({6: 1, 2: -2})) == {1: -1, 2: -1, 3: 1, 6: 1}
+        assert cyclotomic_exponents(FactoredChar({4: 2, 2: -1, 1: -1})) == {2: 1, 4: 2}
+        assert cyclotomic_exponents(FactoredChar.one()) == {}
 
 
 class TestPalindromic:
