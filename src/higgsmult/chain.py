@@ -252,47 +252,79 @@ def chain_from_m(genus: int, m: Iterable[int], top_degree: int = 0) -> ChainHigg
     return make_chain(genus, degrees, zeros)
 
 
-def is_stable(c: ChainHiggsBundle) -> bool:
-    """Exact slope test over the invariant subbundles L_j + ... + L_{n-1}.
+@dataclass(frozen=True)
+class Stability:
+    """The first condition a chain fails on the way to very stability.
 
-    Strict inequality n*(l_j + ... + l_{n-1}) < (n-j)*(l_0 + ... + l_{n-1})
-    for every 1 <= j <= n-1; rank one is vacuously stable.
+    unstable_index is the smallest j whose invariant subbundle
+    L_j + ... + L_{n-1} violates the slope inequality; repeated_zero is
+    the first point (in sorted order) where the combined zero divisor of
+    b_1 + ... + b_{n-1} has multiplicity >= 2, looked for only on a
+    stable chain.
     """
-    l = c.degrees
-    n = c.rank
-    total = sum(l)
-    tail = 0
-    for j in range(n - 1, 0, -1):
-        tail += l[j]
-        if not n * tail < (n - j) * total:
-            return False
-    return True
+
+    unstable_index: "int | None" = None
+    repeated_zero: "Point | None" = None
+
+    @property
+    def stable(self) -> bool:
+        return self.unstable_index is None
+
+    @property
+    def very_stable(self) -> bool:
+        return self.stable and self.repeated_zero is None
+
+    @property
+    def reason(self) -> "str | None":
+        """Why the chain is not very stable, or None if it is."""
+        if self.unstable_index is not None:
+            return f"unstable at index {self.unstable_index}"
+        if self.repeated_zero is not None:
+            return f"repeated zero at {self.repeated_zero.label}"
+        return None
 
 
 def unstable_index(c: ChainHiggsBundle) -> "int | None":
-    """Smallest j whose invariant subbundle violates stability, if any."""
+    """Smallest j whose invariant subbundle L_j + ... + L_{n-1} violates
+    the strict slope inequality n*(l_j + ... + l_{n-1}) < (n-j)*(l_0 + ... + l_{n-1}),
+    or None for a stable chain (rank one is vacuously stable)."""
     l = c.degrees
     n = c.rank
     total = sum(l)
+    tail = total
     for j in range(1, n):
-        if not n * sum(l[j:]) < (n - j) * total:
+        tail -= l[j - 1]
+        if not n * tail < (n - j) * total:
             return j
     return None
 
 
-def is_very_stable(c: ChainHiggsBundle) -> bool:
-    """Stable, and the combined zero divisor of b_1 + ... + b_{n-1} is reduced.
+def is_stable(c: ChainHiggsBundle) -> bool:
+    """Exact slope test: no invariant subbundle violates the inequality."""
+    return unstable_index(c) is None
 
-    A repeated zero (within one b_i or shared between two of them)
-    admits a nonzero nilpotent second-order deformation, so the fixed
-    point fails to be very stable.
+
+def stability(c: ChainHiggsBundle) -> Stability:
+    """The slope test, then the very-stability test on a stable chain.
+
+    A stable chain is very stable when its combined zero divisor is
+    reduced: a repeated zero (within one b_i or shared between two of
+    them) admits a nonzero nilpotent second-order deformation.
     """
-    if not is_stable(c):
-        return False
-    combined = Divisor.zero()
+    j = unstable_index(c)
+    if j is not None:
+        return Stability(unstable_index=j)
+    combined: dict[Point, int] = {}
     for div in c.zero_divisors:
-        combined = combined + div
-    return combined.is_reduced
+        for p, m in div:
+            combined[p] = combined.get(p, 0) + m
+    repeated = [p for p, m in combined.items() if m >= 2]
+    return Stability(repeated_zero=min(repeated) if repeated else None)
+
+
+def is_very_stable(c: ChainHiggsBundle) -> bool:
+    """Stable, and the combined zero divisor of b_1 + ... + b_{n-1} is reduced."""
+    return stability(c).very_stable
 
 
 def tplus_dims(c: ChainHiggsBundle) -> WeightDims:

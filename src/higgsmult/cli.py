@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import __version__
-from .chain import chain_from_json, chain_from_m, chain_to_json, is_stable, unstable_index
+from .chain import chain_from_json, chain_from_m, chain_to_json, stability
 from .errors import DomainError, InternalError, ResourceLimitError
 from .hecke import (
     ENUMERATION_CAP,
@@ -139,24 +139,12 @@ def _cmd_mult_simple(ns) -> tuple[dict, dict]:
 def _cmd_classify(ns) -> tuple[dict, dict]:
     chain = _load_chain(ns.chain_file)
     inputs = {"chain_file": ns.chain_file}
-    if not is_stable(chain):
-        j = unstable_index(chain)
-        return inputs, {
-            "very_stable": False,
-            "stable": False,
-            "reason": f"unstable at index {j}",
-        }
-    total = chain.delta0.zero()
-    for i in range(1, chain.rank):
-        total = total + chain.zero_divisor(i)
-    for point, mult in total:
-        if mult >= 2:
-            return inputs, {
-                "very_stable": False,
-                "stable": True,
-                "reason": f"repeated zero at {point.label}",
-            }
-    return inputs, {"very_stable": True, "stable": True, "reason": None}
+    verdict = stability(chain)
+    return inputs, {
+        "very_stable": verdict.very_stable,
+        "stable": verdict.stable,
+        "reason": verdict.reason,
+    }
 
 
 def _cmd_hecke(ns) -> tuple[dict, dict]:

@@ -7,14 +7,27 @@ cominuscule nodes from maximal root coefficients, Levi subsystems by
 Dynkin node deletion, and minuscule Weyl orbits (in the dual system)
 with their principal-grading depths.  No lookup tables are consulted at
 runtime; the classical tables live in the tests as oracles.
+
+The induction packs each root and its Cartan pairings into one int, a
+byte per node, and visits only the nodes whose pairing or down-edges
+admit a root, so a build costs a few whole-vector operations per root
+plus one step per edge of the root poset.  Levi degrees come from the
+roots already built: those with c_i = 0 are the Levi's roots, and the
+conjugate of their summed height histogram is the union of its
+components' degrees.  Orbit depths are carried along the orbit search
+(s_j lowers mu by mu_j simple roots), and every edge is checked against
+them.  `build` refuses systems with more than ROOT_CAP positive roots.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .errors import DomainError, InternalError
+from .errors import DomainError, InternalError, ResourceLimitError
+
+# Root systems with more positive roots than this are refused before any
+# work (before the l x l Cartan matrix, too); it admits A140 (9870 roots).
+ROOT_CAP = 10_000
 
 _RANK_RANGE = {
     "A": (1, None),
@@ -111,35 +124,67 @@ def _positive_roots(cartan: tuple[tuple[int, ...], ...]) -> list[tuple[int, ...]
     alpha + alpha_j is a root iff p - <alpha, alpha_j^v> > 0 where p is
     the largest k with alpha - k*alpha_j still a root; processing one
     height layer at a time keeps every downward string already known.
+
+    Vectors are packed into one int, one byte per node (node j at bit
+    8j): a root's coordinates (at most 6), and its pairings
+    <alpha, alpha_j^v> (between -3 and 3) offset by 64.  Then alpha +
+    alpha_j is one add, the pairings of alpha + alpha_j are those of
+    alpha plus the packed row j of the Cartan matrix, and bit 6 of each
+    byte answers a test for all nodes at once:
+
+    - pairing < 0: p >= 0 > pairing, so alpha + alpha_j is a root;
+    - pairing >= 0: a root needs p > pairing >= 0, so alpha - alpha_j
+      is a root (j is a "down" node of alpha, recorded when alpha was
+      reached from alpha - alpha_j) and c_j > pairing (as p <= c_j).
+
+    Only nodes passing one of these tests are visited, and only the
+    second kind walks its root string, so the cost per root is a few
+    whole-vector operations plus one step per edge of the root poset.
     """
     l = len(cartan)
-    found: set[tuple[int, ...]] = set()
-    layer = []
-    for j in range(l):
-        unit = tuple(1 if i == j else 0 for i in range(l))
-        found.add(unit)
-        layer.append(unit)
+    ones = sum(1 << (8 * j) for j in range(l))
+    high = 64 * ones  # bit 6 of every byte
+    lift = 127 * ones
+    rows = [sum(a << (8 * k) for k, a in enumerate(row)) for row in cartan]
+    found: set[int] = set()
+    layer = {1 << (8 * j): high + rows[j] for j in range(l)}
+    downs = dict.fromkeys(layer, 0)
+    layers: list[list[int]] = []
     while layer:
-        nxt: list[tuple[int, ...]] = []
-        for alpha in layer:
-            for j in range(l):
-                pairing = sum(alpha[i] * cartan[i][j] for i in range(l))
-                p = 0
-                down = list(alpha)
-                while True:
-                    down[j] -= 1
-                    if down[j] < 0 or tuple(down) not in found:
-                        break
-                    p += 1
-                if p - pairing > 0:
-                    up = list(alpha)
-                    up[j] += 1
-                    cand = tuple(up)
-                    if cand not in found:
-                        found.add(cand)
-                        nxt.append(cand)
-        layer = nxt
-    return sorted(found, key=lambda c: (sum(c), c))
+        found.update(layer)
+        layers.append(list(layer))
+        nxt: dict[int, int] = {}
+        nxt_downs: dict[int, int] = {}
+        for alpha, pairs in layer.items():
+            # byte j of alpha + lift - pairs is c_j - pairing + 63
+            mask = ~pairs & high | downs[alpha] & (alpha + lift - pairs)
+            while mask:
+                flag = mask & -mask
+                mask ^= flag
+                shift = flag.bit_length() - 7
+                pairing = (pairs >> shift & 255) - 64
+                unit = 1 << shift
+                if pairing >= 0:
+                    # p >= 1; stop at pairing + 1 <= c_j, before c_j underflows
+                    p = 1
+                    down = alpha - 2 * unit
+                    while p <= pairing and down in found:
+                        p += 1
+                        down -= unit
+                    if p <= pairing:
+                        continue
+                cand = alpha + unit
+                if cand in nxt:
+                    nxt_downs[cand] |= flag
+                else:
+                    nxt[cand] = pairs + rows[shift >> 3]
+                    nxt_downs[cand] = flag
+        layer, downs = nxt, nxt_downs
+    return [
+        tuple(packed)
+        for height in layers
+        for packed in sorted(alpha.to_bytes(l, "little") for alpha in height)
+    ]
 
 
 @dataclass(frozen=True)
@@ -155,10 +200,15 @@ class RootSystem:
 
 def build(t: LieType) -> RootSystem:
     """Enumerate the positive roots of t; deterministic order by height
-    then lexicographic coordinates."""
+    then lexicographic coordinates.  Raises ResourceLimitError, before
+    any work, when t has more than ROOT_CAP positive roots."""
+    expected = _POSITIVE_COUNT[t.family](t.rank)
+    if expected > ROOT_CAP:
+        raise ResourceLimitError(
+            f"{t} has {expected} positive roots, above the cap {ROOT_CAP}"
+        )
     cartan = cartan_matrix(t)
     roots = _positive_roots(cartan)
-    expected = _POSITIVE_COUNT[t.family](t.rank)
     if len(roots) != expected:
         raise InternalError(
             f"{t}: found {len(roots)} positive roots, classical count is {expected}"
@@ -228,70 +278,28 @@ def degrees(r: RootSystem) -> DegreeSet:
 def cominuscule_nodes(r: RootSystem) -> frozenset[int]:
     """Nodes i (1-based) whose coefficient never exceeds 1 in any
     positive root."""
-    l = r.rank
-    peak = [0] * l
-    for root in r.positive_roots:
-        for i, c in enumerate(root.coeffs):
-            if c > peak[i]:
-                peak[i] = c
-    return frozenset(i + 1 for i in range(l) if peak[i] == 1)
-
-
-def _components(nodes: list[int], cartan: tuple[tuple[int, ...], ...]) -> list[list[int]]:
-    remaining = set(nodes)
-    comps = []
-    while remaining:
-        seed = min(remaining)
-        comp = {seed}
-        frontier = [seed]
-        while frontier:
-            v = frontier.pop()
-            for w in remaining - comp:
-                if cartan[v][w] != 0:
-                    comp.add(w)
-                    frontier.append(w)
-        comps.append(sorted(comp))
-        remaining -= comp
-    return comps
+    peaks = map(max, zip(*(root.coeffs for root in r.positive_roots)))
+    return frozenset(i for i, peak in enumerate(peaks, start=1) if peak == 1)
 
 
 def levi_degrees(r: RootSystem, i: int) -> DegreeSet:
-    """Degrees of the Levi subgroup from deleting node i (1-based):
-    union over remaining Dynkin components, plus one degree-1 entry per
-    torus rank lost, so the result always has rank many entries."""
+    """Degrees of the Levi subgroup from deleting node i (1-based).
+
+    The Levi's positive roots are the roots of r with c_i = 0.  Their
+    height histogram is the sum of its Dynkin components' histograms,
+    whose conjugate is the union of the components' conjugates, so it
+    gives the union of the components' degrees at once; one degree-1
+    entry for the torus rank lost keeps the result at rank many entries.
+    """
     l = r.rank
     if not 1 <= i <= l:
         raise DomainError(f"node index must be in 1..{l}, got {i}")
-    keep = [j for j in range(l) if j != i - 1]
-    degs: list[int] = []
-    for comp in _components(keep, r.cartan):
-        sub = tuple(tuple(r.cartan[a][b] for b in comp) for a in comp)
-        hist: dict[int, int] = {}
-        for c in _positive_roots(sub):
-            hist[sum(c)] = hist.get(sum(c), 0) + 1
-        degs.extend(_degrees_from_histogram(hist, len(comp)))
-    degs.extend([1] * (l - len(keep)))
-    return DegreeSet(tuple(degs))
-
-
-def _solve_root_coordinates(
-    cartan: tuple[tuple[int, ...], ...], vec: tuple[int, ...]
-) -> list[Fraction]:
-    """Solve sum_j c_j * (row j of cartan) = vec for c by elimination."""
-    l = len(cartan)
-    m = [[Fraction(cartan[j][k]) for j in range(l)] + [Fraction(vec[k])] for k in range(l)]
-    for col in range(l):
-        pivot = next((row for row in range(col, l) if m[row][col] != 0), None)
-        if pivot is None:
-            raise InternalError("singular Cartan matrix")
-        m[col], m[pivot] = m[pivot], m[col]
-        pv = m[col][col]
-        m[col] = [x / pv for x in m[col]]
-        for row in range(l):
-            if row != col and m[row][col] != 0:
-                f = m[row][col]
-                m[row] = [x - f * y for x, y in zip(m[row], m[col])]
-    return [m[j][l] for j in range(l)]
+    hist: dict[int, int] = {}
+    for root in r.positive_roots:
+        if root.coeffs[i - 1] == 0:
+            h = root.height
+            hist[h] = hist.get(h, 0) + 1
+    return DegreeSet(_degrees_from_histogram(hist, l - 1).degrees + (1,))
 
 
 def weyl_orbit_minuscule(r: RootSystem, i: int) -> list[tuple[tuple[int, ...], int]]:
@@ -300,8 +308,11 @@ def weyl_orbit_minuscule(r: RootSystem, i: int) -> list[tuple[tuple[int, ...], i
     Works in fundamental-weight coordinates of the dual (transposed
     Cartan) system, where the reflection s_j subtracts mu_j times row j
     of the Cartan matrix.  Each orbit element mu is graded by
-    depth = height of lambda - mu as a nonnegative integer combination
-    of dual simple roots, computed through the inverse Cartan matrix.
+    depth = height of lambda - mu as a combination of dual simple roots.
+    s_j moves mu by -mu_j times the j-th dual simple root, so the search
+    carries depth(s_j mu) = depth(mu) + mu_j along.  Every edge that
+    reaches a weight already seen must agree with its recorded depth,
+    every depth must be >= 0, and only lambda may have depth 0.
     Sorted by depth, then lexicographically.
     """
     if i not in cominuscule_nodes(r):
@@ -309,23 +320,21 @@ def weyl_orbit_minuscule(r: RootSystem, i: int) -> list[tuple[tuple[int, ...], i
     l = r.rank
     dual = tuple(tuple(r.cartan[b][a] for b in range(l)) for a in range(l))
     start = tuple(1 if j == i - 1 else 0 for j in range(l))
-    orbit = {start}
+    depth = {start: 0}
     frontier = [start]
     while frontier:
         mu = frontier.pop()
-        for j in range(l):
-            if mu[j] == 0:
+        for j, step in enumerate(mu):
+            if step == 0:
                 continue
-            nu = tuple(x - mu[j] * dual[j][k] for k, x in enumerate(mu))
-            if nu not in orbit:
-                orbit.add(nu)
+            nu = tuple(x - step * a for x, a in zip(mu, dual[j]))
+            d = depth[mu] + step
+            seen = depth.get(nu)
+            if seen is None:
+                depth[nu] = d
                 frontier.append(nu)
-    graded = []
-    for mu in orbit:
-        diff = tuple(a - b for a, b in zip(start, mu))
-        coords = _solve_root_coordinates(dual, diff)
-        if any(c.denominator != 1 or c < 0 for c in coords):
-            raise InternalError(f"orbit element {mu} has non-integral depth data {coords}")
-        graded.append((mu, int(sum(coords))))
-    graded.sort(key=lambda pair: (pair[1], pair[0]))
-    return graded
+            elif seen != d:
+                raise InternalError(f"orbit element {nu} reached at depths {seen} and {d}")
+    if min(depth.values()) < 0 or list(depth.values()).count(0) != 1:
+        raise InternalError(f"orbit of node {i} of {r.lie_type} is not graded from its top")
+    return sorted(depth.items(), key=lambda pair: (pair[1], pair[0]))

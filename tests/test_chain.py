@@ -15,6 +15,7 @@ from higgsmult.chain import (
     is_very_stable,
     make_chain,
     point_divisor,
+    stability,
     tplus_dims,
     twist,
     unstable_index,
@@ -127,6 +128,57 @@ class TestStability:
         if any(x >= 2 * g - 2 for x in m):
             return
         assert is_stable(chain_from_m(g, m))
+
+
+def reference_verdict(c):
+    """The slope test and the combined-divisor scan written out directly."""
+    n, l = c.rank, c.degrees
+    for j in range(1, n):
+        if not n * sum(l[j:]) < (n - j) * sum(l):
+            return False, False, f"unstable at index {j}"
+    total = Divisor.zero()
+    for div in c.zero_divisors:
+        total = total + div
+    for point, mult in total:
+        if mult >= 2:
+            return True, False, f"repeated zero at {point.label}"
+    return True, True, None
+
+
+class TestStabilityVerdict:
+    def test_reasons(self):
+        assert stability(make_chain(2, (0, -1), [Divisor({"p": 1})])).reason is None
+        verdict = stability(make_chain(2, (-1, 0), [Divisor.of_points("p", "q", "r")]))
+        assert (verdict.stable, verdict.unstable_index) == (False, 1)
+        assert verdict.reason == "unstable at index 1"
+        zeros = [Divisor.of_points("s", "q", "r"), Divisor.of_points("s", "r", "p")]
+        verdict = stability(make_chain(3, (2, 1, 0), zeros))
+        assert verdict.stable and not verdict.very_stable
+        assert verdict.reason == "repeated zero at r"
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(2, 4),
+        st.lists(st.integers(-4, 4), min_size=1, max_size=6),
+        st.data(),
+    )
+    def test_matches_reference(self, g, steps, data):
+        degrees = [0]
+        for s in steps:
+            degrees.append(degrees[-1] + s)
+        m = [degrees[i] - degrees[i - 1] + 2 * g - 2 for i in range(1, len(degrees))]
+        if any(x < 0 for x in m):
+            return
+        zeros = [
+            Divisor.of_points(*data.draw(st.lists(st.sampled_from("pqrs"), min_size=x, max_size=x)))
+            for x in m
+        ]
+        c = make_chain(g, degrees, zeros)
+        verdict = stability(c)
+        assert (verdict.stable, verdict.very_stable, verdict.reason) == reference_verdict(c)
+        assert verdict.stable == is_stable(c)
+        assert verdict.very_stable == is_very_stable(c)
+        assert verdict.unstable_index == unstable_index(c)
 
 
 class TestVeryStable:

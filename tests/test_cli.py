@@ -98,6 +98,11 @@ class TestExitCodes:
         )
         assert code == 3 and "ResourceLimitError" in err
 
+    def test_root_cap_is_3(self, capsys):
+        code, out, err = invoke(capsys, ["rootinfo", "--type", "A", "--rank", "300"])
+        assert code == 3 and out == ""
+        assert err == "ResourceLimitError: A300 has 45150 positive roots, above the cap 10000\n"
+
     def test_internal_error_is_70(self, capsys, monkeypatch):
         import higgsmult.cli
         from higgsmult.errors import InternalError

@@ -1,12 +1,17 @@
+import time
+from fractions import Fraction
 from math import comb, factorial
 
 import pytest
 
-from higgsmult.errors import DomainError
+from higgsmult.errors import DomainError, InternalError, ResourceLimitError
 from higgsmult.rootsys import (
+    ROOT_CAP,
     DegreeSet,
     LieType,
     Root,
+    RootSystem,
+    _degrees_from_histogram,
     build,
     cartan_matrix,
     cominuscule_nodes,
@@ -272,3 +277,144 @@ class TestDegreeSet:
     def test_positive(self):
         with pytest.raises(DomainError):
             DegreeSet((0, 2))
+
+
+# Reference implementations: direct algorithms, slower but plainly
+# correct, that pin the engine's results and their order.
+
+
+def reference_positive_roots(cartan):
+    """Height induction on coordinate tuples, every node tried per root."""
+    l = len(cartan)
+    found = set()
+    layer = []
+    for j in range(l):
+        unit = tuple(1 if i == j else 0 for i in range(l))
+        found.add(unit)
+        layer.append(unit)
+    while layer:
+        nxt = []
+        for alpha in layer:
+            for j in range(l):
+                pairing = sum(alpha[i] * cartan[i][j] for i in range(l))
+                p = 0
+                down = list(alpha)
+                while True:
+                    down[j] -= 1
+                    if down[j] < 0 or tuple(down) not in found:
+                        break
+                    p += 1
+                if p - pairing > 0:
+                    up = list(alpha)
+                    up[j] += 1
+                    cand = tuple(up)
+                    if cand not in found:
+                        found.add(cand)
+                        nxt.append(cand)
+        layer = nxt
+    return sorted(found, key=lambda c: (sum(c), c))
+
+
+def reference_levi_degrees(r, i):
+    """Split the Dynkin diagram without node i into components and
+    enumerate each component's roots afresh."""
+    keep = [j for j in range(r.rank) if j != i - 1]
+    remaining = set(keep)
+    degs = []
+    while remaining:
+        comp = {min(remaining)}
+        frontier = list(comp)
+        while frontier:
+            v = frontier.pop()
+            for w in remaining - comp:
+                if r.cartan[v][w] != 0:
+                    comp.add(w)
+                    frontier.append(w)
+        remaining -= comp
+        comp = sorted(comp)
+        sub = tuple(tuple(r.cartan[a][b] for b in comp) for a in comp)
+        hist = {}
+        for c in reference_positive_roots(sub):
+            hist[sum(c)] = hist.get(sum(c), 0) + 1
+        degs.extend(_degrees_from_histogram(hist, len(comp)))
+    return DegreeSet(tuple(degs) + (1,))
+
+
+def reference_depths(r, orbit):
+    """Depth of each orbit weight by exact elimination: solve
+    sum_j c_j * (row j of the dual Cartan matrix) = lambda - mu."""
+    l = r.rank
+    dual = [[r.cartan[b][a] for b in range(l)] for a in range(l)]
+    top = orbit[0][0]
+    depths = []
+    for mu, _ in orbit:
+        m = [[Fraction(dual[j][k]) for j in range(l)] + [Fraction(top[k] - mu[k])] for k in range(l)]
+        for col in range(l):
+            pivot = next(row for row in range(col, l) if m[row][col] != 0)
+            m[col], m[pivot] = m[pivot], m[col]
+            m[col] = [x / m[col][col] for x in m[col]]
+            for row in range(l):
+                if row != col and m[row][col] != 0:
+                    f = m[row][col]
+                    m[row] = [x - f * y for x, y in zip(m[row], m[col])]
+        coords = [m[j][l] for j in range(l)]
+        assert all(c.denominator == 1 and c >= 0 for c in coords)
+        depths.append(int(sum(coords)))
+    return depths
+
+
+TYPES_TO_12 = (
+    [("A", l) for l in range(1, 13)]
+    + [("B", l) for l in range(2, 13)]
+    + [("C", l) for l in range(2, 13)]
+    + [("D", l) for l in range(3, 13)]
+    + [("E", l) for l in (6, 7, 8)]
+    + [("F", 4), ("G", 2)]
+)
+
+
+class TestAgainstReferences:
+    @pytest.mark.parametrize("family,rank", TYPES_TO_12)
+    def test_roots_and_order(self, family, rank):
+        t = LieType(family, rank)
+        r = build(t)
+        assert [root.coeffs for root in r.positive_roots] == reference_positive_roots(
+            cartan_matrix(t)
+        )
+
+    @pytest.mark.parametrize("family,rank", GRID)
+    def test_levi_degrees(self, family, rank):
+        r = build(LieType(family, rank))
+        for i in range(1, rank + 1):
+            assert levi_degrees(r, i) == reference_levi_degrees(r, i)
+
+    @pytest.mark.parametrize("family,rank", GRID)
+    def test_orbit_depths(self, family, rank):
+        r = build(LieType(family, rank))
+        for node in sorted(cominuscule_nodes(r)):
+            orbit = weyl_orbit_minuscule(r, node)
+            assert orbit[0] == (tuple(1 if j == node - 1 else 0 for j in range(rank)), 0)
+            assert [d for _, d in orbit] == reference_depths(r, orbit)
+            assert orbit == sorted(orbit, key=lambda pair: (pair[1], pair[0]))
+
+
+    def test_inconsistent_depths_raise(self):
+        # a zero diagonal makes s_1 fix lambda while lowering its depth by 1
+        a1 = build(LieType("A", 1))
+        broken = RootSystem(a1.lie_type, ((0,),), a1.positive_roots)
+        with pytest.raises(InternalError, match="depths 0 and 1"):
+            weyl_orbit_minuscule(broken, 1)
+
+
+class TestScale:
+    def test_a100_roots(self):
+        assert len(build(LieType("A", 100)).positive_roots) == 5050
+
+    def test_cap_refuses_before_work(self):
+        assert len(build(LieType("A", 140)).positive_roots) == 9870 <= ROOT_CAP
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match="45150 positive roots"):
+            build(LieType("A", 300))
+        with pytest.raises(ResourceLimitError, match="cap"):
+            build(LieType("D", 10 ** 9))
+        assert time.perf_counter() - start < 1.0
