@@ -20,9 +20,10 @@ fibre.  Both feed the virtual multiplicity ratio downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Mapping, Union
 
 from .errors import DomainError
+from .polyalg import SparseMap
 
 
 @dataclass(frozen=True, order=True)
@@ -43,110 +44,50 @@ def as_point(p: PointLike) -> Point:
     return p if isinstance(p, Point) else Point(p)
 
 
-@dataclass(frozen=True)
-class Divisor:
-    """Formal integer combination of points, stored without zero terms."""
+class Divisor(SparseMap):
+    """Formal integer combination of points: the sparse map from Point
+    (a label is accepted) to multiplicity; `multiplicities` is its
+    sorted terms."""
 
-    multiplicities: tuple[tuple[Point, int], ...] = ()
+    _key = staticmethod(as_point)
 
-    def __init__(self, multiplicities: "Mapping[PointLike, int] | Iterable[tuple[PointLike, int]]" = ()) -> None:
-        items = (
-            multiplicities.items()
-            if isinstance(multiplicities, Mapping)
-            else multiplicities
-        )
-        merged: dict[Point, int] = {}
-        for p, m in items:
-            p = as_point(p)
-            merged[p] = merged.get(p, 0) + int(m)
-        canon = tuple(sorted((p, m) for p, m in merged.items() if m != 0))
-        object.__setattr__(self, "multiplicities", canon)
+    multiplicities = property(lambda self: self.terms)
 
     @classmethod
     def zero(cls) -> "Divisor":
-        return cls(())
+        return cls()
 
     @classmethod
     def of_points(cls, *labels: PointLike) -> "Divisor":
         """Sum of the given points, with multiplicity per repetition."""
         return cls([(p, 1) for p in labels])
 
-    @property
-    def degree(self) -> int:
-        return sum(m for _, m in self.multiplicities)
+    degree = property(SparseMap.total)
 
     @property
     def is_effective(self) -> bool:
-        return all(m > 0 for _, m in self.multiplicities)
+        return all(m > 0 for _, m in self.terms)
 
     @property
     def is_reduced(self) -> bool:
         """Effective with every multiplicity exactly one."""
-        return all(m == 1 for _, m in self.multiplicities)
-
-    def multiplicity(self, p: PointLike) -> int:
-        p = as_point(p)
-        for q, m in self.multiplicities:
-            if q == p:
-                return m
-        return 0
+        return all(m == 1 for _, m in self.terms)
 
     def points(self) -> tuple[Point, ...]:
-        return tuple(p for p, _ in self.multiplicities)
-
-    def __iter__(self) -> Iterator[tuple[Point, int]]:
-        return iter(self.multiplicities)
-
-    def __add__(self, other: "Divisor") -> "Divisor":
-        return Divisor(self.multiplicities + other.multiplicities)
-
-    def __sub__(self, other: "Divisor") -> "Divisor":
-        return Divisor(self.multiplicities + tuple((p, -m) for p, m in other.multiplicities))
+        return tuple(p for p, _ in self.terms)
 
     def __str__(self) -> str:
-        if not self.multiplicities:
+        if not self.terms:
             return "0"
-        return " + ".join(
-            p.label if m == 1 else f"{m}({p.label})" for p, m in self.multiplicities
-        )
+        return " + ".join(p.label if m == 1 else f"{m}({p.label})" for p, m in self.terms)
 
 
-def point_divisor(p: PointLike, mult: int = 1) -> Divisor:
-    return Divisor([(p, mult)])
+class WeightDims(SparseMap):
+    """Dimensions of a graded vector space: the sparse map from positive
+    weight to dimension, so absent weights read 0 and equal gradings
+    compare equal."""
 
-
-@dataclass(frozen=True)
-class WeightDims:
-    """Dimensions of a graded vector space, indexed by positive weight.
-
-    Absent weights mean dimension zero; zero entries are dropped on
-    construction so equal gradings compare equal.
-    """
-
-    dims: tuple[tuple[int, int], ...] = ()
-
-    def __init__(self, dims: "Mapping[int, int] | Iterable[tuple[int, int]]" = ()) -> None:
-        items = dims.items() if isinstance(dims, Mapping) else dims
-        merged: dict[int, int] = {}
-        for k, d in items:
-            k, d = int(k), int(d)
-            if k < 1:
-                raise DomainError(f"weight must be >= 1, got {k}")
-            merged[k] = merged.get(k, 0) + d
-        canon = tuple(sorted((k, d) for k, d in merged.items() if d != 0))
-        object.__setattr__(self, "dims", canon)
-
-    def __getitem__(self, k: int) -> int:
-        return dict(self.dims).get(k, 0)
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(self.dims)
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.dims)
-
-    def total(self) -> int:
-        return sum(d for _, d in self.dims)
+    _noun = "weight"
 
 
 @dataclass(frozen=True)
@@ -391,14 +332,12 @@ def _divisor_to_json(d: Divisor) -> dict[str, int]:
 def _divisor_from_json(obj: object, where: str) -> Divisor:
     if not isinstance(obj, dict):
         raise DomainError(f"{where}: expected an object mapping labels to multiplicities")
-    items = []
     for label, m in obj.items():
         if not isinstance(label, str) or not label:
             raise DomainError(f"{where}: point labels must be nonempty strings")
         if not isinstance(m, int) or isinstance(m, bool):
             raise DomainError(f"{where}: multiplicity of {label!r} must be an integer")
-        items.append((Point(label), m))
-    return Divisor(items)
+    return Divisor(obj)
 
 
 def chain_to_json(c: ChainHiggsBundle) -> dict:

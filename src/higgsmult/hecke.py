@@ -44,7 +44,7 @@ def hecke_remove_zero(c: ChainHiggsBundle, i: int, pt: PointLike) -> ChainHiggsB
     if not is_stable(c):
         raise DomainError("hecke removal needs a stable chain")
     div = c.zero_divisor(i)
-    if div.multiplicity(pt) < 1:
+    if div[pt] < 1:
         raise DomainError(f"point {pt.label!r} is not a zero of map {i}")
     new_degrees = tuple(l - 1 if j >= i else l for j, l in enumerate(c.degrees))
     new_zeros = tuple(
@@ -70,7 +70,7 @@ def hecke_add_zero(c: ChainHiggsBundle, k: int, pt: PointLike) -> ChainHiggsBund
         raise DomainError(f"invariant subspace dimension must be in 1..{n - 1}, got {k}")
     if not is_stable(c):
         raise DomainError("hecke addition needs a stable chain")
-    total = sum(d.multiplicity(pt) for d in c.zero_divisors)
+    total = sum(d[pt] for d in c.zero_divisors)
     if total != 0:
         raise DomainError(f"point {pt.label!r} is already a zero of the Higgs field")
     cut = n - k

@@ -17,6 +17,7 @@ honest multiplicity of the component.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .chain import ChainHiggsBundle, WeightDims, gl_hitchin_base_dims, is_stable, tplus_dims
 from .errors import DomainError, InternalError
@@ -27,6 +28,7 @@ from .polyalg import (
     TruncatedSeries,
     expand,
     is_polynomial,
+    power_product,
     qbinom_factored,
     series_expand,
 )
@@ -34,22 +36,22 @@ from .polyalg import (
 
 @dataclass(frozen=True)
 class MultResult:
-    """A multiplicity in factored form together with its expansion.
+    """A multiplicity in factored form, expanded on first read.
 
-    polynomial is either the exact IntPoly or the NotPolynomial
-    witness; value_at_1 is defined only in the polynomial case.
+    is_polynomial needs no expansion; polynomial is either the exact
+    IntPoly or the NotPolynomial witness; value_at_1 is defined only in
+    the polynomial case.
     """
 
     factored: FactoredChar
-    polynomial: "IntPoly | NotPolynomial"
 
-    @classmethod
-    def from_factored(cls, f: FactoredChar) -> "MultResult":
-        return cls(factored=f, polynomial=expand(f))
+    @cached_property
+    def polynomial(self) -> "IntPoly | NotPolynomial":
+        return expand(self.factored)
 
-    @property
+    @cached_property
     def is_polynomial(self) -> bool:
-        return isinstance(self.polynomial, IntPoly)
+        return is_polynomial(self.factored)
 
     @property
     def value_at_1(self) -> "int | None":
@@ -59,13 +61,13 @@ class MultResult:
 
 
 def _ratio_factored(tplus: WeightDims, base: WeightDims) -> FactoredChar:
-    return FactoredChar([(k, -d) for k, d in tplus] + [(k, d) for k, d in base])
+    return FactoredChar(base - tplus)
 
 
 def virtual_multiplicity(tplus: WeightDims, base: WeightDims) -> MultResult:
     """The ratio of Sym characters in factored form: exponent of
     (1-t^k) is base[k] - tplus[k]."""
-    return MultResult.from_factored(_ratio_factored(tplus, base))
+    return MultResult(_ratio_factored(tplus, base))
 
 
 def _type_n_factored(g: int, n: int) -> FactoredChar:
@@ -76,7 +78,7 @@ def _type_n_factored(g: int, n: int) -> FactoredChar:
 def mult_type_n(g: int, n: int) -> MultResult:
     """Multiplicity of the component downstream of the Hitchin section:
     prod_{i=2..n} [i]_t^{(2i-1)(g-1)}."""
-    result = MultResult.from_factored(_type_n_factored(g, n))
+    result = MultResult(_type_n_factored(g, n))
     if not result.is_polynomial:
         raise InternalError("the type (n) multiplicity must expand to a polynomial")
     return result
@@ -91,14 +93,14 @@ def mult_type111(c: ChainHiggsBundle) -> MultResult:
     if not is_stable(c):
         raise DomainError("multiplicity of a chain needs a stable chain")
     n = c.rank
-    factored = FactoredChar.one()
-    for i, m in enumerate(c.m_vector, start=1):
-        factored = factored * (qbinom_factored(n, i) ** m)
+    factored = power_product(
+        (qbinom_factored(n, i), m) for i, m in enumerate(c.m_vector, start=1)
+    )
     if factored != _ratio_factored(tplus_dims(c), gl_hitchin_base_dims(c.genus, n)):
         raise InternalError(
             "chain multiplicity: quantum binomial closed form disagrees with the weight ratio"
         )
-    return MultResult.from_factored(factored)
+    return MultResult(factored)
 
 
 def mult_type12_rank3(g: int, twol_minus_v: int) -> MultResult:
@@ -117,8 +119,7 @@ def mult_type12_rank3(g: int, twol_minus_v: int) -> MultResult:
         )
     e1 = g - 1 - w
     e2 = 5 * g - 5
-    factored = FactoredChar({2: e1, 3: e2, 1: -e1 - e2})
-    return MultResult.from_factored(factored)
+    return MultResult(FactoredChar({2: e1, 3: e2, 1: -e1 - e2}))
 
 
 def master_divisibility(m: MultResult, g: int, n: int) -> bool:
@@ -159,8 +160,7 @@ def euler_pairing_series(
     sides are folded into chi_T(Sym A*) and expanded as one series; only
     a bare IntPoly side is multiplied into it.
     """
-    base = gl_hitchin_base_dims(g, n)
-    factored = FactoredChar({k: -d for k, d in base})
+    factored = FactoredChar(gl_hitchin_base_dims(g, n)).inverse()
     polys = []
     for m in (mA, mB):
         if isinstance(m, MultResult) and m.is_polynomial:

@@ -18,12 +18,13 @@ scans over grids of m.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DomainError, InternalError, ResourceLimitError
 from .multgl import MultResult
-from .polyalg import FactoredChar, IntPoly, NotPolynomial, expand
+from .polyalg import FactoredChar, IntPoly, NotPolynomial, expand, power_product
 from .rootsys import (
     LieType,
     RootSystem,
@@ -54,15 +55,13 @@ def unit_multiplicity_factored(r: RootSystem, i: int) -> FactoredChar:
     """Factored multiplicity for a single zero of b_i (m = i-th unit vector)."""
     if not 1 <= i <= r.rank:
         raise DomainError(f"node {i} out of range for {r.lie_type}")
-    exponents: dict[int, int] = {}
+    pairs = []
     for root in r.positive_roots:
         c = root.coeffs[i - 1]
-        if c == 0:
-            continue
-        h = root.height
-        exponents[h + 1] = exponents.get(h + 1, 0) + c
-        exponents[h] = exponents.get(h, 0) - c
-    return FactoredChar(exponents)
+        if c:
+            h = root.height
+            pairs += ((h + 1, c), (h, -c))
+    return FactoredChar(pairs)
 
 
 def mult_simple(r: RootSystem, m: Sequence[int]) -> MultResult:
@@ -72,11 +71,11 @@ def mult_simple(r: RootSystem, m: Sequence[int]) -> MultResult:
     factored forms, so the all-zero vector gives the constant 1.
     """
     entries = _checked_m(r, m)
-    acc = FactoredChar.one()
-    for i, mi in enumerate(entries, start=1):
-        if mi:
-            acc = acc * unit_multiplicity_factored(r, i) ** mi
-    return MultResult.from_factored(acc)
+    return MultResult(
+        power_product(
+            (unit_multiplicity_factored(r, i), mi) for i, mi in enumerate(entries, start=1) if mi
+        )
+    )
 
 
 def q_group(r: RootSystem) -> FactoredChar:
@@ -85,10 +84,7 @@ def q_group(r: RootSystem) -> FactoredChar:
     The torus contributes the (1-t)^{-l} denominator explicitly; this matches
     the Levi convention of padding degree lists with 1s.
     """
-    exponents: dict[int, int] = {1: -r.rank}
-    for d in degrees(r):
-        exponents[d] = exponents.get(d, 0) + 1
-    return FactoredChar(exponents)
+    return FactoredChar([(1, -r.rank)] + [(d, 1) for d in degrees(r)])
 
 
 def mult_cominuscule(r: RootSystem, i: int) -> MultResult:
@@ -99,12 +95,9 @@ def mult_cominuscule(r: RootSystem, i: int) -> MultResult:
     """
     if i not in cominuscule_nodes(r):
         raise DomainError(f"node {i} of {r.lie_type} is not cominuscule")
-    exponents: dict[int, int] = {}
-    for d in degrees(r):
-        exponents[d] = exponents.get(d, 0) + 1
-    for n in levi_degrees(r, i):
-        exponents[n] = exponents.get(n, 0) - 1
-    result = MultResult.from_factored(FactoredChar(exponents))
+    result = MultResult(
+        FactoredChar([(d, 1) for d in degrees(r)] + [(n, -1) for n in levi_degrees(r, i)])
+    )
     if not result.is_polynomial:
         raise InternalError(
             f"cominuscule quotient for {r.lie_type} node {i} is not a polynomial"
@@ -114,11 +107,8 @@ def mult_cominuscule(r: RootSystem, i: int) -> MultResult:
 
 def gross_check(r: RootSystem, i: int) -> bool:
     """True iff sum of t^depth over the minuscule orbit equals mult_cominuscule."""
-    orbit = weyl_orbit_minuscule(r, i)
-    counts: dict[int, int] = {}
-    for _, depth in orbit:
-        counts[depth] = counts.get(depth, 0) + 1
-    coeffs = [counts.get(k, 0) for k in range(max(counts) + 1)]
+    counts = Counter(depth for _, depth in weyl_orbit_minuscule(r, i))
+    coeffs = [counts[k] for k in range(max(counts) + 1)]
     return IntPoly(tuple(coeffs)) == mult_cominuscule(r, i).polynomial
 
 
@@ -154,8 +144,9 @@ def polynomiality_scan(r: RootSystem, bound: int, cap: int = SCAN_CAP) -> ScanRe
 
     Entries come out in lexicographic order of m, so the all-zero vector
     (always polynomial, value 1) is first.  Each unit factored form is
-    computed once and exponentiated, which agrees with the per-root product
-    by multiplicativity.
+    computed once and combined by `power_product`, mult_simple's
+    accumulation, which agrees with the per-root product by
+    multiplicativity.
     """
     if bound < 1:
         raise DomainError(f"scan bound must be >= 1, got {bound}")
@@ -163,11 +154,8 @@ def polynomiality_scan(r: RootSystem, bound: int, cap: int = SCAN_CAP) -> ScanRe
     if size > cap:
         raise ResourceLimitError(f"scan grid has {size} points, above the cap {cap}")
     units = [unit_multiplicity_factored(r, i) for i in range(1, r.rank + 1)]
-    entries = []
-    for m in itertools.product(range(bound + 1), repeat=r.rank):
-        acc = FactoredChar.one()
-        for unit, mi in zip(units, m):
-            if mi:
-                acc = acc * unit ** mi
-        entries.append(ScanEntry(m=m, result=expand(acc)))
-    return ScanReport(lie_type=r.lie_type, bound=bound, entries=tuple(entries))
+    entries = tuple(
+        ScanEntry(m=m, result=expand(power_product(zip(units, m))))
+        for m in itertools.product(range(bound + 1), repeat=r.rank)
+    )
+    return ScanReport(lie_type=r.lie_type, bound=bound, entries=entries)

@@ -2,10 +2,14 @@
 
 Everything is exact: coefficients are arbitrary-precision Python ints,
 and a failed expansion is reported as a value (NotPolynomial), never as
-a rounded answer.  Graded characters are carried around in the factored
-form
+a rounded answer.  Finite formal sums with integer counts (exponent
+maps here, weight gradings and divisors in `chain`) are `SparseMap`s,
+built by one canonical constructor.  Graded characters are carried
+around in the factored form
 
-    prod_k (1 - t^k)^{e_k},   e_k integer (possibly negative).
+    prod_k (1 - t^k)^{e_k},   e_k integer (possibly negative),
+
+a `FactoredChar`: the sparse map k -> e_k.
 
 Since t^k - 1 = prod_{d|k} Phi_d (cyclotomic polynomials), such a
 character is +-prod_d Phi_d^{c_d} with c_d = sum_{d|k} e_k, and it is a
@@ -24,11 +28,11 @@ a polynomial and mirrors the rest (each (1 - t^k) is anti-palindromic);
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate, zip_longest
 from math import isqrt
-from operator import sub
-from typing import Iterable, Iterator, Mapping, Union
+from operator import index, sub
+from typing import Any, Iterable, Iterator, Mapping, Union
 
 from .errors import DomainError, InternalError
 
@@ -221,65 +225,123 @@ def qbinom_factored(n: int, k: int) -> "FactoredChar":
     """Factored form of qbinom(n, k): +1 at n-j+1, -1 at j, for j = 1..k."""
     if n < 1 or k < 0 or k > n:
         raise DomainError(f"quantum binomial needs 0 <= k <= n, n >= 1; got k={k}, n={n}")
-    exps: dict[int, int] = {}
-    for j in range(1, k + 1):
-        exps[n - j + 1] = exps.get(n - j + 1, 0) + 1
-        exps[j] = exps.get(j, 0) - 1
-    return FactoredChar(exps)
-
-
-FactorsLike = Union[Mapping[int, int], Iterable[tuple[int, int]]]
+    return FactoredChar(
+        [(n - j + 1, 1) for j in range(1, k + 1)] + [(j, -1) for j in range(1, k + 1)]
+    )
 
 
 @dataclass(frozen=True)
-class FactoredChar:
-    """A product prod_k (1 - t^k)^{e_k} with integer exponents e_k.
+class SparseMap:
+    """A finite formal sum: distinct keys, each with a nonzero integer count.
 
-    Canonical form: keys are positive integers, zero exponents are
-    dropped, entries are kept sorted by k.  Multiplication adds
-    exponents pointwise; integer powers scale them.
+    Its constructor is the one that builds the canonical form.  It takes
+    (key, count) pairs from a mapping or an iterable, normalises each key
+    by the class's key rule `_key` (here: an integer >= 1) and each count
+    by operator.index, sums equal keys, drops zero counts and sorts by
+    key.  Anything non-integral is refused with DomainError.  The dict built
+    on the way is kept, so a lookup is one dict read; an absent key
+    reads 0.  Equality and hashing are by class and terms.
+
+    >>> m = SparseMap([(3, 1), (1, 2), (3, -1), (2, 5)])
+    >>> m.terms
+    ((1, 2), (2, 5))
+    >>> m[2], m[3]
+    (5, 0)
+    >>> (m - SparseMap({2: 5})).as_dict()
+    {1: 2}
+    >>> m.scale(-2) == SparseMap({1: -4, 2: -10})
+    True
+    >>> SparseMap({2.5: 1})  # doctest: +IGNORE_EXCEPTION_DETAIL
+    Traceback (most recent call last):
+    DomainError: SparseMap takes (key, integer) pairs
     """
 
-    factors: tuple[tuple[int, int], ...] = ()
+    terms: tuple[tuple[Any, int], ...]
+    _dict: dict = field(compare=False, repr=False)
 
-    def __init__(self, factors: FactorsLike = ()) -> None:
-        items = factors.items() if isinstance(factors, Mapping) else factors
-        merged: dict[int, int] = {}
-        for k, e in items:
-            k = int(k)
-            e = int(e)
-            if k < 1:
-                raise DomainError(f"factor index must be >= 1, got {k}")
-            merged[k] = merged.get(k, 0) + e
-        canon = tuple(sorted((k, e) for k, e in merged.items() if e != 0))
-        object.__setattr__(self, "factors", canon)
+    _noun = "key"
+
+    def __init__(self, pairs: "Mapping[Any, int] | Iterable[tuple[Any, int]]" = ()) -> None:
+        key = self._key
+        merged: dict = {}
+        try:
+            for k, count in pairs.items() if isinstance(pairs, Mapping) else pairs:
+                k = key(k)
+                count = index(count)
+                merged[k] = merged[k] + count if k in merged else count
+        except TypeError as exc:
+            raise DomainError(f"{type(self).__name__} takes (key, integer) pairs: {exc}") from None
+        canon = {k: c for k, c in sorted(merged.items()) if c}
+        object.__setattr__(self, "terms", tuple(canon.items()))
+        object.__setattr__(self, "_dict", canon)
+
+    def _key(self, k: Any) -> int:
+        k = index(k)
+        if k < 1:
+            raise DomainError(f"{self._noun} must be >= 1, got {k}")
+        return k
+
+    def __getitem__(self, k: Any) -> int:
+        return self._dict.get(self._key(k), 0)
+
+    def __iter__(self) -> Iterator[tuple[Any, int]]:
+        return iter(self.terms)
+
+    def as_dict(self) -> dict:
+        return dict(self._dict)
+
+    def total(self) -> int:
+        """The sum of the counts."""
+        return sum(c for _, c in self.terms)
+
+    def __add__(self, other: "SparseMap") -> "SparseMap":
+        if type(other) is not type(self):
+            return NotImplemented
+        return type(self)(self.terms + other.terms)
+
+    def __sub__(self, other: "SparseMap") -> "SparseMap":
+        if type(other) is not type(self):
+            return NotImplemented
+        return type(self)(self.terms + tuple((k, -c) for k, c in other.terms))
+
+    def scale(self, m: int) -> "SparseMap":
+        return type(self)((k, m * c) for k, c in self.terms)
+
+
+class FactoredChar(SparseMap):
+    """A product prod_k (1 - t^k)^{e_k} with integer exponents e_k.
+
+    The sparse map k -> e_k over k >= 1; `factors` is its sorted terms.
+    Multiplication adds exponents pointwise; integer powers scale them.
+    """
+
+    _noun = "factor index"
+
+    factors = property(lambda self: self.terms)
 
     @classmethod
     def one(cls) -> "FactoredChar":
-        return cls(())
+        return cls()
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.factors)
-
-    def exponent(self, k: int) -> int:
-        return dict(self.factors).get(k, 0)
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(self.factors)
-
-    def __mul__(self, other: "FactoredChar") -> "FactoredChar":
-        return FactoredChar(self.factors + other.factors)
-
-    def __pow__(self, m: int) -> "FactoredChar":
-        return FactoredChar(tuple((k, m * e) for k, e in self.factors))
+    __mul__ = SparseMap.__add__
+    __pow__ = SparseMap.scale
 
     def inverse(self) -> "FactoredChar":
-        return self ** -1
+        return self.scale(-1)
 
     def __str__(self) -> str:
-        if not self.factors:
+        if not self.terms:
             return "1"
-        return " * ".join(f"(1-t^{k})^{e}" for k, e in self.factors)
+        return " * ".join(f"(1-t^{k})^{e}" for k, e in self.terms)
+
+
+def power_product(powers: Iterable[tuple[FactoredChar, int]]) -> FactoredChar:
+    """prod f ** m over the (f, m) pairs, in one constructor call.
+
+    >>> power_product([(qbinom_factored(4, 2), 3), (FactoredChar({5: 1}), 0)]).factors
+    ((1, -3), (2, -3), (3, 3), (4, 3))
+    """
+    return FactoredChar((k, m * e) for f, m in powers if m for k, e in f)
 
 
 def cyclotomic_exponents(f: FactoredChar) -> dict[int, int]:
@@ -288,11 +350,7 @@ def cyclotomic_exponents(f: FactoredChar) -> dict[int, int]:
     >>> cyclotomic_exponents(FactoredChar({2: 3, 1: -3}))
     {2: 3}
     """
-    out: dict[int, int] = {}
-    for k, e in f:
-        for d in _divisors(k):
-            out[d] = out.get(d, 0) + e
-    return {d: c for d, c in sorted(out.items()) if c}
+    return SparseMap((d, e) for k, e in f for d in _divisors(k)).as_dict()
 
 
 def _divisors(k: int) -> list[int]:

@@ -16,7 +16,8 @@ roots already built: those with c_i = 0 are the Levi's roots, and the
 conjugate of their summed height histogram is the union of its
 components' degrees.  Orbit depths are carried along the orbit search
 (s_j lowers mu by mu_j simple roots), and every edge is checked against
-them.  `build` refuses systems with more than ROOT_CAP positive roots.
+them.  `build` refuses systems with more than ROOT_CAP positive roots,
+and `weyl_orbit_minuscule` orbits with more than ORBIT_CAP weights.
 """
 
 from __future__ import annotations
@@ -28,6 +29,9 @@ from .errors import DomainError, InternalError, ResourceLimitError
 # Root systems with more positive roots than this are refused before any
 # work (before the l x l Cartan matrix, too); it admits A140 (9870 roots).
 ROOT_CAP = 10_000
+# Minuscule orbits with more weights than this are refused before the
+# search; it admits the middle node of A18 (92378) and refuses A20's (352716).
+ORBIT_CAP = 100_000
 
 _RANK_RANGE = {
     "A": (1, None),
@@ -313,10 +317,17 @@ def weyl_orbit_minuscule(r: RootSystem, i: int) -> list[tuple[tuple[int, ...], i
     carries depth(s_j mu) = depth(mu) + mu_j along.  Every edge that
     reaches a weight already seen must agree with its recorded depth,
     every depth must be >= 0, and only lambda may have depth 0.
-    Sorted by depth, then lexicographically.
+    Sorted by depth, then lexicographically.  The orbit has
+    |W/W_P| = |W| / |W_Levi| weights, so one above ORBIT_CAP raises
+    ResourceLimitError before the search.
     """
     if i not in cominuscule_nodes(r):
         raise DomainError(f"node {i} of {r.lie_type} is not cominuscule")
+    size = degrees(r).weyl_order // levi_degrees(r, i).weyl_order
+    if size > ORBIT_CAP:
+        raise ResourceLimitError(
+            f"orbit of node {i} of {r.lie_type} has {size} weights, above the cap {ORBIT_CAP}"
+        )
     l = r.rank
     dual = tuple(tuple(r.cartan[b][a] for b in range(l)) for a in range(l))
     start = tuple(1 if j == i - 1 else 0 for j in range(l))

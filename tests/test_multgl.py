@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from higgsmult import multgl, polyalg
 from higgsmult.chain import WeightDims, chain_from_m, gl_hitchin_base_dims, tplus_dims
 from higgsmult.errors import DomainError
 from higgsmult.hecke import intersection_count
@@ -38,7 +39,7 @@ def polynomial_mults(draw):
         st.lists(st.tuples(st.integers(1, 3), st.integers(2, 4), st.integers(0, 5)), max_size=3)
     ):
         f = f * FactoredChar({j * q: e, j: -e})
-    return MultResult.from_factored(f)
+    return MultResult(f)
 
 
 class TestVirtualMultiplicity:
@@ -162,15 +163,15 @@ class TestMultType12:
 
 class TestMasterDivisibility:
     def test_quantum_integer_powers(self):
-        sq = MultResult.from_factored(FactoredChar({2: 2, 1: -2}))
+        sq = MultResult(FactoredChar({2: 2, 1: -2}))
         assert master_divisibility(sq, 2, 2)
-        fourth = MultResult.from_factored(FactoredChar({2: 4, 1: -4}))
+        fourth = MultResult(FactoredChar({2: 4, 1: -4}))
         assert not master_divisibility(fourth, 2, 2)
-        qq = MultResult.from_factored(FactoredChar({3: 2, 1: -2}))
+        qq = MultResult(FactoredChar({3: 2, 1: -2}))
         assert master_divisibility(qq, 2, 3)
 
     def test_not_polynomial_rejected(self):
-        bad = MultResult.from_factored(FactoredChar({3: 1, 2: -1}))
+        bad = MultResult(FactoredChar({3: 1, 2: -1}))
         with pytest.raises(DomainError, match="polynomial"):
             master_divisibility(bad, 2, 2)
 
@@ -185,6 +186,33 @@ class TestMasterDivisibility:
         master = mult_type_n(g, n).polynomial
         _, rem = divmod_fractions(master.coeffs, m.polynomial.coeffs)
         assert master_divisibility(m, g, n) == (not rem) == divides(m.polynomial, master)
+
+
+class TestLazyExpansion:
+    @pytest.fixture
+    def no_expand(self, monkeypatch):
+        def refuse(f):
+            raise AssertionError(f"expand called on {f}")
+
+        monkeypatch.setattr(multgl, "expand", refuse)
+        monkeypatch.setattr(polyalg, "expand", refuse)
+
+    def test_pairing_and_divisibility_never_expand(self, no_expand):
+        a, b = mult_type_n(4, 5), mult_type_n(4, 5)
+        assert a.is_polynomial
+        series = euler_pairing_series(a, b, 4, 5, 10)
+        assert master_divisibility(mult_type12_rank3(4, 2), 4, 3)
+        assert master_divisibility(b, 4, 5)
+        assert len(series.coeffs) == 11
+
+    def test_expands_once_on_first_read(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(multgl, "expand", lambda f: calls.append(f) or polyalg.expand(f))
+        r = mult_type111(chain_from_m(2, (1, 2)))
+        assert calls == []
+        assert r.polynomial == r.polynomial == polyalg.expand(r.factored)
+        assert r.value_at_1 == r.polynomial.value_at_one()
+        assert calls == [r.factored]
 
 
 class TestEulerPrefactor:
@@ -213,23 +241,23 @@ class TestEulerPairing:
     def test_trivial_pair_series(self):
         # frozen from the recurrence oracle: 1/((1-t)^2 (1-t^2)^3)
         assert factored_series({1: -2, 2: -3}, 3) == [1, 2, 6, 10]
-        one = MultResult.from_factored(FactoredChar.one())
+        one = MultResult(FactoredChar.one())
         s = euler_pairing_series(one, one, 2, 2, 3)
         assert s.coeffs == (1, 2, 6, 10)
 
     def test_multiplied_by_polynomial(self):
-        one = MultResult.from_factored(FactoredChar.one())
+        one = MultResult(FactoredChar.one())
         s = euler_pairing_series(IntPoly((1, 1)), one, 2, 2, 1)
         assert s.coeffs == (1, 3)
 
     def test_symmetry(self):
         a = mult_type_n(2, 2)
-        b = MultResult.from_factored(FactoredChar({3: 1, 1: -1}))
+        b = MultResult(FactoredChar({3: 1, 1: -1}))
         assert euler_pairing_series(a, b, 2, 3, 12) == euler_pairing_series(b, a, 2, 3, 12)
 
     def test_not_polynomial_rejected(self):
-        bad = MultResult.from_factored(FactoredChar({3: 1, 2: -1}))
-        one = MultResult.from_factored(FactoredChar.one())
+        bad = MultResult(FactoredChar({3: 1, 2: -1}))
+        one = MultResult(FactoredChar.one())
         with pytest.raises(DomainError, match="polynomial"):
             euler_pairing_series(bad, one, 2, 3, 5)
 

@@ -5,11 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import higgsmult.polyalg
+from higgsmult.chain import Divisor, Point, WeightDims, as_point
 from higgsmult.errors import DomainError
 from higgsmult.polyalg import (
     FactoredChar,
     IntPoly,
     NotPolynomial,
+    SparseMap,
     TruncatedSeries,
     cyclotomic_exponents,
     divides,
@@ -19,6 +21,7 @@ from higgsmult.polyalg import (
     poly_divmod,
     qbinom,
     qbinom_factored,
+    power_product,
     qint,
     series_expand,
 )
@@ -175,7 +178,7 @@ class TestFactoredChar:
     def test_canonical_form(self):
         f = FactoredChar({2: 3, 1: 0, 5: -1})
         assert f.factors == ((2, 3), (5, -1))
-        assert f.exponent(1) == 0 and f.exponent(2) == 3
+        assert f[1] == 0 and f[2] == 3
 
     def test_merge_on_build(self):
         f = FactoredChar([(2, 1), (2, -1), (3, 2)])
@@ -232,6 +235,71 @@ class TestFactoredChar:
         p = expand(f)
         assert isinstance(p, IntPoly)
         assert is_palindromic_monic(p)
+
+
+def naive_terms(pairs, norm):
+    """Reference canonical form: a dict accumulation, zeros dropped, sorted."""
+    acc = {}
+    for k, c in pairs:
+        k = norm(k)
+        acc[k] = acc.get(k, 0) + c
+    return tuple(sorted((k, c) for k, c in acc.items() if c))
+
+
+labels = st.sampled_from(["p", "q", "r", "s", "t"])
+# (class, key rule of the reference, strategy for one key as a caller writes it)
+SPARSE_KINDS = {
+    "int": (FactoredChar, int, st.integers(1, 9)),
+    "point": (Divisor, as_point, st.one_of(labels, labels.map(Point))),
+}
+
+
+class TestSparseMap:
+    @pytest.mark.parametrize("kind", sorted(SPARSE_KINDS))
+    @given(data=st.data())
+    @settings(max_examples=60)
+    def test_against_naive_accumulation(self, kind, data):
+        cls, norm, keys = SPARSE_KINDS[kind]
+        pairs = data.draw(st.lists(st.tuples(keys, st.integers(-3, 3)), max_size=12))
+        m = cls(pairs)
+        assert m.terms == naive_terms(pairs, norm)
+        assert tuple(m) == m.terms and m.as_dict() == dict(m.terms)
+        shuffled = cls(data.draw(st.permutations(pairs)))
+        assert shuffled == m and hash(shuffled) == hash(m)
+        assert cls(dict(m.terms)) == m
+        for k in data.draw(st.lists(keys, max_size=6)) + [k for k, _ in pairs]:
+            scan = next((c for key, c in m.terms if key == norm(k)), 0)
+            assert m[k] == scan
+        other = cls(data.draw(st.lists(st.tuples(keys, st.integers(-3, 3)), max_size=6)))
+        assert (m + other).terms == naive_terms(m.terms + other.terms, norm)
+        assert (m - other).terms == naive_terms(m.terms + tuple((k, -c) for k, c in other), norm)
+        assert m.scale(-2).terms == naive_terms([(k, -2 * c) for k, c in m], norm)
+
+    def test_classes_do_not_compare_equal(self):
+        assert FactoredChar({1: 2}) != WeightDims({1: 2})
+        assert FactoredChar({1: 2}) != SparseMap({1: 2})
+        with pytest.raises(TypeError):
+            FactoredChar({1: 2}) + WeightDims({1: 2})
+
+    def test_factored_char_rejects_non_integers(self):
+        for bad in ({2.5: 1}, {2: 1.9}, {"2": 1}):
+            with pytest.raises(DomainError, match="FactoredChar"):
+                FactoredChar(bad)
+
+    def test_weight_dims_rejects_non_integers(self):
+        for bad in ({"3": True}, {3: 0.5}):
+            with pytest.raises(DomainError, match="WeightDims"):
+                WeightDims(bad)
+
+    def test_divisor_rejects_non_integers(self):
+        for bad in ({"p": 1.5}, {"p": "1"}):
+            with pytest.raises(DomainError, match="Divisor"):
+                Divisor(bad)
+
+    def test_power_product(self):
+        q = qbinom_factored(5, 2)
+        assert power_product([(q, 3), (q.inverse(), 1)]) == q ** 2
+        assert power_product([(q, 0)]) == FactoredChar.one()
 
 
 # arbitrary factored characters, polynomial or not

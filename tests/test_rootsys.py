@@ -6,6 +6,7 @@ import pytest
 
 from higgsmult.errors import DomainError, InternalError, ResourceLimitError
 from higgsmult.rootsys import (
+    ORBIT_CAP,
     ROOT_CAP,
     DegreeSet,
     LieType,
@@ -418,3 +419,12 @@ class TestScale:
         with pytest.raises(ResourceLimitError, match="cap"):
             build(LieType("D", 10 ** 9))
         assert time.perf_counter() - start < 1.0
+
+    def test_orbit_cap_refuses_before_search(self):
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match="300540195 weights"):
+            weyl_orbit_minuscule(build(LieType("A", 30)), 15)
+        with pytest.raises(ResourceLimitError, match="352716 weights"):
+            weyl_orbit_minuscule(build(LieType("A", 20)), 10)
+        assert time.perf_counter() - start < 1.0
+        assert comb(19, 9) <= ORBIT_CAP < comb(21, 10)
