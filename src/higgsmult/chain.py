@@ -14,7 +14,9 @@ the chain down completely: L_i is recovered from L_0 and the div b_j.
 tangent space at the fixed point, weight by weight, from hypercohomology
 Euler characteristics; `gl_hitchin_base_dims` gives the weights of the
 Hitchin base, which double as the weights of a moduli-space cotangent
-fibre.  Both feed the virtual multiplicity ratio downstream.
+fibre.  Both feed the virtual multiplicity ratio downstream, and both
+refuse ranks above RANK_CAP; `chain_from_m` refuses m-vectors with more
+than ZERO_CAP zeros.
 """
 
 from __future__ import annotations
@@ -22,8 +24,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError
 from .polyalg import SparseMap
+
+# chain_from_m refuses m-vectors with more zeros than this before building
+# any point (each zero is a labelled Point; 10^5 of them take about 0.6 s).
+ZERO_CAP = 100_000
+# GL ranks above this are refused before any work: GL_141 has 9870
+# positive roots, as A_140, the largest type A under rootsys.ROOT_CAP.
+RANK_CAP = 141
 
 
 @dataclass(frozen=True, order=True)
@@ -183,6 +192,8 @@ def chain_from_m(genus: int, m: Iterable[int], top_degree: int = 0) -> ChainHigg
     m = tuple(int(x) for x in m)
     if any(x < 0 for x in m):
         raise DomainError(f"m-vector entries must be >= 0, got {m}")
+    if sum(m) > ZERO_CAP:
+        raise ResourceLimitError(f"m-vector has {sum(m)} zeros, above the cap {ZERO_CAP}")
     degrees = [int(top_degree)]
     for mi in m:
         degrees.append(degrees[-1] + mi - (2 * genus - 2))
@@ -282,6 +293,7 @@ def tplus_dims(c: ChainHiggsBundle) -> WeightDims:
     cohomology vanishing makes the Euler characteristics compute actual
     dimensions; the total is then n^2 (g-1) + 1.
     """
+    _check_gl_rank(c.rank)
     if not is_stable(c):
         raise DomainError("positive tangent weights need a stable chain")
     g = c.genus
@@ -300,6 +312,11 @@ def tplus_dims(c: ChainHiggsBundle) -> WeightDims:
     return WeightDims(dims)
 
 
+def _check_gl_rank(n: int) -> None:
+    if n > RANK_CAP:
+        raise ResourceLimitError(f"GL rank {n} is above the cap {RANK_CAP}")
+
+
 def gl_hitchin_base_dims(genus: int, n: int) -> WeightDims:
     """Weights of the rank-n Hitchin base: g at weight 1, then
     (2k-1)(g-1) at each weight 2 <= k <= n."""
@@ -307,6 +324,7 @@ def gl_hitchin_base_dims(genus: int, n: int) -> WeightDims:
         raise DomainError(f"genus must be >= 2, got {genus}")
     if n < 1:
         raise DomainError(f"rank must be >= 1, got {n}")
+    _check_gl_rank(n)
     dims = {1: genus}
     for k in range(2, n + 1):
         dims[k] = (2 * k - 1) * (genus - 1)

@@ -16,13 +16,20 @@ Composing the two in either order returns the chain twisted globally
 by O(-c).  `intersection_count` and `intersection_enumerate` realise
 the count of a very stable chain's upward flow against a generic
 Hitchin fibre: one (n-i)-element subset of the n sheets for every zero
-of every b_i, counted in closed form and by brute force respectively.
+of every b_i, counted in closed form and by enumeration respectively.
+
+The enumeration is an `IntersectionPoints` view of the Cartesian
+product of its per-zero slots, never a list of points: building it
+costs O(slots), `len` O(1), one index O(slots), and iterating all
+points O(size).
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import combinations, product
-from math import comb
+from math import comb, prod
+from operator import index
 
 from .chain import ChainHiggsBundle, Divisor, PointLike, as_point, is_stable, is_very_stable
 from .errors import DomainError, InternalError, ResourceLimitError, UnstableResultError
@@ -109,30 +116,71 @@ def intersection_count(c: ChainHiggsBundle) -> int:
     return out
 
 
+# one choice for one zero: ((i, point label), subset of the sheets)
+Entry = tuple[tuple[int, str], tuple[int, ...]]
+
+
+class IntersectionPoints(Sequence):
+    """The points of an intersection, a read-only view of the Cartesian
+    product of its slots.
+
+    Each slot lists the choices for one zero: ((i, point label), subset)
+    entries.  Iteration is `itertools.product(*slots)`; point k is the
+    mixed-radix decoding of k with the last slot varying fastest, so
+    `points[k]` is the k-th point of the iteration.  Negative indices
+    count from the end; slices are not supported.
+
+    >>> points = IntersectionPoints([(("a", 1), ("a", 2)), (("b", 1), ("b", 2), ("b", 3))])
+    >>> len(points), points[4], points[-1]
+    (6, (('a', 2), ('b', 2)), (('a', 2), ('b', 3)))
+    """
+
+    __slots__ = ("_slots", "_size")
+
+    def __init__(self, slots: "Iterable[Iterable[Entry]]") -> None:
+        self._slots = tuple(tuple(slot) for slot in slots)
+        self._size = prod(map(len, self._slots))
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __iter__(self) -> Iterator[tuple[Entry, ...]]:
+        return product(*self._slots)
+
+    def __getitem__(self, k: int) -> tuple[Entry, ...]:
+        k = index(k)
+        if k < 0:
+            k += self._size
+        if not 0 <= k < self._size:
+            raise IndexError(f"intersection point index out of range for {self._size} points")
+        picks = []
+        for slot in reversed(self._slots):
+            k, r = divmod(k, len(slot))
+            picks.append(slot[r])
+        return tuple(reversed(picks))
+
+
 def intersection_enumerate(
     c: ChainHiggsBundle, cap: int = ENUMERATION_CAP
-) -> list[tuple[tuple[tuple[int, str], tuple[int, ...]], ...]]:
-    """Brute-force the intersection: every way of choosing, for each
+) -> IntersectionPoints:
+    """Enumerate the intersection: every way of choosing, for each
     zero of each b_i, an (n-i)-element subset of the sheet labels 1..n.
 
-    Each assignment is a tuple of ((i, point label), subset) entries.
-    The full Cartesian product is returned; its size is checked against
-    the cap first.
+    Each point is a tuple of ((i, point label), subset) entries, one per
+    zero.  The points come back as an `IntersectionPoints` view over the
+    per-zero slots, in the order of their Cartesian product; no point is
+    built until it is read.  Sizes above the cap are refused.
     """
     if not is_very_stable(c):
         raise DomainError("intersection enumeration is only defined for very stable chains")
     n = c.rank
-    slots = []
-    size = 1
-    for i, div in enumerate(c.zero_divisors, start=1):
-        for pt, mult in div:
-            # very stable makes every multiplicity 1
-            choices = [
-                ((i, pt.label), subset)
-                for subset in combinations(range(1, n + 1), n - i)
-            ]
-            slots.append(choices)
-            size *= len(choices)
-    if size > cap:
-        raise ResourceLimitError(f"enumeration size {size} exceeds the cap {cap}")
-    return [tuple(pick) for pick in product(*slots)]
+    slots = [
+        # very stable makes every multiplicity 1
+        tuple(((i, pt.label), subset) for subset in combinations(range(1, n + 1), n - i))
+        for i, div in enumerate(c.zero_divisors, start=1)
+        for pt, _ in div
+    ]
+    points = IntersectionPoints(slots)
+    if len(points) > cap:
+        raise ResourceLimitError(f"enumeration size {len(points)} exceeds the cap {cap}")
+    return points

@@ -22,8 +22,11 @@ subtracts the list shifted by k, dividing by (1 - t^k) takes prefix sums
 over each residue class mod k, and multiply and divide steps alternate
 so the coefficients stay small.  `expand` runs it to half the degree of
 a polynomial and mirrors the rest (each (1 - t^k) is anti-palindromic);
-`series_expand` runs it to the requested order.  `poly_divmod` and
-`divides` remain as the general IntPoly long-division API.
+`series_expand` runs it to the requested order.  Its cost, the length
+times one plus the number of factors, is known before it starts, and
+above SERIES_WORK_CAP the kernel raises ResourceLimitError instead.
+`poly_divmod` and `divides` remain as the general IntPoly long-division
+API.
 """
 
 from __future__ import annotations
@@ -34,7 +37,11 @@ from math import isqrt
 from operator import index, sub
 from typing import Any, Iterable, Iterator, Mapping, Union
 
-from .errors import DomainError, InternalError
+from .errors import DomainError, InternalError, ResourceLimitError
+
+# Series coefficient updates (length x (factors + 1)) above this are refused;
+# mult_type_n(16, 8) costs 4.4e6.
+SERIES_WORK_CAP = 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -368,7 +375,19 @@ def is_polynomial(f: FactoredChar) -> bool:
 
 
 def _series(f: FactoredChar, length: int) -> list[int]:
-    """The first `length` series coefficients of f, on one list in place."""
+    """The first `length` series coefficients of f, on one list in place.
+
+    Each factor (1 - t^k)^{+-1} with k < length is one pass over the list,
+    and so is allocating it; work above SERIES_WORK_CAP is refused before
+    the list exists.
+    """
+    steps = sum(abs(e) for k, e in f if k < length)
+    work = length * (steps + 1)
+    if work > SERIES_WORK_CAP:
+        raise ResourceLimitError(
+            f"a series of {length} coefficients through {steps} factors costs {work}, "
+            f"above the cap {SERIES_WORK_CAP}"
+        )
     c = [1] + [0] * (length - 1)
     ups = [k for k, e in f if e > 0 and k < length for _ in range(e)]
     downs = [k for k, e in f if e < 0 and k < length for _ in range(-e)]

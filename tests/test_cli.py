@@ -1,11 +1,16 @@
+import contextlib
 import json
+import signal
+import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from higgsmult import __version__
 from higgsmult.cli import main, run
 from higgsmult.multgl import mult_type111, mult_type_n
-from higgsmult.chain import chain_from_m
+from higgsmult.chain import chain_from_m, chain_to_json
 
 
 def invoke(capsys, argv):
@@ -102,6 +107,43 @@ class TestExitCodes:
         code, out, err = invoke(capsys, ["rootinfo", "--type", "A", "--rank", "300"])
         assert code == 3 and out == ""
         assert err == "ResourceLimitError: A300 has 45150 positive roots, above the cap 10000\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mult", "gl", "--type", "n", "--g", "40", "--n", "12"],
+            ["mult", "simple", "--type", "E", "--rank", "8", "--m", ",".join(["50"] * 8)],
+            ["pair", "--g", "2", "--n", "2", "--order", "100000000", "--a", "n", "--b", "n"],
+        ],
+    )
+    def test_series_work_cap_is_3(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and out == ""
+        assert err.startswith("ResourceLimitError: a series of ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["mult", "gl", "--type", "n", "--g", "2", "--n", "1000000"],
+                "GL rank 1000000 is above the cap 141",
+            ),
+            (
+                ["pair", "--g", "2", "--n", "142", "--order", "3", "--a", "n", "--b", "n"],
+                "GL rank 142 is above the cap 141",
+            ),
+            (
+                ["mult", "gl", "--type", "111", "--g", "3", "--m", "1000000000"],
+                "m-vector has 1000000000 zeros, above the cap 100000",
+            ),
+        ],
+    )
+    def test_rank_and_zero_caps_are_3(self, capsys, argv, message):
+        code, out, err = invoke(capsys, argv)
+        assert code == 3 and out == ""
+        assert err == f"ResourceLimitError: {message}\n"
 
     def test_internal_error_is_70(self, capsys, monkeypatch):
         import higgsmult.cli
@@ -333,3 +375,115 @@ class TestTextFormat:
             key, _, value = line.partition(" = ")
             parsed[key.strip()] = json.loads(value)
         assert parsed == json_result
+
+
+# Values for the exit-code fuzz test: every integer flag draws from small,
+# huge and negative integers and from strings that are not integers.
+INTEGER = st.one_of(
+    st.integers(0, 6),
+    st.sampled_from([10**6, 10**9, 2**63, 10**30]),
+    st.integers(-(10**9), -1),
+).map(str)
+MALFORMED = st.sampled_from(["", "x", "1.5", "1e3", "0x10", "--", "3,", "nan"])
+VALUE = st.one_of(INTEGER, INTEGER, INTEGER, MALFORMED)
+M_VECTOR = st.one_of(st.lists(INTEGER, min_size=1, max_size=4).map(",".join), MALFORMED)
+LIE_TYPE = st.sampled_from(list("ABCDEFGHa") + [""])
+LABEL = st.sampled_from(["p", "q", "o", "z1.1", "z2.1", ""])
+MOVE = st.tuples(st.sampled_from(["remove", "add", "swap"]), VALUE, LABEL).map(":".join)
+JSON_INT = st.one_of(st.integers(-3, 6), st.sampled_from([10**9, 10**30, -(10**9)]))
+
+CHAIN_JSON = st.one_of(
+    st.builds(
+        lambda g, m, top: json.dumps(chain_to_json(chain_from_m(g, m, top_degree=top))),
+        st.integers(2, 4),
+        st.lists(st.integers(0, 2), min_size=1, max_size=3),
+        st.integers(-3, 3),
+    ),
+    st.fixed_dictionaries(
+        {},
+        optional={
+            "genus": st.one_of(JSON_INT, st.booleans(), st.text(max_size=2)),
+            "degrees": st.lists(JSON_INT, max_size=4),
+            "delta0": st.dictionaries(LABEL, JSON_INT, max_size=2),
+            "zeros": st.lists(st.dictionaries(LABEL, JSON_INT, max_size=3), max_size=3),
+            "extra": st.none(),
+        },
+    ).map(json.dumps),
+    st.sampled_from(["", "{", "[]", "null", '{"genus": 2}']),
+)
+CHAIN_FILE = "@chain"
+FILE = st.sampled_from([CHAIN_FILE, CHAIN_FILE, "missing.json"])
+
+
+def _command(*words, **flags):
+    """argv: the words, then each flag with a drawn value, or left out."""
+    names = list(flags)
+    return st.tuples(*(st.one_of(st.none(), flags[name], flags[name]) for name in names)).map(
+        lambda values: list(words)
+        + [t for name, v in zip(names, values) if v is not None for t in (f"--{name}", v)]
+    )
+
+
+ARGV = st.one_of(
+    _command("mult", "gl", "--type", "n", g=VALUE, n=VALUE),
+    _command("mult", "gl", "--type", "111", g=VALUE, m=M_VECTOR, **{"top-degree": VALUE}),
+    _command("mult", "gl", "--type", "111", **{"chain-file": FILE, "g": VALUE}),
+    _command("mult", "gl", "--type", "12", g=VALUE, w=VALUE),
+    _command("mult", "simple", type=LIE_TYPE, rank=VALUE, m=M_VECTOR),
+    _command("classify", **{"chain-file": FILE}),
+    _command("hecke", **{"chain-file": FILE}, move=MOVE),
+    _command("rootinfo", type=LIE_TYPE, rank=VALUE),
+    _command("scan", type=LIE_TYPE, rank=VALUE, bound=VALUE, cap=VALUE),
+    _command(
+        "pair",
+        g=VALUE,
+        n=VALUE,
+        order=VALUE,
+        a=st.one_of(st.just("n"), M_VECTOR),
+        b=st.one_of(st.just("n"), M_VECTOR),
+    ),
+    _command("count", **{"chain-file": FILE}, cap=VALUE),
+    _command("count", "--enumerate", **{"chain-file": FILE}, cap=VALUE),
+    st.lists(
+        st.sampled_from(["mult", "gl", "simple", "--type", "n", "--g", "2", "bogus", "--format"]),
+        max_size=5,
+    ),
+)
+
+CALL_BOUND_S = 5.0
+
+
+@contextlib.contextmanager
+def _deadline(seconds, argv):
+    """Fail a call still running after `seconds` instead of hanging the suite."""
+
+    def expire(signum, frame):
+        raise AssertionError(f"{argv} ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestExitCodeFuzz:
+    @given(argv=ARGV, chain=CHAIN_JSON)
+    @settings(
+        max_examples=400,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+    )
+    def test_every_input_ends_in_a_documented_code(self, capsys, tmp_path, argv, chain):
+        path = tmp_path / "chain.json"
+        path.write_text(chain)
+        argv = [str(path) if arg == CHAIN_FILE else arg for arg in argv]
+        start = time.perf_counter()
+        with _deadline(CALL_BOUND_S, argv):
+            code, _, err = invoke(capsys, argv)
+        elapsed = time.perf_counter() - start
+        assert code in (0, 2, 3, 64), (argv, err)
+        assert "Traceback" not in err
+        assert elapsed < CALL_BOUND_S, (argv, elapsed)

@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -153,7 +156,7 @@ class TestIntersectionEnumerate:
         c = chain_from_m(2, (1,))
         out = intersection_enumerate(c)
         label = c.zero_divisors[0].points()[0].label
-        assert out == [(((1, label), (1,)),), (((1, label), (2,)),)]
+        assert list(out) == [(((1, label), (1,)),), (((1, label), (2,)),)]
 
     def test_rank3_grid(self):
         c = chain_from_m(2, (1, 1))
@@ -164,7 +167,7 @@ class TestIntersectionEnumerate:
 
     def test_empty_assignment(self):
         out = intersection_enumerate(chain_from_m(2, (0,)))
-        assert out == [()]
+        assert list(out) == [()]
 
     def test_cap(self):
         c = chain_from_m(3, (3, 3))
@@ -179,3 +182,59 @@ class TestIntersectionEnumerate:
         c = chain_from_m(g, m)
         assert is_very_stable(c)
         assert len(intersection_enumerate(c)) == intersection_count(c)
+
+
+def reference_points(c):
+    """The points as the enumeration listed them before it became a view:
+    one slot per zero of each b_i (in divisor order), the full product."""
+    n = c.rank
+    slots = [
+        [((i, pt.label), subset) for subset in itertools.combinations(range(1, n + 1), n - i)]
+        for i, div in enumerate(c.zero_divisors, start=1)
+        for pt, _ in div
+    ]
+    return [tuple(pick) for pick in itertools.product(*slots)]
+
+
+class TestIntersectionPointsView:
+    @given(
+        st.integers(2, 4),
+        st.lists(st.integers(0, 2), min_size=1, max_size=3),
+        st.integers(-3, 3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_materialised_product(self, g, m, top):
+        c = chain_from_m(g, m, top_degree=top)
+        if not is_very_stable(c):
+            return
+        view = intersection_enumerate(c)
+        ref = reference_points(c)
+        size = len(ref)
+        assert len(view) == size
+        assert list(view) == ref
+        assert [view[k] for k in range(size)] == ref
+        assert view[-1] == ref[-1] and view[-size] == ref[0]
+        for k in (size, -size - 1):
+            with pytest.raises(IndexError):
+                view[k]
+
+    def test_sequence_protocol(self):
+        c = chain_from_m(2, (1, 1))
+        view = intersection_enumerate(c)
+        ref = reference_points(c)
+        assert list(reversed(view)) == ref[::-1]
+        assert ref[5] in view and view.index(ref[5]) == 5 and view.count(ref[5]) == 1
+        with pytest.raises(TypeError):
+            view["0"]
+
+    def test_big_chain_sweep_shape_is_not_materialised(self):
+        # rank 6, m = (1, 1, 1, 1, 2): 6 * 15 * 20 * 15 * 6^2 = 972000 points
+        c = chain_from_m(4, (1, 1, 1, 1, 2))
+        tracemalloc.start()
+        try:
+            size = len(intersection_enumerate(c))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert size == intersection_count(c) == 972_000
+        assert peak < 1_000_000
