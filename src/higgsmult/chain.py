@@ -154,10 +154,6 @@ class ChainHiggsBundle:
         l = self.degrees
         return tuple(l[i] - l[i - 1] + 2 * g - 2 for i in range(1, len(l)))
 
-    @property
-    def total_degree(self) -> int:
-        return sum(self.degrees)
-
     def zero_divisor(self, i: int) -> Divisor:
         """Divisor of b_i, 1-based."""
         if not 1 <= i <= self.rank - 1:
@@ -301,13 +297,8 @@ def tplus_dims(c: ChainHiggsBundle) -> WeightDims:
     n = c.rank
     dims: dict[int, int] = {}
     for k in range(1, n + 1):
-        chi = 0
-        for i in range(n):
-            for j in range(n):
-                if i - j == k:
-                    chi += l[j] - l[i] + 1 - g
-                if i - j == k - 1:
-                    chi -= l[j] - l[i] + (2 * g - 2) + 1 - g
+        chi = sum(l[j] - l[j + k] + 1 - g for j in range(n - k))
+        chi -= sum(l[j] - l[j + k - 1] + g - 1 for j in range(n - k + 1))
         dims[k] = -chi + (1 if k == 1 else 0)
     return WeightDims(dims)
 

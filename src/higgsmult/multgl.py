@@ -60,19 +60,15 @@ class MultResult:
         return None
 
 
-def _ratio_factored(tplus: WeightDims, base: WeightDims) -> FactoredChar:
-    return FactoredChar(base - tplus)
-
-
 def virtual_multiplicity(tplus: WeightDims, base: WeightDims) -> MultResult:
     """The ratio of Sym characters in factored form: exponent of
     (1-t^k) is base[k] - tplus[k]."""
-    return MultResult(_ratio_factored(tplus, base))
+    return MultResult(FactoredChar(base - tplus))
 
 
 def _type_n_factored(g: int, n: int) -> FactoredChar:
     tplus = WeightDims({1: n * n * (g - 1) + 1})
-    return _ratio_factored(tplus, gl_hitchin_base_dims(g, n))
+    return FactoredChar(gl_hitchin_base_dims(g, n) - tplus)
 
 
 def mult_type_n(g: int, n: int) -> MultResult:
@@ -96,7 +92,7 @@ def mult_type111(c: ChainHiggsBundle) -> MultResult:
     factored = power_product(
         (qbinom_factored(n, i), m) for i, m in enumerate(c.m_vector, start=1)
     )
-    if factored != _ratio_factored(tplus_dims(c), gl_hitchin_base_dims(c.genus, n)):
+    if factored != FactoredChar(gl_hitchin_base_dims(c.genus, n) - tplus_dims(c)):
         raise InternalError(
             "chain multiplicity: quantum binomial closed form disagrees with the weight ratio"
         )

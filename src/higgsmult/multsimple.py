@@ -24,7 +24,8 @@ from typing import Sequence
 
 from .errors import DomainError, InternalError, ResourceLimitError
 from .multgl import MultResult
-from .polyalg import FactoredChar, IntPoly, NotPolynomial, expand, power_product
+from . import polyalg
+from .polyalg import FactoredChar, IntPoly, NotPolynomial, expand, expand_work, power_product
 from .rootsys import (
     LieType,
     RootSystem,
@@ -76,15 +77,6 @@ def mult_simple(r: RootSystem, m: Sequence[int]) -> MultResult:
             (unit_multiplicity_factored(r, i), mi) for i, mi in enumerate(entries, start=1) if mi
         )
     )
-
-
-def q_group(r: RootSystem) -> FactoredChar:
-    """Group factor prod_j (1 - t^{d_j}) / (1 - t)^l over the invariant degrees.
-
-    The torus contributes the (1-t)^{-l} denominator explicitly; this matches
-    the Levi convention of padding degree lists with 1s.
-    """
-    return FactoredChar([(1, -r.rank)] + [(d, 1) for d in degrees(r)])
 
 
 def mult_cominuscule(r: RootSystem, i: int) -> MultResult:
@@ -146,7 +138,8 @@ def polynomiality_scan(r: RootSystem, bound: int, cap: int = SCAN_CAP) -> ScanRe
     (always polynomial, value 1) is first.  Each unit factored form is
     computed once and combined by `power_product`, mult_simple's
     accumulation, which agrees with the per-root product by
-    multiplicativity.
+    multiplicativity.  Refused above `cap` points, or before any expansion
+    once the points' summed kernel costs pass polyalg.SERIES_WORK_CAP.
     """
     if bound < 1:
         raise DomainError(f"scan bound must be >= 1, got {bound}")
@@ -154,8 +147,16 @@ def polynomiality_scan(r: RootSystem, bound: int, cap: int = SCAN_CAP) -> ScanRe
     if size > cap:
         raise ResourceLimitError(f"scan grid has {size} points, above the cap {cap}")
     units = [unit_multiplicity_factored(r, i) for i in range(1, r.rank + 1)]
-    entries = tuple(
-        ScanEntry(m=m, result=expand(power_product(zip(units, m))))
-        for m in itertools.product(range(bound + 1), repeat=r.rank)
-    )
+    points = []
+    work = 0
+    for m in itertools.product(range(bound + 1), repeat=r.rank):
+        f = power_product(zip(units, m))
+        work += expand_work(f)
+        if work > polyalg.SERIES_WORK_CAP:
+            raise ResourceLimitError(
+                f"scan of {r.lie_type} to bound {bound} passes the work cap "
+                f"{polyalg.SERIES_WORK_CAP} at m = {list(m)}"
+            )
+        points.append((m, f))
+    entries = tuple(ScanEntry(m=m, result=expand(f)) for m, f in points)
     return ScanReport(lie_type=r.lie_type, bound=bound, entries=entries)

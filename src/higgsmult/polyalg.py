@@ -14,7 +14,8 @@ a `FactoredChar`: the sparse map k -> e_k.
 Since t^k - 1 = prod_{d|k} Phi_d (cyclotomic polynomials), such a
 character is +-prod_d Phi_d^{c_d} with c_d = sum_{d|k} e_k, and it is a
 polynomial exactly when every c_d >= 0 (`is_polynomial`); divisibility
-of one character by another is the same test on the quotient.
+of one character by another is the same test on the quotient; each
+`FactoredChar` computes its c_d once.
 
 One kernel turns a factored character into its power series through a
 given order, in place on one coefficient list: multiplying by (1 - t^k)
@@ -22,9 +23,9 @@ subtracts the list shifted by k, dividing by (1 - t^k) takes prefix sums
 over each residue class mod k, and multiply and divide steps alternate
 so the coefficients stay small.  `expand` runs it to half the degree of
 a polynomial and mirrors the rest (each (1 - t^k) is anti-palindromic);
-`series_expand` runs it to the requested order.  Its cost, the length
-times one plus the number of factors, is known before it starts, and
-above SERIES_WORK_CAP the kernel raises ResourceLimitError instead.
+`series_expand` runs it to the requested order.  Its cost (`series_work`,
+`expand_work`) is known before it starts, and above SERIES_WORK_CAP the
+kernel raises ResourceLimitError instead.
 `poly_divmod` and `divides` remain as the general IntPoly long-division
 API.
 """
@@ -32,6 +33,7 @@ API.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate, zip_longest
 from math import isqrt
 from operator import index, sub
@@ -336,6 +338,10 @@ class FactoredChar(SparseMap):
     def inverse(self) -> "FactoredChar":
         return self.scale(-1)
 
+    @cached_property
+    def _cyclotomic(self) -> dict[int, int]:
+        return SparseMap((d, e) for k, e in self for d in _divisors(k)).as_dict()
+
     def __str__(self) -> str:
         if not self.terms:
             return "1"
@@ -357,7 +363,7 @@ def cyclotomic_exponents(f: FactoredChar) -> dict[int, int]:
     >>> cyclotomic_exponents(FactoredChar({2: 3, 1: -3}))
     {2: 3}
     """
-    return SparseMap((d, e) for k, e in f for d in _divisors(k)).as_dict()
+    return dict(f._cyclotomic)
 
 
 def _divisors(k: int) -> list[int]:
@@ -371,22 +377,35 @@ def is_polynomial(f: FactoredChar) -> bool:
     >>> is_polynomial(FactoredChar({3: 5, 1: -6}))
     False
     """
-    return all(c >= 0 for c in cyclotomic_exponents(f).values())
+    return all(c >= 0 for c in f._cyclotomic.values())
+
+
+def series_work(f: FactoredChar, length: int) -> int:
+    """Kernel cost of `length` series coefficients of f: one pass over the
+    list to allocate it and one per factor (1 - t^k)^{+-1} with k < length."""
+    return length * (sum(abs(e) for k, e in f if k < length) + 1)
+
+
+def expand_work(f: FactoredChar) -> int:
+    """Kernel cost of expand(f), known before it runs."""
+    return series_work(f, _expand_length(f))
+
+
+def _expand_length(f: FactoredChar) -> int:
+    # past half the degree of a polynomial, else past the numerator degree
+    if is_polynomial(f):
+        return sum(k * e for k, e in f) // 2 + 1
+    return sum(k * e for k, e in f if e > 0) + 1
 
 
 def _series(f: FactoredChar, length: int) -> list[int]:
-    """The first `length` series coefficients of f, on one list in place.
-
-    Each factor (1 - t^k)^{+-1} with k < length is one pass over the list,
-    and so is allocating it; work above SERIES_WORK_CAP is refused before
-    the list exists.
-    """
-    steps = sum(abs(e) for k, e in f if k < length)
-    work = length * (steps + 1)
+    """The first `length` series coefficients of f, on one list in place;
+    work above SERIES_WORK_CAP is refused before the list exists."""
+    work = series_work(f, length)
     if work > SERIES_WORK_CAP:
         raise ResourceLimitError(
-            f"a series of {length} coefficients through {steps} factors costs {work}, "
-            f"above the cap {SERIES_WORK_CAP}"
+            f"a series of {length} coefficients through {work // length - 1} factors "
+            f"costs {work}, above the cap {SERIES_WORK_CAP}"
         )
     c = [1] + [0] * (length - 1)
     ups = [k for k, e in f if e > 0 and k < length for _ in range(e)]
@@ -416,13 +435,12 @@ def expand(f: FactoredChar) -> "IntPoly | NotPolynomial":
     NotPolynomial(remainder_degree=5)
     """
     degree = sum(k * e for k, e in f)
+    c = _series(f, _expand_length(f))
     if is_polynomial(f):
-        half = _series(f, degree // 2 + 1)
         sign = -1 if sum(e for _, e in f) % 2 else 1
-        mirrored = reversed(half[: degree - degree // 2])
-        return IntPoly(tuple(half) + tuple(sign * a for a in mirrored))
-    top = sum(k * e for k, e in f if e > 0)
-    c = _series(f, top + 1)
+        mirrored = reversed(c[: degree - degree // 2])
+        return IntPoly(tuple(c) + tuple(sign * a for a in mirrored))
+    top = len(c) - 1
     for j in range(max(degree + 1, 0), top + 1):
         if c[j]:
             return NotPolynomial(remainder_degree=top - j)

@@ -3,25 +3,27 @@
 Everything is computed from the Cartan matrix in Bourbaki numbering:
 positive roots by height induction with the root-string criterion,
 invariant-polynomial degrees by conjugating the height histogram,
-cominuscule nodes from maximal root coefficients, Levi subsystems by
-Dynkin node deletion, and minuscule Weyl orbits (in the dual system)
-with their principal-grading depths.  No lookup tables are consulted at
-runtime; the classical tables live in the tests as oracles.
+cominuscule nodes from the coefficients of the highest root, Levi
+subsystems by Dynkin node deletion, and minuscule Weyl orbits (in the
+dual system) with their principal-grading depths.  No lookup tables are
+consulted at runtime; the classical tables live in the tests as oracles.
 
 The induction packs each root and its Cartan pairings into one int, a
 byte per node, and visits only the nodes whose pairing or down-edges
 admit a root, so a build costs a few whole-vector operations per root
-plus one step per edge of the root poset.  Levi degrees come from the
-roots already built: those with c_i = 0 are the Levi's roots, and the
-conjugate of their summed height histogram is the union of its
-components' degrees.  Orbit depths are carried along the orbit search
-(s_j lowers mu by mu_j simple roots), and every edge is checked against
-them.  `build` refuses systems with more than ROOT_CAP positive roots,
+plus one step per edge of the root poset.  Each root keeps the height
+of the layer that found it, and the histogram queries read it.  Levi
+degrees come from the roots already built: those with c_i = 0 are the
+Levi's roots, and the conjugate of their summed height histogram is the
+union of its components' degrees.  Orbit depths are carried along the
+orbit search (s_j lowers mu by mu_j simple roots), and every edge is
+checked against them.  `build` refuses systems with more than ROOT_CAP positive roots,
 and `weyl_orbit_minuscule` orbits with more than ORBIT_CAP weights.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import DomainError, InternalError, ResourceLimitError
@@ -113,16 +115,13 @@ def cartan_matrix(t: LieType) -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True, order=True)
 class Root:
-    """A positive root in simple-root coordinates c_1..c_l."""
+    """A positive root in simple-root coordinates c_1..c_l, and its height."""
 
     coeffs: tuple[int, ...]
-
-    @property
-    def height(self) -> int:
-        return sum(self.coeffs)
+    height: int
 
 
-def _positive_roots(cartan: tuple[tuple[int, ...], ...]) -> list[tuple[int, ...]]:
+def _positive_roots(cartan: tuple[tuple[int, ...], ...]) -> list[Root]:
     """All positive roots of a Cartan matrix, by height induction.
 
     alpha + alpha_j is a root iff p - <alpha, alpha_j^v> > 0 where p is
@@ -185,9 +184,9 @@ def _positive_roots(cartan: tuple[tuple[int, ...], ...]) -> list[tuple[int, ...]
                     nxt_downs[cand] = flag
         layer, downs = nxt, nxt_downs
     return [
-        tuple(packed)
-        for height in layers
-        for packed in sorted(alpha.to_bytes(l, "little") for alpha in height)
+        Root(tuple(packed), height)
+        for height, layer in enumerate(layers, start=1)
+        for packed in sorted(alpha.to_bytes(l, "little") for alpha in layer)
     ]
 
 
@@ -217,15 +216,12 @@ def build(t: LieType) -> RootSystem:
         raise InternalError(
             f"{t}: found {len(roots)} positive roots, classical count is {expected}"
         )
-    return RootSystem(t, cartan, tuple(Root(c) for c in roots))
+    return RootSystem(t, cartan, tuple(roots))
 
 
 def height_histogram(r: RootSystem) -> dict[int, int]:
     """N_j = number of positive roots of height j."""
-    hist: dict[int, int] = {}
-    for root in r.positive_roots:
-        hist[root.height] = hist.get(root.height, 0) + 1
-    return dict(sorted(hist.items()))
+    return dict(sorted(Counter(root.height for root in r.positive_roots).items()))
 
 
 @dataclass(frozen=True)
@@ -281,9 +277,10 @@ def degrees(r: RootSystem) -> DegreeSet:
 
 def cominuscule_nodes(r: RootSystem) -> frozenset[int]:
     """Nodes i (1-based) whose coefficient never exceeds 1 in any
-    positive root."""
-    peaks = map(max, zip(*(root.coeffs for root in r.positive_roots)))
-    return frozenset(i for i, peak in enumerate(peaks, start=1) if peak == 1)
+    positive root: those with coefficient 1 in the highest root (the
+    last one built), which bounds every coefficient of every root."""
+    top = r.positive_roots[-1].coeffs
+    return frozenset(i for i, c in enumerate(top, start=1) if c == 1)
 
 
 def levi_degrees(r: RootSystem, i: int) -> DegreeSet:
@@ -298,11 +295,7 @@ def levi_degrees(r: RootSystem, i: int) -> DegreeSet:
     l = r.rank
     if not 1 <= i <= l:
         raise DomainError(f"node index must be in 1..{l}, got {i}")
-    hist: dict[int, int] = {}
-    for root in r.positive_roots:
-        if root.coeffs[i - 1] == 0:
-            h = root.height
-            hist[h] = hist.get(h, 0) + 1
+    hist = Counter(root.height for root in r.positive_roots if not root.coeffs[i - 1])
     return DegreeSet(_degrees_from_histogram(hist, l - 1).degrees + (1,))
 
 

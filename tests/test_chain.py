@@ -260,6 +260,37 @@ class TestTplusDims:
         assert all(d >= 0 for _, d in dims)
 
 
+def reference_tplus_dims(c):
+    """The weight-k Euler characteristics summed over every index pair
+    (i, j), keeping those with i - j = k or k - 1."""
+    g, l, n = c.genus, c.degrees, c.rank
+    dims = {}
+    for k in range(1, n + 1):
+        chi = 0
+        for i in range(n):
+            for j in range(n):
+                if i - j == k:
+                    chi += l[j] - l[i] + 1 - g
+                if i - j == k - 1:
+                    chi -= l[j] - l[i] + (2 * g - 2) + 1 - g
+        dims[k] = -chi + (1 if k == 1 else 0)
+    return WeightDims(dims)
+
+
+class TestTplusDimsDifferential:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(2, 5),
+        st.lists(st.integers(0, 9), min_size=0, max_size=9),
+        st.integers(-6, 6),
+    )
+    def test_matches_pair_loop(self, g, m, top):
+        c = chain_from_m(g, m, top_degree=top)
+        if not is_stable(c):
+            return
+        assert tplus_dims(c) == reference_tplus_dims(c)
+
+
 class TestBaseDims:
     def test_examples(self):
         assert gl_hitchin_base_dims(2, 2).as_dict() == {1: 2, 2: 3}

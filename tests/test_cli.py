@@ -123,6 +123,14 @@ class TestExitCodes:
         assert code == 3 and out == ""
         assert err.startswith("ResourceLimitError: a series of ") and err.count("\n") == 1
 
+    def test_scan_work_cap_is_3(self, capsys):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, ["scan", "--type", "A", "--rank", "1", "--bound", "99999"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and out == ""
+        assert err.startswith("ResourceLimitError: scan of A1 to bound 99999 passes the work cap")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "argv, message",
         [

@@ -214,6 +214,16 @@ class TestLazyExpansion:
         assert r.value_at_1 == r.polynomial.value_at_one()
         assert calls == [r.factored]
 
+    def test_cyclotomic_exponents_computed_once(self, monkeypatch):
+        calls = []
+        divisors = polyalg._divisors
+        monkeypatch.setattr(polyalg, "_divisors", lambda k: calls.append(k) or divisors(k))
+        m = mult_type_n(5, 6)
+        assert m.is_polynomial and calls
+        calls.clear()
+        assert isinstance(m.polynomial, IntPoly)
+        assert calls == []
+
 
 class TestEulerPrefactor:
     def test_examples(self):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from higgsmult import multsimple, polyalg
 from higgsmult.errors import DomainError, ResourceLimitError
 from higgsmult.multsimple import (
     SCAN_CAP,
@@ -11,10 +12,16 @@ from higgsmult.multsimple import (
     mult_cominuscule,
     mult_simple,
     polynomiality_scan,
-    q_group,
     unit_multiplicity_factored,
 )
-from higgsmult.polyalg import IntPoly, NotPolynomial, expand, is_palindromic_monic, qbinom
+from higgsmult.polyalg import (
+    IntPoly,
+    NotPolynomial,
+    expand_work,
+    is_palindromic_monic,
+    power_product,
+    qbinom,
+)
 from higgsmult.rootsys import LieType, build, cominuscule_nodes, weyl_orbit_minuscule
 
 A1 = build(LieType("A", 1))
@@ -83,26 +90,6 @@ class TestMultSimple:
                 poly = mult_simple(r, m).polynomial
                 assert isinstance(poly, IntPoly)
                 assert is_palindromic_monic(poly)
-
-
-class TestQGroup:
-    def test_a1(self):
-        assert expand(q_group(A1)) == IntPoly((1, 1))
-
-    def test_a2(self):
-        assert expand(q_group(A2)) == IntPoly((1, 1)) * IntPoly((1, 1, 1))
-
-    def test_g2(self):
-        assert expand(q_group(G2)) == IntPoly((1, 1)) * IntPoly((1,) * 6)
-
-    def test_value_is_weyl_order(self):
-        from higgsmult.rootsys import degrees
-
-        for r in (A1, A2, A3, C2, G2):
-            poly = expand(q_group(r))
-            assert isinstance(poly, IntPoly)
-            # each (1-t^d)/(1-t) contributes d at t=1
-            assert poly.value_at_one() == degrees(r).weyl_order
 
 
 UNIT_GRID = (
@@ -200,3 +187,16 @@ class TestScan:
             polynomiality_scan(C2, 3, cap=15)
         assert (3 + 1) ** 2 <= SCAN_CAP  # default cap admits the same call
         polynomiality_scan(C2, 3)
+
+    def test_work_cap_refuses_before_any_expansion(self, monkeypatch):
+        units = [unit_multiplicity_factored(G2, i) for i in (1, 2)]
+        total = sum(
+            expand_work(power_product(zip(units, m)))
+            for m in itertools.product(range(4), repeat=2)
+        )
+        monkeypatch.setattr(polyalg, "SERIES_WORK_CAP", total)
+        assert len(polynomiality_scan(G2, 3).entries) == 16
+        monkeypatch.setattr(polyalg, "SERIES_WORK_CAP", total - 1)
+        monkeypatch.setattr(multsimple, "expand", lambda f: pytest.fail("expanded"))
+        with pytest.raises(ResourceLimitError, match=r"at m = \[3, 3\]"):
+            polynomiality_scan(G2, 3)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import higgsmult.polyalg
 from higgsmult.chain import Divisor, Point, WeightDims, as_point
-from higgsmult.errors import DomainError
+from higgsmult.errors import DomainError, ResourceLimitError
 from higgsmult.polyalg import (
     FactoredChar,
     IntPoly,
@@ -16,6 +16,7 @@ from higgsmult.polyalg import (
     cyclotomic_exponents,
     divides,
     expand,
+    expand_work,
     is_palindromic_monic,
     is_polynomial,
     poly_divmod,
@@ -228,6 +229,28 @@ class TestFactoredChar:
         assert isinstance(p, IntPoly)
         s = series_expand(f, p.degree + 5)
         assert s.coeffs == p.coeffs + (0,) * (p.degree + 5 - p.degree)
+
+    def test_cyclotomic_exponents_are_a_copy(self):
+        f = FactoredChar({3: 5, 1: -6})
+        exps = cyclotomic_exponents(f)
+        exps[1] = 0
+        assert not is_polynomial(f)
+        assert cyclotomic_exponents(f) == {1: -1, 3: 5}
+
+    @given(
+        st.dictionaries(st.integers(1, 9), st.integers(-4, 4), max_size=5),
+        st.integers(1, 80),
+    )
+    @settings(max_examples=100)
+    def test_expand_is_refused_exactly_above_its_work(self, exps, cap):
+        f = FactoredChar(exps)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(higgsmult.polyalg, "SERIES_WORK_CAP", cap)
+            if expand_work(f) > cap:
+                with pytest.raises(ResourceLimitError):
+                    expand(f)
+            else:
+                expand(f)
 
     @given(expandable_factored())
     @settings(max_examples=50)

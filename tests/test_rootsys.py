@@ -167,6 +167,24 @@ COMINUSCULE = {
 }
 
 
+def reference_cominuscule_nodes(r):
+    """Nodes whose largest coefficient over all positive roots is 1."""
+    peaks = map(max, zip(*(root.coeffs for root in r.positive_roots)))
+    return frozenset(i for i, peak in enumerate(peaks, start=1) if peak == 1)
+
+
+class TestStoredHeights:
+    @pytest.mark.parametrize("family,rank", GRID + [("A", 60)])
+    def test_height_is_coordinate_sum(self, family, rank):
+        r = build(LieType(family, rank))
+        assert all(root.height == sum(root.coeffs) for root in r.positive_roots)
+
+    @pytest.mark.parametrize("family,rank", GRID + [("A", 60)])
+    def test_cominuscule_nodes_match_coefficient_peaks(self, family, rank):
+        r = build(LieType(family, rank))
+        assert cominuscule_nodes(r) == reference_cominuscule_nodes(r)
+
+
 class TestCominuscule:
     @pytest.mark.parametrize("family,rank", sorted(COMINUSCULE))
     def test_table(self, family, rank):
