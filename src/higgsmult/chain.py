@@ -16,7 +16,8 @@ Euler characteristics; `gl_hitchin_base_dims` gives the weights of the
 Hitchin base, which double as the weights of a moduli-space cotangent
 fibre.  Both feed the virtual multiplicity ratio downstream, and both
 refuse ranks above RANK_CAP; `chain_from_m` refuses m-vectors with more
-than ZERO_CAP zeros.
+than ZERO_CAP zeros.  Each refusal is an `errors.check_cost` call made
+before any work.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, check_cost
 from .polyalg import SparseMap
 
 # chain_from_m refuses m-vectors with more zeros than this before building
@@ -130,8 +131,7 @@ class ChainHiggsBundle:
             raise DomainError(
                 f"delta0 has degree {self.delta0.degree}, the first line bundle needs {degrees[0]}"
             )
-        for i, div in enumerate(zeros, start=1):
-            m = self.m_vector[i - 1]
+        for i, (div, m) in enumerate(zip(zeros, self.m_vector), start=1):
             if m < 0:
                 raise DomainError(
                     f"m_{i} = {m} < 0: degrees {degrees} admit no nonzero map at step {i}"
@@ -188,8 +188,7 @@ def chain_from_m(genus: int, m: Iterable[int], top_degree: int = 0) -> ChainHigg
     m = tuple(int(x) for x in m)
     if any(x < 0 for x in m):
         raise DomainError(f"m-vector entries must be >= 0, got {m}")
-    if sum(m) > ZERO_CAP:
-        raise ResourceLimitError(f"m-vector has {sum(m)} zeros, above the cap {ZERO_CAP}")
+    check_cost("m-vector", sum(m), ZERO_CAP, "zeros")
     degrees = [int(top_degree)]
     for mi in m:
         degrees.append(degrees[-1] + mi - (2 * genus - 2))
@@ -289,7 +288,7 @@ def tplus_dims(c: ChainHiggsBundle) -> WeightDims:
     cohomology vanishing makes the Euler characteristics compute actual
     dimensions; the total is then n^2 (g-1) + 1.
     """
-    _check_gl_rank(c.rank)
+    check_cost(f"GL_{c.rank}", c.rank, RANK_CAP, "invariant degrees")
     if not is_stable(c):
         raise DomainError("positive tangent weights need a stable chain")
     g = c.genus
@@ -303,11 +302,6 @@ def tplus_dims(c: ChainHiggsBundle) -> WeightDims:
     return WeightDims(dims)
 
 
-def _check_gl_rank(n: int) -> None:
-    if n > RANK_CAP:
-        raise ResourceLimitError(f"GL rank {n} is above the cap {RANK_CAP}")
-
-
 def gl_hitchin_base_dims(genus: int, n: int) -> WeightDims:
     """Weights of the rank-n Hitchin base: g at weight 1, then
     (2k-1)(g-1) at each weight 2 <= k <= n."""
@@ -315,7 +309,7 @@ def gl_hitchin_base_dims(genus: int, n: int) -> WeightDims:
         raise DomainError(f"genus must be >= 2, got {genus}")
     if n < 1:
         raise DomainError(f"rank must be >= 1, got {n}")
-    _check_gl_rank(n)
+    check_cost(f"GL_{n}", n, RANK_CAP, "invariant degrees")
     dims = {1: genus}
     for k in range(2, n + 1):
         dims[k] = (2 * k - 1) * (genus - 1)

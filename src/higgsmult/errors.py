@@ -4,7 +4,8 @@ Three kinds of failure are kept apart deliberately: bad input data
 (DomainError), a computation that would exceed a configured cap
 (ResourceLimitError), and a broken internal invariant that callers
 should never be able to trigger (InternalError).  The command line
-maps them to exit codes 2, 3 and 70.
+maps them to exit codes 2, 3 and 70.  Every cap is enforced by one
+call of `check_cost`, with a cost known before the work it bounds.
 """
 
 
@@ -14,6 +15,18 @@ class DomainError(ValueError):
 
 class ResourceLimitError(RuntimeError):
     """A configured size or enumeration cap would be exceeded."""
+
+
+def check_cost(what: str, cost: int, cap: int, unit: str) -> None:
+    """Refuse work whose cost, counted in `unit`, is above `cap`.
+
+    >>> check_cost("A300", 45150, 10_000, "positive roots")
+    Traceback (most recent call last):
+    ...
+    higgsmult.errors.ResourceLimitError: A300 has 45150 positive roots, above the cap 10000
+    """
+    if cost > cap:
+        raise ResourceLimitError(f"{what} has {cost} {unit}, above the cap {cap}")
 
 
 class InternalError(RuntimeError):

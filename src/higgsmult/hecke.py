@@ -21,20 +21,25 @@ of every b_i, counted in closed form and by enumeration respectively.
 The enumeration is an `IntersectionPoints` view of the Cartesian
 product of its per-zero slots, never a list of points: building it
 costs O(slots), `len` O(1), one index O(slots), and iterating all
-points O(size).
+points O(size).  Its size is the closed-form count, checked against the
+cap before any slot is built; a count is refused past COUNT_DIGITS_CAP
+decimal digits, on a lower bound taken before each power is formed.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import combinations, product
-from math import comb, prod
+from math import comb, log10, prod
 from operator import index
 
 from .chain import ChainHiggsBundle, Divisor, PointLike, as_point, is_stable, is_very_stable
-from .errors import DomainError, InternalError, ResourceLimitError, UnstableResultError
+from .errors import DomainError, InternalError, UnstableResultError, check_cost
 
 ENUMERATION_CAP = 10 ** 6
+# Python's default int-to-str limit, so every count returned can be printed.
+COUNT_DIGITS_CAP = 4300
+_COUNT = "the intersection count"
 
 
 def hecke_remove_zero(c: ChainHiggsBundle, i: int, pt: PointLike) -> ChainHiggsBundle:
@@ -112,7 +117,14 @@ def intersection_count(c: ChainHiggsBundle) -> int:
     n = c.rank
     out = 1
     for i, m in enumerate(c.m_vector, start=1):
-        out *= comb(n, i) ** m
+        if m:
+            b = comb(n, i)
+            # out * b**m >= 2**bits, and 2**bits has int(bits * log10(2)) + 1 digits
+            bits = out.bit_length() - 1 + m * (b.bit_length() - 1)
+            check_cost(_COUNT, int(bits * log10(2)) + 1, COUNT_DIGITS_CAP, "digits or more")
+            out *= b ** m
+    digits = int((out.bit_length() - 1) * log10(2)) + 1
+    check_cost(_COUNT, digits + (out >= 10 ** digits), COUNT_DIGITS_CAP, "digits")
     return out
 
 
@@ -169,10 +181,12 @@ def intersection_enumerate(
     Each point is a tuple of ((i, point label), subset) entries, one per
     zero.  The points come back as an `IntersectionPoints` view over the
     per-zero slots, in the order of their Cartesian product; no point is
-    built until it is read.  Sizes above the cap are refused.
+    built until it is read.  Sizes above the cap, read off the closed-form
+    count, are refused before any slot is built.
     """
     if not is_very_stable(c):
         raise DomainError("intersection enumeration is only defined for very stable chains")
+    check_cost("the enumeration", intersection_count(c), cap, "points")
     n = c.rank
     slots = [
         # very stable makes every multiplicity 1
@@ -180,7 +194,4 @@ def intersection_enumerate(
         for i, div in enumerate(c.zero_divisors, start=1)
         for pt, _ in div
     ]
-    points = IntersectionPoints(slots)
-    if len(points) > cap:
-        raise ResourceLimitError(f"enumeration size {len(points)} exceeds the cap {cap}")
-    return points
+    return IntersectionPoints(slots)

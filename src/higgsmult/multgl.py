@@ -89,10 +89,11 @@ def mult_type111(c: ChainHiggsBundle) -> MultResult:
     if not is_stable(c):
         raise DomainError("multiplicity of a chain needs a stable chain")
     n = c.rank
+    base = gl_hitchin_base_dims(c.genus, n)  # refuses a rank past RANK_CAP first
     factored = power_product(
         (qbinom_factored(n, i), m) for i, m in enumerate(c.m_vector, start=1)
     )
-    if factored != FactoredChar(gl_hitchin_base_dims(c.genus, n) - tplus_dims(c)):
+    if factored != FactoredChar(base - tplus_dims(c)):
         raise InternalError(
             "chain multiplicity: quantum binomial closed form disagrees with the weight ratio"
         )

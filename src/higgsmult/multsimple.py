@@ -22,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import DomainError, InternalError, ResourceLimitError
+from .errors import DomainError, InternalError, check_cost
 from .multgl import MultResult
 from . import polyalg
 from .polyalg import FactoredChar, IntPoly, NotPolynomial, expand, expand_work, power_product
@@ -143,20 +143,16 @@ def polynomiality_scan(r: RootSystem, bound: int, cap: int = SCAN_CAP) -> ScanRe
     """
     if bound < 1:
         raise DomainError(f"scan bound must be >= 1, got {bound}")
-    size = (bound + 1) ** r.rank
-    if size > cap:
-        raise ResourceLimitError(f"scan grid has {size} points, above the cap {cap}")
+    check_cost("scan grid", (bound + 1) ** r.rank, cap, "points")
     units = [unit_multiplicity_factored(r, i) for i in range(1, r.rank + 1)]
+    scope = f"scan of {r.lie_type} to bound {bound}"
     points = []
     work = 0
     for m in itertools.product(range(bound + 1), repeat=r.rank):
         f = power_product(zip(units, m))
         work += expand_work(f)
-        if work > polyalg.SERIES_WORK_CAP:
-            raise ResourceLimitError(
-                f"scan of {r.lie_type} to bound {bound} passes the work cap "
-                f"{polyalg.SERIES_WORK_CAP} at m = {list(m)}"
-            )
+        what = f"{scope} at m = {list(m)}"
+        check_cost(what, work, polyalg.SERIES_WORK_CAP, "coefficient updates")
         points.append((m, f))
     entries = tuple(ScanEntry(m=m, result=expand(f)) for m, f in points)
     return ScanReport(lie_type=r.lie_type, bound=bound, entries=entries)

@@ -24,8 +24,8 @@ over each residue class mod k, and multiply and divide steps alternate
 so the coefficients stay small.  `expand` runs it to half the degree of
 a polynomial and mirrors the rest (each (1 - t^k) is anti-palindromic);
 `series_expand` runs it to the requested order.  Its cost (`series_work`,
-`expand_work`) is known before it starts, and above SERIES_WORK_CAP the
-kernel raises ResourceLimitError instead.
+`expand_work`) is known before it starts, and `errors.check_cost` refuses
+it above SERIES_WORK_CAP before the coefficient list exists.
 `poly_divmod` and `divides` remain as the general IntPoly long-division
 API.
 """
@@ -39,7 +39,7 @@ from math import isqrt
 from operator import index, sub
 from typing import Any, Iterable, Iterator, Mapping, Union
 
-from .errors import DomainError, InternalError, ResourceLimitError
+from .errors import DomainError, InternalError, check_cost
 
 # Series coefficient updates (length x (factors + 1)) above this are refused;
 # mult_type_n(16, 8) costs 4.4e6.
@@ -87,9 +87,6 @@ class IntPoly:
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def coeff(self, k: int) -> int:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 
     def value_at_one(self) -> int:
         return sum(self.coeffs)
@@ -192,8 +189,7 @@ def poly_divmod(num: IntPoly, den: IntPoly) -> "tuple[IntPoly, IntPoly] | None":
         q = c // lead
         quot[i] = q
         if q:
-            for j, d in enumerate(dc):
-                rem[i + j] -= q * d
+            rem[i : i + dn] = [r - q * d for r, d in zip(rem[i : i + dn], dc)]
     return IntPoly(tuple(quot)), IntPoly(tuple(rem[: dn - 1]))
 
 
@@ -402,11 +398,8 @@ def _series(f: FactoredChar, length: int) -> list[int]:
     """The first `length` series coefficients of f, on one list in place;
     work above SERIES_WORK_CAP is refused before the list exists."""
     work = series_work(f, length)
-    if work > SERIES_WORK_CAP:
-        raise ResourceLimitError(
-            f"a series of {length} coefficients through {work // length - 1} factors "
-            f"costs {work}, above the cap {SERIES_WORK_CAP}"
-        )
+    what = f"a series of {length} coefficients through {work // length - 1} factors"
+    check_cost(what, work, SERIES_WORK_CAP, "coefficient updates")
     c = [1] + [0] * (length - 1)
     ups = [k for k, e in f if e > 0 and k < length for _ in range(e)]
     downs = [k for k, e in f if e < 0 and k < length for _ in range(-e)]
@@ -487,11 +480,6 @@ class TruncatedSeries:
             raise DomainError("more coefficients than the order allows")
         c = c + (0,) * (self.order + 1 - len(c))
         object.__setattr__(self, "coeffs", c)
-
-    def coeff(self, k: int) -> int:
-        if not 0 <= k <= self.order:
-            raise DomainError(f"coefficient index {k} outside order {self.order}")
-        return self.coeffs[k]
 
     def __mul__(self, other: "TruncatedSeries | IntPoly") -> "TruncatedSeries":
         if isinstance(other, IntPoly):

@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import DomainError, InternalError, ResourceLimitError
+from .errors import DomainError, InternalError, check_cost
 
 # Root systems with more positive roots than this are refused before any
 # work (before the l x l Cartan matrix, too); it admits A140 (9870 roots).
@@ -206,10 +206,7 @@ def build(t: LieType) -> RootSystem:
     then lexicographic coordinates.  Raises ResourceLimitError, before
     any work, when t has more than ROOT_CAP positive roots."""
     expected = _POSITIVE_COUNT[t.family](t.rank)
-    if expected > ROOT_CAP:
-        raise ResourceLimitError(
-            f"{t} has {expected} positive roots, above the cap {ROOT_CAP}"
-        )
+    check_cost(str(t), expected, ROOT_CAP, "positive roots")
     cartan = cartan_matrix(t)
     roots = _positive_roots(cartan)
     if len(roots) != expected:
@@ -317,10 +314,7 @@ def weyl_orbit_minuscule(r: RootSystem, i: int) -> list[tuple[tuple[int, ...], i
     if i not in cominuscule_nodes(r):
         raise DomainError(f"node {i} of {r.lie_type} is not cominuscule")
     size = degrees(r).weyl_order // levi_degrees(r, i).weyl_order
-    if size > ORBIT_CAP:
-        raise ResourceLimitError(
-            f"orbit of node {i} of {r.lie_type} has {size} weights, above the cap {ORBIT_CAP}"
-        )
+    check_cost(f"orbit of node {i} of {r.lie_type}", size, ORBIT_CAP, "weights")
     l = r.rank
     dual = tuple(tuple(r.cartan[b][a] for b in range(l)) for a in range(l))
     start = tuple(1 if j == i - 1 else 0 for j in range(l))

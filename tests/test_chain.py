@@ -105,6 +105,19 @@ class TestChainValidation:
         assert all(d.is_reduced for d in c.zero_divisors)
 
 
+    def test_validation_reads_m_vector_once(self, monkeypatch):
+        reads = []
+        m_vector = ChainHiggsBundle.m_vector.fget
+
+        def spy(self):
+            reads.append(1)
+            return m_vector(self)
+
+        monkeypatch.setattr(ChainHiggsBundle, "m_vector", property(spy))
+        chain_from_m(2, (1,) * 99)
+        assert len(reads) == 1
+
+
 class TestStability:
     def test_rank2_examples(self):
         assert is_stable(make_chain(2, (0, -1), [Divisor({"p": 1})]))

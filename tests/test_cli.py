@@ -128,7 +128,7 @@ class TestExitCodes:
         code, out, err = invoke(capsys, ["scan", "--type", "A", "--rank", "1", "--bound", "99999"])
         assert time.perf_counter() - start < 1.0
         assert code == 3 and out == ""
-        assert err.startswith("ResourceLimitError: scan of A1 to bound 99999 passes the work cap")
+        assert err.startswith("ResourceLimitError: scan of A1 to bound 99999 at m = [310] has ")
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
@@ -136,11 +136,11 @@ class TestExitCodes:
         [
             (
                 ["mult", "gl", "--type", "n", "--g", "2", "--n", "1000000"],
-                "GL rank 1000000 is above the cap 141",
+                "GL_1000000 has 1000000 invariant degrees, above the cap 141",
             ),
             (
                 ["pair", "--g", "2", "--n", "142", "--order", "3", "--a", "n", "--b", "n"],
-                "GL rank 142 is above the cap 141",
+                "GL_142 has 142 invariant degrees, above the cap 141",
             ),
             (
                 ["mult", "gl", "--type", "111", "--g", "3", "--m", "1000000000"],
@@ -152,6 +152,27 @@ class TestExitCodes:
         code, out, err = invoke(capsys, argv)
         assert code == 3 and out == ""
         assert err == f"ResourceLimitError: {message}\n"
+
+    def test_rank_cap_refuses_before_the_closed_form(self, capsys):
+        start = time.perf_counter()
+        argv = ["mult", "gl", "--type", "111", "--g", "2", "--m", ",".join(["1"] * 2999)]
+        code, out, err = invoke(capsys, argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and out == ""
+        assert err == "ResourceLimitError: GL_3000 has 3000 invariant degrees, above the cap 141\n"
+
+    def test_count_past_the_printable_digits_is_3(self, capsys, tmp_path):
+        path = tmp_path / "rank2.json"
+        path.write_text(json.dumps(chain_to_json(chain_from_m(8000, [15000]))))
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, ["count", "--chain-file", str(path)])
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and out == ""
+        assert err.startswith("ResourceLimitError: the intersection count has ")
+        assert err.count("\n") == 1
+        path.write_text(json.dumps(chain_to_json(chain_from_m(8000, [14000]))))
+        count = report(capsys, ["count", "--chain-file", str(path)])["result"]["count"]
+        assert count == str(2 ** 14000) and len(count) == 4215
 
     def test_internal_error_is_70(self, capsys, monkeypatch):
         import higgsmult.cli

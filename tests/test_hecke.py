@@ -1,4 +1,5 @@
 import itertools
+import time
 import tracemalloc
 
 import pytest
@@ -7,7 +8,9 @@ from hypothesis import strategies as st
 
 from higgsmult.chain import Divisor, chain_from_m, is_stable, is_very_stable, make_chain, twist
 from higgsmult.errors import DomainError, ResourceLimitError, UnstableResultError
+from higgsmult import hecke
 from higgsmult.hecke import (
+    COUNT_DIGITS_CAP,
     apply_move,
     hecke_add_zero,
     hecke_remove_zero,
@@ -145,6 +148,22 @@ class TestIntersectionCount:
         c = chain_from_m(3, (3,))
         assert intersection_count(c) == 8
 
+    def test_digit_cap_is_exact(self):
+        # C(5, 2) = 10, so m_2 = k gives the count 10**k, with k + 1 digits
+        assert COUNT_DIGITS_CAP == 4300
+        assert intersection_count(chain_from_m(3000, (0, 4299, 0, 0))) == 10 ** 4299
+        with pytest.raises(ResourceLimitError) as info:
+            intersection_count(chain_from_m(3000, (0, 4300, 0, 0)))
+        assert str(info.value) == "the intersection count has 4301 digits, above the cap 4300"
+
+    def test_digit_cap_refuses_before_the_powers(self):
+        # rank 20000, one zero per map: the full count has about 3 * 10**8 bits
+        c = chain_from_m(2, (1,) * 19_999)
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match="digits or more, above the cap 4300"):
+            intersection_count(c)
+        assert time.perf_counter() - start < 1.0
+
     def test_not_very_stable_rejected(self):
         c = make_chain(2, (0, -1, -2), [Divisor({"p": 1}), Divisor({"p": 1})])
         with pytest.raises(DomainError, match="very stable"):
@@ -173,6 +192,16 @@ class TestIntersectionEnumerate:
         c = chain_from_m(3, (3, 3))
         with pytest.raises(ResourceLimitError, match="cap"):
             intersection_enumerate(c, cap=10)
+
+    def test_cap_refuses_before_any_slot(self, monkeypatch):
+        # rank 26, one zero at b_13: C(26, 13) = 10400600 points
+        m = [0] * 25
+        m[12] = 1
+        c = chain_from_m(2, m)
+        monkeypatch.setattr(hecke, "combinations", lambda *a: pytest.fail("built a slot"))
+        with pytest.raises(ResourceLimitError) as info:
+            intersection_enumerate(c)
+        assert str(info.value) == "the enumeration has 10400600 points, above the cap 1000000"
 
     @given(st.integers(2, 3), st.lists(st.integers(0, 2), min_size=1, max_size=3))
     @settings(max_examples=40)
