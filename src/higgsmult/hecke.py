@@ -114,6 +114,12 @@ def intersection_count(c: ChainHiggsBundle) -> int:
     prod_i C(n, i)^{m_i}.  Asserted only for very stable chains."""
     if not is_very_stable(c):
         raise DomainError("intersection count is only defined for very stable chains")
+    return _count(c)
+
+
+def _count(c: ChainHiggsBundle) -> int:
+    """The closed-form product of `intersection_count`, without the
+    very-stable verdict its callers have already made."""
     n = c.rank
     out = 1
     for i, m in enumerate(c.m_vector, start=1):
@@ -186,7 +192,7 @@ def intersection_enumerate(
     """
     if not is_very_stable(c):
         raise DomainError("intersection enumeration is only defined for very stable chains")
-    check_cost("the enumeration", intersection_count(c), cap, "points")
+    check_cost("the enumeration", _count(c), cap, "points")
     n = c.rank
     slots = [
         # very stable makes every multiplicity 1

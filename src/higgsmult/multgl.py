@@ -31,6 +31,7 @@ from .polyalg import (
     power_product,
     qbinom_factored,
     series_expand,
+    value_at_one,
 )
 
 
@@ -38,9 +39,9 @@ from .polyalg import (
 class MultResult:
     """A multiplicity in factored form, expanded on first read.
 
-    is_polynomial needs no expansion; polynomial is either the exact
-    IntPoly or the NotPolynomial witness; value_at_1 is defined only in
-    the polynomial case.
+    is_polynomial and value_at_1 need no expansion; polynomial is either
+    the exact IntPoly or the NotPolynomial witness; value_at_1 is defined
+    only in the polynomial case.
     """
 
     factored: FactoredChar
@@ -55,9 +56,7 @@ class MultResult:
 
     @property
     def value_at_1(self) -> "int | None":
-        if isinstance(self.polynomial, IntPoly):
-            return self.polynomial.value_at_one()
-        return None
+        return value_at_one(self.factored) if self.is_polynomial else None
 
 
 def virtual_multiplicity(tplus: WeightDims, base: WeightDims) -> MultResult:

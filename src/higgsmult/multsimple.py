@@ -139,7 +139,8 @@ def polynomiality_scan(r: RootSystem, bound: int, cap: int = SCAN_CAP) -> ScanRe
     computed once and combined by `power_product`, mult_simple's
     accumulation, which agrees with the per-root product by
     multiplicativity.  Refused above `cap` points, or before any expansion
-    once the points' summed kernel costs pass polyalg.SERIES_WORK_CAP.
+    once the summed costs of their expansions' series paths
+    (polyalg.expand_work) pass polyalg.SERIES_WORK_CAP.
     """
     if bound < 1:
         raise DomainError(f"scan bound must be >= 1, got {bound}")
@@ -152,7 +153,7 @@ def polynomiality_scan(r: RootSystem, bound: int, cap: int = SCAN_CAP) -> ScanRe
         f = power_product(zip(units, m))
         work += expand_work(f)
         what = f"{scope} at m = {list(m)}"
-        check_cost(what, work, polyalg.SERIES_WORK_CAP, "coefficient updates")
+        check_cost(what, work, polyalg.SERIES_WORK_CAP, "units of series work")
         points.append((m, f))
     entries = tuple(ScanEntry(m=m, result=expand(f)) for m, f in points)
     return ScanReport(lie_type=r.lie_type, bound=bound, entries=entries)

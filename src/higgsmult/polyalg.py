@@ -17,33 +17,49 @@ polynomial exactly when every c_d >= 0 (`is_polynomial`); divisibility
 of one character by another is the same test on the quotient; each
 `FactoredChar` computes its c_d once.
 
-One kernel turns a factored character into its power series through a
-given order, in place on one coefficient list: multiplying by (1 - t^k)
-subtracts the list shifted by k, dividing by (1 - t^k) takes prefix sums
-over each residue class mod k, and multiply and divide steps alternate
-so the coefficients stay small.  `expand` runs it to half the degree of
-a polynomial and mirrors the rest (each (1 - t^k) is anti-palindromic);
-`series_expand` runs it to the requested order.  Its cost (`series_work`,
-`expand_work`) is known before it starts, and `errors.check_cost` refuses
-it above SERIES_WORK_CAP before the coefficient list exists.
-`poly_divmod` and `divides` remain as the general IntPoly long-division
-API.
+Two exact paths turn a factored character into its power series through
+a given order.  The kernel works in place on one coefficient list:
+multiplying by (1 - t^k) subtracts the list shifted by k, dividing by
+(1 - t^k) takes prefix sums over each residue class mod k, and multiply
+and divide steps alternate so the coefficients stay small; it costs
+length x (sum |e_k| + 1) coefficient updates (`series_work`), so it grows
+with the exponents.  The log-derivative recurrence (`_recurrence`) reads
+each coefficient off the previous deg Q by a fixed stencil, Q the product
+of the distinct cyclotomic factors; it costs length x (deg Q + 1) steps,
+whatever the exponents, and its up-front cost counts word operations:
+that times the 64-bit words of a bound on the coefficient bits.
+`_series_plan` takes, of the paths within SERIES_WORK_CAP, the one with
+the lower predicted time, from costs known before any work; when neither
+fits, `errors.check_cost` refuses the series before any list exists.
+`expand` runs it to half the degree of a polynomial and mirrors the rest
+(each (1 - t^k) is anti-palindromic); `series_expand` runs it to the
+requested order; `expand_work` is the cost of the path `expand` takes.
+`value_at_one` reads f(1) off the cyclotomic exponents, with no
+expansion.  `poly_divmod` and `divides` remain as the general IntPoly
+long-division API.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate, zip_longest
-from math import isqrt
-from operator import index, sub
-from typing import Any, Iterable, Iterator, Mapping, Union
+from math import ceil, isqrt, lgamma, log
+from operator import index, mul, sub
+from typing import Any, Callable, Iterable, Iterator, Mapping, Union
 
 from .errors import DomainError, InternalError, check_cost
 
-# Series coefficient updates (length x (factors + 1)) above this are refused;
-# mult_type_n(16, 8) costs 4.4e6.
+# A series path whose up-front cost is above this is refused: kernel
+# coefficient updates, or recurrence word operations.  mult_type_n(16, 8)
+# costs 4.4e6 on the kernel and 3.0e6 on the recurrence.
 SERIES_WORK_CAP = 10 ** 7
+
+# Predicted recurrence time in kernel coefficient updates:
+# _RATIO * length * (deg Q + 1) + _SETUP, fitted on timings of both paths
+# (type (n), type (1,2), pairing, chain and simple-type series).
+_RATIO = 6
+_SETUP = 500
 
 
 @dataclass(frozen=True)
@@ -376,6 +392,27 @@ def is_polynomial(f: FactoredChar) -> bool:
     return all(c >= 0 for c in f._cyclotomic.values())
 
 
+def value_at_one(f: FactoredChar) -> int:
+    """f(1) for a polynomial f, read off its cyclotomic exponents: Phi_1(1)
+    is 0, Phi_d(1) is p when d is a power of the prime p, and 1 otherwise.
+
+    >>> value_at_one(FactoredChar({2: 3, 1: -3}))  # (1 + t)^3
+    8
+    >>> value_at_one(FactoredChar({6: 1, 3: -1, 2: -1, 1: 1}))  # Phi_6
+    1
+    """
+    if not is_polynomial(f):
+        raise DomainError("the value at 1 needs a polynomial character")
+    if f._cyclotomic.get(1):
+        return 0
+    out = 1
+    for d, c in f._cyclotomic.items():
+        primes = _primes(d)
+        if len(primes) == 1:
+            out *= primes[0] ** c
+    return out
+
+
 def series_work(f: FactoredChar, length: int) -> int:
     """Kernel cost of `length` series coefficients of f: one pass over the
     list to allocate it and one per factor (1 - t^k)^{+-1} with k < length."""
@@ -383,8 +420,8 @@ def series_work(f: FactoredChar, length: int) -> int:
 
 
 def expand_work(f: FactoredChar) -> int:
-    """Kernel cost of expand(f), known before it runs."""
-    return series_work(f, _expand_length(f))
+    """Cost of the series path that expand(f) runs, known before it runs."""
+    return _series_plan(f, _expand_length(f))[1]
 
 
 def _expand_length(f: FactoredChar) -> int:
@@ -394,12 +431,76 @@ def _expand_length(f: FactoredChar) -> int:
     return sum(k * e for k, e in f if e > 0) + 1
 
 
-def _series(f: FactoredChar, length: int) -> list[int]:
-    """The first `length` series coefficients of f, on one list in place;
-    work above SERIES_WORK_CAP is refused before the list exists."""
-    work = series_work(f, length)
-    what = f"a series of {length} coefficients through {work // length - 1} factors"
-    check_cost(what, work, SERIES_WORK_CAP, "coefficient updates")
+def _primes(d: int) -> list[int]:
+    """The distinct primes dividing d, by trial division."""
+    out = []
+    p = 2
+    while p * p <= d:
+        if d % p == 0:
+            out.append(p)
+            while d % p == 0:
+                d //= p
+        p += 1
+    return out + [d] if d > 1 else out
+
+
+@lru_cache(maxsize=4096)
+def _totient(d: int) -> int:
+    """Euler's phi(d), the degree of Phi_d."""
+    out = d
+    for p in _primes(d):
+        out -= out // p
+    return out
+
+
+def _cyclotomic_factors(d: int) -> list[tuple[int, int]]:
+    """Phi_d, scaled to constant term 1, as (k, e_k) pairs: the product of
+    (1 - t^(d/s))^mu(s) over the squarefree divisors s of d."""
+    pairs = [(d, 1)]
+    for p in _primes(d):
+        pairs += [(k // p, -e) for k, e in pairs]
+    return pairs
+
+
+def _coefficient_bits(f: FactoredChar, length: int) -> float:
+    """Bound on the bits of the first `length` series coefficients of f:
+    |coefficients| of prod (1 - t^k)^{e_k} sum to at most 2^{e_k}, and the
+    denominator is bounded coefficientwise by (1 - t)^(-E) with E the sum
+    of the negative exponents' sizes."""
+    neg = -sum(e for _, e in f if e < 0)
+    bits = sum(e for _, e in f if e > 0)
+    if neg:
+        bits += (lgamma(length + neg - 1) - lgamma(neg) - lgamma(length)) / log(2)
+    return bits
+
+
+def _series_plan(f: FactoredChar, length: int) -> "tuple[Callable | None, int]":
+    """The path for `length` series coefficients of f and its up-front cost.
+
+    The kernel costs series_work coefficient updates.  The recurrence costs
+    length * (deg Q + 1) * words, counted in word operations, where words is
+    the number of 64-bit words of `_coefficient_bits`; it is a candidate
+    only when deg Q < length, so building its stencil costs no more than
+    running it.  Of the paths within SERIES_WORK_CAP the one with the lower
+    predicted time runs: the kernel's is its cost, the recurrence's is
+    _RATIO * length * (deg Q + 1) + _SETUP.  When neither fits, the path
+    is None and the cost is the kernel's.
+    """
+    kernel = series_work(f, length)
+    fits = kernel <= SERIES_WORK_CAP
+    if fits and kernel <= _RATIO * length + _SETUP:  # below any recurrence's time
+        return _kernel, kernel
+    degree = sum(map(_totient, f._cyclotomic))
+    faster = _RATIO * length * (degree + 1) + _SETUP < kernel
+    if degree < length and (faster or not fits):
+        recurrence = length * (degree + 1) * max(1, ceil(_coefficient_bits(f, length) / 64))
+        if recurrence <= SERIES_WORK_CAP:
+            return _recurrence, recurrence
+    return (_kernel if fits else None), kernel
+
+
+def _kernel(f: FactoredChar, length: int) -> list[int]:
+    """The first `length` series coefficients of f, on one list in place."""
     c = [1] + [0] * (length - 1)
     ups = [k for k, e in f if e > 0 and k < length for _ in range(e)]
     downs = [k for k, e in f if e < 0 and k < length for _ in range(-e)]
@@ -410,6 +511,45 @@ def _series(f: FactoredChar, length: int) -> list[int]:
             for r in range(down):
                 c[r::down] = accumulate(c[r::down])
     return c
+
+
+def _recurrence(f: FactoredChar, length: int) -> list[int]:
+    """The first `length` series coefficients of f by its log-derivative.
+
+    With f = prod_d Phi_d^{c_d}, Q = prod_{c_d != 0} Phi_d (each with
+    constant term 1) of degree D and R = Q * t f'/f, a polynomial of degree
+    at most D, Q * t f' = R * f gives
+    n f_n = sum_{j=1..D} (R_j f_{n-j} - Q_j (n-j) f_{n-j}), an exact division.
+    The list h interleaves f_n and n f_n, so each step is one dot product
+    of the fixed stencil (R_D, -Q_D, ..., R_1, -Q_1) with a window of h.
+    """
+    stencil = FactoredChar(p for d in f._cyclotomic for p in _cyclotomic_factors(d))
+    degree = sum(k * e for k, e in stencil)
+    q = _kernel(stencil, degree + 1)
+    # t f'/f = -sum_k k e_k t^k / (1 - t^k): coefficient n is -sum_{k|n} k e_k
+    logd = [0] * (degree + 1)
+    for k, e in f:
+        for n in range(k, degree + 1, k):
+            logd[n] -= k * e
+    weights = []
+    for j in range(degree, 0, -1):  # R_j is coefficient j of Q * t f'/f
+        weights += (sum(map(mul, q[:j], logd[j:0:-1])), -q[j])
+    h = [0, 0] * degree + [1, 0]  # (f_n, n f_n) at 2(n + degree), after zeros
+    for n in range(1, length):
+        s = sum(map(mul, weights, h[2 * n : 2 * (n + degree)]))
+        h += (s // n, s)
+    return h[2 * degree :: 2]
+
+
+def _series(f: FactoredChar, length: int) -> list[int]:
+    """The first `length` series coefficients of f, by the path of
+    `_series_plan`; work above SERIES_WORK_CAP is refused before the list
+    exists."""
+    run, work = _series_plan(f, length)
+    if run is None:
+        what = f"a series of {length} coefficients through {work // length - 1} factors"
+        check_cost(what, work, SERIES_WORK_CAP, "coefficient updates")
+    return run(f, length)
 
 
 def expand(f: FactoredChar) -> "IntPoly | NotPolynomial":

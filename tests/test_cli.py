@@ -128,7 +128,7 @@ class TestExitCodes:
         code, out, err = invoke(capsys, ["scan", "--type", "A", "--rank", "1", "--bound", "99999"])
         assert time.perf_counter() - start < 1.0
         assert code == 3 and out == ""
-        assert err.startswith("ResourceLimitError: scan of A1 to bound 99999 at m = [310] has ")
+        assert err.startswith("ResourceLimitError: scan of A1 to bound 99999 at m = [925] has ")
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
@@ -385,6 +385,16 @@ class TestCount:
         assert len(result["points"]) == 4
         # each point assigns a 1-element sheet subset to each of the zeros p, q
         assert result["points"][0] == [[[1, "p"], [1]], [[1, "q"], [1]]]
+
+    def test_enumerate_checks_stability_twice(self, capsys, chain_file, monkeypatch):
+        # once for the count, once for the enumeration
+        from higgsmult import hecke
+
+        calls = []
+        verdict = hecke.is_very_stable
+        monkeypatch.setattr(hecke, "is_very_stable", lambda c: calls.append(c) or verdict(c))
+        report(capsys, ["count", "--chain-file", chain_file, "--enumerate"])
+        assert len(calls) == 2
 
     def test_not_very_stable(self, capsys, wobbly_file):
         code, _, err = invoke(capsys, ["count", "--chain-file", wobbly_file])

@@ -203,6 +203,16 @@ class TestIntersectionEnumerate:
             intersection_enumerate(c)
         assert str(info.value) == "the enumeration has 10400600 points, above the cap 1000000"
 
+    def test_one_verdict_per_public_call(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(hecke, "is_very_stable", lambda c: calls.append(c) or is_very_stable(c))
+        c = chain_from_m(2, (1, 1))
+        assert len(intersection_enumerate(c)) == 9
+        assert calls == [c]
+        calls.clear()
+        assert intersection_count(c) == 9
+        assert calls == [c]
+
     @given(st.integers(2, 3), st.lists(st.integers(0, 2), min_size=1, max_size=3))
     @settings(max_examples=40)
     def test_length_matches_count(self, g, m):

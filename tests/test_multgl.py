@@ -1,3 +1,5 @@
+from math import prod
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -213,6 +215,17 @@ class TestLazyExpansion:
         assert r.polynomial == r.polynomial == polyalg.expand(r.factored)
         assert r.value_at_1 == r.polynomial.value_at_one()
         assert calls == [r.factored]
+
+    def test_value_at_1_never_expands(self, no_expand):
+        assert mult_type_n(5, 6).value_at_1 == prod(i ** ((2 * i - 1) * 4) for i in range(2, 7))
+        assert mult_type12_rank3(4, 2).value_at_1 == 2 * 3 ** 15
+        assert mult_type12_rank3(4, 5).value_at_1 is None
+        assert mult_type111(chain_from_m(2, (1, 2))).value_at_1 == 3 * 3 ** 2
+
+    @given(polynomial_mults())
+    @settings(max_examples=80, deadline=None)
+    def test_value_at_1_is_the_coefficient_sum(self, m):
+        assert m.value_at_1 == sum(m.polynomial.coeffs)
 
     def test_cyclotomic_exponents_computed_once(self, monkeypatch):
         calls = []

@@ -1,4 +1,5 @@
 import doctest
+from math import ceil, gcd, lgamma, log
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,7 @@ from higgsmult.polyalg import (
     power_product,
     qint,
     series_expand,
+    value_at_one,
 )
 
 from oracles import (
@@ -398,3 +400,120 @@ class TestSeries:
     def test_length_mismatch_rejected(self):
         with pytest.raises(DomainError):
             TruncatedSeries(1, (1, 2, 3))
+
+
+# exponents up to +-40, past what the kernel-sized strategies above reach
+wide_factors = st.dictionaries(st.integers(1, 12), st.integers(-40, 40), max_size=4)
+
+
+@st.composite
+def wide_polynomials(draw):
+    """Products of (1 - t^(jq))^e / (1 - t^j)^e, e <= 40: always polynomials."""
+    pairs = draw(
+        st.lists(st.tuples(st.integers(1, 3), st.integers(2, 4), st.integers(0, 40)), max_size=3)
+    )
+    return FactoredChar([(j * q, e) for j, q, e in pairs] + [(j, -e) for j, q, e in pairs])
+
+
+def _totient(d):
+    return sum(1 for a in range(1, d + 1) if gcd(a, d) == 1)
+
+
+class TestRecurrence:
+    @given(wide_factors, st.integers(1, 60))
+    @settings(max_examples=150, deadline=None)
+    def test_series_against_kernel_and_oracle(self, exps, length):
+        f = FactoredChar(exps)
+        out = higgsmult.polyalg._recurrence(f, length)
+        assert out == higgsmult.polyalg._kernel(f, length) == factored_series(exps, length - 1)
+
+    @given(st.one_of(wide_polynomials(), wide_factors.map(FactoredChar)))
+    @settings(max_examples=100, deadline=None)
+    def test_expand_is_the_same_on_both_paths(self, f):
+        polyalg = higgsmult.polyalg
+        out = []
+        for path in (polyalg._kernel, polyalg._recurrence):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(polyalg, "_series", path)
+                out.append(expand(f))
+        assert out[0] == out[1]  # the NotPolynomial witness included
+        assert isinstance(out[1], IntPoly) == is_polynomial(f)
+
+    @given(random_factors)
+    @settings(max_examples=100, deadline=None)
+    def test_expand_on_the_recurrence_against_division_oracle(self, exps):
+        num, den = factored_to_num_den(exps)
+        q, r = divmod_fractions(num, den)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(higgsmult.polyalg, "_series", higgsmult.polyalg._recurrence)
+            out = expand(FactoredChar(exps))
+        if r:
+            assert out == NotPolynomial(remainder_degree=len(r) - 1)
+        else:
+            assert list(out.coeffs) == [int(x) for x in q]
+
+    @given(
+        st.one_of(wide_factors.map(FactoredChar), wide_polynomials()),
+        st.integers(1, 3000),
+        st.sampled_from([10 ** 7, 10 ** 5, 3000]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_dispatch_follows_the_cost_rule(self, f, length, cap):
+        # the rule as documented, rebuilt from a test-local totient and lgamma
+        polyalg = higgsmult.polyalg
+        kernel = length * (sum(abs(e) for k, e in f if k < length) + 1)
+        degree = sum(_totient(d) for d in cyclotomic_exponents(f))
+        neg = -sum(e for _, e in f if e < 0)
+        bits = sum(e for _, e in f if e > 0)
+        if neg:
+            bits += (lgamma(length + neg - 1) - lgamma(neg) - lgamma(length)) / log(2)
+        recurrence = length * (degree + 1) * max(1, ceil(bits / 64))
+        faster = polyalg._RATIO * length * (degree + 1) + polyalg._SETUP < kernel
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(polyalg, "SERIES_WORK_CAP", cap)
+            path, cost = polyalg._series_plan(f, length)
+        if degree < length and recurrence <= cap and (faster or kernel > cap):
+            assert (path, cost) == (polyalg._recurrence, recurrence)
+        elif kernel <= cap:
+            assert (path, cost) == (polyalg._kernel, kernel)
+        else:
+            assert (path, cost) == (None, kernel)
+
+    def test_dispatch_on_named_inputs(self):
+        from higgsmult.chain import chain_from_m
+        from higgsmult.multgl import _type_n_factored, mult_type111, mult_type12_rank3
+
+        polyalg = higgsmult.polyalg
+
+        def path(f):
+            return polyalg._series_plan(f, polyalg._expand_length(f))[0]
+
+        # short series stay on the kernel
+        assert path(_type_n_factored(2, 4)) is polyalg._kernel
+        for m in ([1, 1, 1, 1, 1], [2, 2, 2, 2, 2], [3, 3, 3, 3, 3, 3]):
+            assert path(mult_type111(chain_from_m(5, m)).factored) is polyalg._kernel
+        # high exponents take the recurrence
+        assert path(_type_n_factored(10, 6)) is polyalg._recurrence
+        assert path(mult_type12_rank3(32, 1).factored) is polyalg._recurrence
+        # neither path fits
+        assert path(_type_n_factored(40, 12)) is None
+
+    def test_coefficient_bits_bound_the_coefficients(self):
+        polyalg = higgsmult.polyalg
+        for exps in ({2: 30, 1: -30}, {3: 17, 1: -40}, {6: 5, 5: -9, 1: -12}, {4: 40}):
+            f = FactoredChar(exps)
+            c = polyalg._kernel(f, 200)
+            assert max(abs(a) for a in c).bit_length() <= polyalg._coefficient_bits(f, 200)
+
+
+class TestValueAtOne:
+    @given(st.one_of(wide_polynomials(), expandable_factored()))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_coefficient_sum(self, f):
+        assert value_at_one(f) == sum(expand(f).coeffs)
+
+    def test_zero_and_refusal(self):
+        assert value_at_one(FactoredChar({1: 1})) == 0
+        assert value_at_one(FactoredChar.one()) == 1
+        with pytest.raises(DomainError):
+            value_at_one(FactoredChar({3: 5, 1: -6}))
