@@ -22,9 +22,10 @@ before any work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Union
+from collections import namedtuple
+from collections.abc import Iterable, Mapping
 
+from . import Record
 from .errors import DomainError, check_cost
 from .polyalg import SparseMap
 
@@ -36,18 +37,18 @@ ZERO_CAP = 100_000
 RANK_CAP = 141
 
 
-@dataclass(frozen=True, order=True)
-class Point:
+class Point(Record, namedtuple("Point", "label")):
     """A closed point of the curve, identified by its label."""
 
-    label: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.label, str) or not self.label:
+    def __new__(cls, label: str) -> "Point":
+        if not isinstance(label, str) or not label:
             raise DomainError("point label must be a nonempty string")
+        return tuple.__new__(cls, (label,))
 
 
-PointLike = Union[Point, str]
+PointLike = Point | str
 
 
 def as_point(p: PointLike) -> Point:
@@ -58,6 +59,8 @@ class Divisor(SparseMap):
     """Formal integer combination of points: the sparse map from Point
     (a label is accepted) to multiplicity; `multiplicities` is its
     sorted terms."""
+
+    __slots__ = ()
 
     _key = staticmethod(as_point)
 
@@ -97,11 +100,14 @@ class WeightDims(SparseMap):
     weight to dimension, so absent weights read 0 and equal gradings
     compare equal."""
 
+    __slots__ = ()
+
     _noun = "weight"
 
 
-@dataclass(frozen=True)
-class ChainHiggsBundle:
+class ChainHiggsBundle(
+    Record, namedtuple("ChainHiggsBundle", "genus degrees delta0 zero_divisors")
+):
     """A chain fixed point: genus, line bundle degrees, and divisors.
 
     zero_divisors[i-1] is the divisor of b_i for i = 1..n-1 and must be
@@ -109,28 +115,30 @@ class ChainHiggsBundle:
     divisor of degree l_0 presenting the first line bundle.
     """
 
-    genus: int
-    degrees: tuple[int, ...]
-    delta0: Divisor = Divisor.zero()
-    zero_divisors: tuple[Divisor, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.genus < 2:
-            raise DomainError(f"genus must be >= 2, got {self.genus}")
-        degrees = tuple(int(d) for d in self.degrees)
-        object.__setattr__(self, "degrees", degrees)
+    def __new__(
+        cls,
+        genus: int,
+        degrees: Iterable[int],
+        delta0: Divisor = Divisor.zero(),
+        zero_divisors: Iterable[Divisor] = (),
+    ) -> "ChainHiggsBundle":
+        if genus < 2:
+            raise DomainError(f"genus must be >= 2, got {genus}")
+        degrees = tuple(int(d) for d in degrees)
         if len(degrees) < 1:
             raise DomainError("a chain needs at least one line bundle degree")
-        zeros = tuple(self.zero_divisors)
-        object.__setattr__(self, "zero_divisors", zeros)
+        zeros = tuple(zero_divisors)
         if len(zeros) != len(degrees) - 1:
             raise DomainError(
                 f"expected {len(degrees) - 1} zero divisors for rank {len(degrees)}, got {len(zeros)}"
             )
-        if self.delta0.degree != degrees[0]:
+        if delta0.degree != degrees[0]:
             raise DomainError(
-                f"delta0 has degree {self.delta0.degree}, the first line bundle needs {degrees[0]}"
+                f"delta0 has degree {delta0.degree}, the first line bundle needs {degrees[0]}"
             )
+        self = tuple.__new__(cls, (genus, degrees, delta0, zeros))
         for i, (div, m) in enumerate(zip(zeros, self.m_vector), start=1):
             if m < 0:
                 raise DomainError(
@@ -142,6 +150,7 @@ class ChainHiggsBundle:
                 raise DomainError(
                     f"zero divisor at step {i} has degree {div.degree}, expected m_{i} = {m}"
                 )
+        return self
 
     @property
     def rank(self) -> int:
@@ -199,8 +208,9 @@ def chain_from_m(genus: int, m: Iterable[int], top_degree: int = 0) -> ChainHigg
     return make_chain(genus, degrees, zeros)
 
 
-@dataclass(frozen=True)
-class Stability:
+class Stability(
+    Record, namedtuple("Stability", "unstable_index repeated_zero", defaults=(None, None))
+):
     """The first condition a chain fails on the way to very stability.
 
     unstable_index is the smallest j whose invariant subbundle
@@ -210,8 +220,7 @@ class Stability:
     stable chain.
     """
 
-    unstable_index: "int | None" = None
-    repeated_zero: "Point | None" = None
+    __slots__ = ()
 
     @property
     def stable(self) -> bool:

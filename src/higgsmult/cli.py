@@ -15,6 +15,10 @@ Exit codes: 0 success, 2 domain error, 3 resource limit, 64 usage, 70
 internal error (a broken invariant, i.e. a bug; EX_SOFTWARE).  Codes 2, 3
 and 70 come with a one-line message on standard error.
 Simple-root nodes use Bourbaki numbering throughout.
+
+A call is mostly start-up, so each subcommand handler imports the package
+modules it uses when it runs: `rootinfo` loads only `rootsys`, and
+`mult gl --type n` never loads the root-system or Hecke modules.
 """
 from __future__ import annotations
 
@@ -22,21 +26,9 @@ import argparse
 import json
 import sys
 import time
-from pathlib import Path
-from typing import Sequence
 
 from . import __version__
-from .chain import chain_from_json, chain_from_m, chain_to_json, stability
 from .errors import DomainError, InternalError, ResourceLimitError
-from .hecke import (
-    ENUMERATION_CAP,
-    apply_move,
-    intersection_count,
-    intersection_enumerate,
-)
-from .multgl import MultResult, euler_pairing_series, mult_type12_rank3, mult_type111, mult_type_n
-from .multsimple import SCAN_CAP, mult_simple, polynomiality_scan
-from .rootsys import LieType, build, cominuscule_nodes, degrees, height_histogram
 
 
 class _UsageError(Exception):
@@ -70,18 +62,22 @@ def _move(text: str) -> tuple[str, int, str]:
 
 
 def _load_chain(path: str):
+    from .chain import chain_from_json
+
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
         raise DomainError(f"cannot read chain file {path}: {exc}")
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # too deep, or an int past str's digit limit
         raise DomainError(f"chain file {path} is not valid JSON: {exc}")
     return chain_from_json(data)
 
 
-def _mult_payload(result: MultResult) -> dict:
+def _mult_payload(result) -> dict:
+    """The report fields of a multgl.MultResult."""
     payload: dict = {"factored": [[k, e] for k, e in result.factored]}
     if result.is_polynomial:
         payload["polynomial"] = list(result.polynomial.coeffs)
@@ -93,6 +89,9 @@ def _mult_payload(result: MultResult) -> dict:
 
 
 def _cmd_mult_gl(ns) -> tuple[dict, dict]:
+    from .chain import chain_from_m
+    from .multgl import mult_type12_rank3, mult_type111, mult_type_n
+
     inputs: dict = {"type": ns.fixed_type}
     if ns.fixed_type == "n":
         if ns.g is None or ns.n is None:
@@ -129,6 +128,9 @@ def _cmd_mult_gl(ns) -> tuple[dict, dict]:
 
 
 def _cmd_mult_simple(ns) -> tuple[dict, dict]:
+    from .multsimple import mult_simple
+    from .rootsys import LieType, build
+
     lie_type = LieType(ns.type, ns.rank)
     inputs = {"type": ns.type, "rank": ns.rank, "m": list(ns.m)}
     result = _mult_payload(mult_simple(build(lie_type), ns.m))
@@ -137,6 +139,8 @@ def _cmd_mult_simple(ns) -> tuple[dict, dict]:
 
 
 def _cmd_classify(ns) -> tuple[dict, dict]:
+    from .chain import stability
+
     chain = _load_chain(ns.chain_file)
     inputs = {"chain_file": ns.chain_file}
     verdict = stability(chain)
@@ -148,6 +152,9 @@ def _cmd_classify(ns) -> tuple[dict, dict]:
 
 
 def _cmd_hecke(ns) -> tuple[dict, dict]:
+    from .chain import chain_to_json
+    from .hecke import apply_move
+
     chain = _load_chain(ns.chain_file)
     inputs = {
         "chain_file": ns.chain_file,
@@ -159,6 +166,8 @@ def _cmd_hecke(ns) -> tuple[dict, dict]:
 
 
 def _cmd_rootinfo(ns) -> tuple[dict, dict]:
+    from .rootsys import LieType, build, cominuscule_nodes, degrees, height_histogram
+
     system = build(LieType(ns.type, ns.rank))
     inputs = {"type": ns.type, "rank": ns.rank}
     d = degrees(system)
@@ -176,9 +185,13 @@ def _cmd_rootinfo(ns) -> tuple[dict, dict]:
 
 
 def _cmd_scan(ns) -> tuple[dict, dict]:
+    from .multsimple import SCAN_CAP, polynomiality_scan
+    from .rootsys import LieType, build
+
+    cap = SCAN_CAP if ns.cap is None else ns.cap
     system = build(LieType(ns.type, ns.rank))
-    inputs = {"type": ns.type, "rank": ns.rank, "bound": ns.bound, "cap": ns.cap}
-    report = polynomiality_scan(system, ns.bound, cap=ns.cap)
+    inputs = {"type": ns.type, "rank": ns.rank, "bound": ns.bound, "cap": cap}
+    report = polynomiality_scan(system, ns.bound, cap=cap)
     entries = [
         {
             "m": list(entry.m),
@@ -197,7 +210,11 @@ def _cmd_scan(ns) -> tuple[dict, dict]:
     return inputs, result
 
 
-def _pair_side(label: str, selector: str, g: int, n: int) -> MultResult:
+def _pair_side(label: str, selector: str, g: int, n: int):
+    """The multgl.MultResult of one side of a pairing."""
+    from .chain import chain_from_m
+    from .multgl import mult_type111, mult_type_n
+
     if selector == "n":
         return mult_type_n(g, n)
     m = _m_vector(selector)
@@ -210,6 +227,8 @@ def _pair_side(label: str, selector: str, g: int, n: int) -> MultResult:
 
 
 def _cmd_pair(ns) -> tuple[dict, dict]:
+    from .multgl import euler_pairing_series
+
     inputs = {"g": ns.g, "n": ns.n, "order": ns.order, "a": ns.a, "b": ns.b}
     try:
         side_a = _pair_side("a", ns.a, ns.g, ns.n)
@@ -221,11 +240,14 @@ def _cmd_pair(ns) -> tuple[dict, dict]:
 
 
 def _cmd_count(ns) -> tuple[dict, dict]:
+    from .hecke import ENUMERATION_CAP, intersection_count, intersection_enumerate
+
+    cap = ENUMERATION_CAP if ns.cap is None else ns.cap
     chain = _load_chain(ns.chain_file)
-    inputs = {"chain_file": ns.chain_file, "enumerate": ns.enumerate, "cap": ns.cap}
+    inputs = {"chain_file": ns.chain_file, "enumerate": ns.enumerate, "cap": cap}
     result: dict = {"count": str(intersection_count(chain))}
     if ns.enumerate:
-        points = intersection_enumerate(chain, cap=ns.cap)
+        points = intersection_enumerate(chain, cap=cap)
         result["points"] = [
             [[list(slot_key), list(subset)] for slot_key, subset in point]
             for point in points
@@ -284,7 +306,7 @@ def _build_parser() -> _Parser:
     scan.add_argument("--type", required=True, help="family letter A..G")
     scan.add_argument("--rank", type=int, required=True)
     scan.add_argument("--bound", type=int, required=True)
-    scan.add_argument("--cap", type=int, default=SCAN_CAP)
+    scan.add_argument("--cap", type=int)  # default multsimple.SCAN_CAP
     scan.set_defaults(handler=_cmd_scan, command_path="scan")
 
     pair = sub.add_parser("pair", parents=[common], help="Euler pairing series")
@@ -298,7 +320,7 @@ def _build_parser() -> _Parser:
     count = sub.add_parser("count", parents=[common], help="upward-flow intersection counts")
     count.add_argument("--chain-file", required=True)
     count.add_argument("--enumerate", action="store_true")
-    count.add_argument("--cap", type=int, default=ENUMERATION_CAP)
+    count.add_argument("--cap", type=int)  # default hecke.ENUMERATION_CAP
     count.set_defaults(handler=_cmd_count, command_path="count")
 
     return parser
@@ -322,7 +344,7 @@ def _emit(fmt: str, command: str, inputs: dict, result: dict, elapsed_ms: int) -
         print(f"{key:<{width}} = {json.dumps(result[key], sort_keys=True)}")
 
 
-def run(argv: Sequence[str] | None = None) -> int:
+def run(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         ns = parser.parse_args(argv)

@@ -16,9 +16,10 @@ honest multiplicity of the component.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
+from . import Record
 from .chain import ChainHiggsBundle, WeightDims, gl_hitchin_base_dims, is_stable, tplus_dims
 from .errors import DomainError, InternalError
 from .polyalg import (
@@ -35,16 +36,14 @@ from .polyalg import (
 )
 
 
-@dataclass(frozen=True)
-class MultResult:
+class MultResult(Record, namedtuple("MultResult", "factored")):
     """A multiplicity in factored form, expanded on first read.
 
     is_polynomial and value_at_1 need no expansion; polynomial is either
     the exact IntPoly or the NotPolynomial witness; value_at_1 is defined
-    only in the polynomial case.
+    only in the polynomial case.  No __slots__: the cached reads live in
+    the instance __dict__.
     """
-
-    factored: FactoredChar
 
     @cached_property
     def polynomial(self) -> "IntPoly | NotPolynomial":

@@ -18,16 +18,15 @@ scans over grids of m.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
-from dataclasses import dataclass
-from typing import Sequence
+from collections import Counter, namedtuple
+from collections.abc import Sequence
 
+from . import Record
 from .errors import DomainError, InternalError, check_cost
 from .multgl import MultResult
 from . import polyalg
-from .polyalg import FactoredChar, IntPoly, NotPolynomial, expand, expand_work, power_product
+from .polyalg import FactoredChar, IntPoly, expand, expand_work, power_product
 from .rootsys import (
-    LieType,
     RootSystem,
     cominuscule_nodes,
     degrees,
@@ -104,23 +103,19 @@ def gross_check(r: RootSystem, i: int) -> bool:
     return IntPoly(tuple(coeffs)) == mult_cominuscule(r, i).polynomial
 
 
-@dataclass(frozen=True)
-class ScanEntry:
-    """One grid point of a polynomiality scan."""
+class ScanEntry(Record, namedtuple("ScanEntry", "m result")):
+    """One grid point of a polynomiality scan: m and its IntPoly or
+    NotPolynomial."""
 
-    m: tuple[int, ...]
-    result: IntPoly | NotPolynomial
+    __slots__ = ()
 
     @property
     def is_polynomial(self) -> bool:
         return isinstance(self.result, IntPoly)
 
 
-@dataclass(frozen=True)
-class ScanReport:
-    lie_type: LieType
-    bound: int
-    entries: tuple[ScanEntry, ...]
+class ScanReport(Record, namedtuple("ScanReport", "lie_type bound entries")):
+    __slots__ = ()
 
     @property
     def polynomial_count(self) -> int:

@@ -41,13 +41,14 @@ long-division API.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from functools import cached_property, lru_cache
 from itertools import accumulate, zip_longest
 from math import ceil, isqrt, lgamma, log
 from operator import index, mul, sub
-from typing import Any, Callable, Iterable, Iterator, Mapping, Union
 
+from . import Record
 from .errors import DomainError, InternalError, check_cost
 
 # A series path whose up-front cost is above this is refused: kernel
@@ -62,8 +63,7 @@ _RATIO = 6
 _SETUP = 500
 
 
-@dataclass(frozen=True)
-class IntPoly:
+class IntPoly(Record, namedtuple("IntPoly", "coeffs")):
     """Dense integer polynomial, coefficients listed by ascending power.
 
     >>> p = IntPoly((1, 0, 1))   # 1 + t^2
@@ -73,13 +73,13 @@ class IntPoly:
     (1, 0, 2, 0, 1)
     """
 
-    coeffs: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        c = tuple(int(a) for a in self.coeffs)
+    def __new__(cls, coeffs: "Iterable[int]" = ()) -> "IntPoly":
+        c = tuple(int(a) for a in coeffs)
         while c and c[-1] == 0:
             c = c[:-1]
-        object.__setattr__(self, "coeffs", c)
+        return tuple.__new__(cls, (c,))
 
     @classmethod
     def zero(cls) -> "IntPoly":
@@ -127,7 +127,7 @@ class IntPoly:
     def __sub__(self, other: "IntPoly") -> "IntPoly":
         return self + (-other)
 
-    def __mul__(self, other: Union["IntPoly", int]) -> "IntPoly":
+    def __mul__(self, other: "IntPoly | int") -> "IntPoly":
         if isinstance(other, int):
             return IntPoly(tuple(other * x for x in self.coeffs))
         a, b = self.coeffs, other.coeffs
@@ -169,15 +169,14 @@ class IntPoly:
         return " + ".join(terms).replace("+ -", "- ")
 
 
-@dataclass(frozen=True)
-class NotPolynomial:
+class NotPolynomial(Record, namedtuple("NotPolynomial", "remainder_degree")):
     """Witness that a factored character fails to expand to a polynomial.
 
     Carries the degree of the nonzero remainder left by the attempted
     long division of numerator by denominator.
     """
 
-    remainder_degree: int
+    __slots__ = ()
 
 
 def poly_divmod(num: IntPoly, den: IntPoly) -> "tuple[IntPoly, IntPoly] | None":
@@ -251,7 +250,6 @@ def qbinom_factored(n: int, k: int) -> "FactoredChar":
     )
 
 
-@dataclass(frozen=True)
 class SparseMap:
     """A finite formal sum: distinct keys, each with a nonzero integer count.
 
@@ -261,7 +259,8 @@ class SparseMap:
     by operator.index, sums equal keys, drops zero counts and sorts by
     key.  Anything non-integral is refused with DomainError.  The dict built
     on the way is kept, so a lookup is one dict read; an absent key
-    reads 0.  Equality and hashing are by class and terms.
+    reads 0.  Equality and hashing are by class and terms, and no
+    attribute can be assigned.
 
     >>> m = SparseMap([(3, 1), (1, 2), (3, -1), (2, 5)])
     >>> m.terms
@@ -277,12 +276,11 @@ class SparseMap:
     DomainError: SparseMap takes (key, integer) pairs
     """
 
-    terms: tuple[tuple[Any, int], ...]
-    _dict: dict = field(compare=False, repr=False)
+    __slots__ = ("terms", "_dict")
 
     _noun = "key"
 
-    def __init__(self, pairs: "Mapping[Any, int] | Iterable[tuple[Any, int]]" = ()) -> None:
+    def __init__(self, pairs: "Mapping | Iterable[tuple]" = ()) -> None:
         key = self._key
         merged: dict = {}
         try:
@@ -296,16 +294,30 @@ class SparseMap:
         object.__setattr__(self, "terms", tuple(canon.items()))
         object.__setattr__(self, "_dict", canon)
 
-    def _key(self, k: Any) -> int:
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and self.terms == other.terms
+
+    def __hash__(self) -> int:
+        return hash((self.terms,))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(terms={self.terms!r})"
+
+    __setattr__ = Record.__setattr__
+
+    def __reduce__(self):
+        return type(self), (self.terms,)
+
+    def _key(self, k: object) -> int:
         k = index(k)
         if k < 1:
             raise DomainError(f"{self._noun} must be >= 1, got {k}")
         return k
 
-    def __getitem__(self, k: Any) -> int:
+    def __getitem__(self, k: object) -> int:
         return self._dict.get(self._key(k), 0)
 
-    def __iter__(self) -> Iterator[tuple[Any, int]]:
+    def __iter__(self) -> Iterator[tuple]:
         return iter(self.terms)
 
     def as_dict(self) -> dict:
@@ -605,21 +617,18 @@ def divides(d: IntPoly, p: IntPoly) -> bool:
     return qr[1].is_zero
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
+class TruncatedSeries(Record, namedtuple("TruncatedSeries", "order coeffs")):
     """Power series known through t^order; coeffs has length order + 1."""
 
-    order: int
-    coeffs: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.order < 0:
-            raise DomainError(f"series order must be >= 0, got {self.order}")
-        c = tuple(int(a) for a in self.coeffs)
-        if len(c) > self.order + 1:
+    def __new__(cls, order: int, coeffs: "Iterable[int]" = ()) -> "TruncatedSeries":
+        if order < 0:
+            raise DomainError(f"series order must be >= 0, got {order}")
+        c = tuple(int(a) for a in coeffs)
+        if len(c) > order + 1:
             raise DomainError("more coefficients than the order allows")
-        c = c + (0,) * (self.order + 1 - len(c))
-        object.__setattr__(self, "coeffs", c)
+        return tuple.__new__(cls, (order, c + (0,) * (order + 1 - len(c))))
 
     def __mul__(self, other: "TruncatedSeries | IntPoly") -> "TruncatedSeries":
         if isinstance(other, IntPoly):

@@ -23,9 +23,9 @@ and `weyl_orbit_minuscule` orbits with more than ORBIT_CAP weights.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 
+from . import Record
 from .errors import DomainError, InternalError, check_cost
 
 # Root systems with more positive roots than this are refused before any
@@ -56,20 +56,19 @@ _POSITIVE_COUNT = {
 }
 
 
-@dataclass(frozen=True, order=True)
-class LieType:
+class LieType(Record, namedtuple("LieType", "family rank")):
     """A simple type: family letter plus rank, Bourbaki numbering."""
 
-    family: str
-    rank: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.family not in _RANK_RANGE:
-            raise DomainError(f"unknown family {self.family!r}; expected one of A-G")
-        lo, hi = _RANK_RANGE[self.family]
-        if self.rank < lo or (hi is not None and self.rank > hi):
+    def __new__(cls, family: str, rank: int) -> "LieType":
+        if family not in _RANK_RANGE:
+            raise DomainError(f"unknown family {family!r}; expected one of A-G")
+        lo, hi = _RANK_RANGE[family]
+        if rank < lo or (hi is not None and rank > hi):
             span = f">= {lo}" if hi is None else f"in {lo}..{hi}"
-            raise DomainError(f"family {self.family} needs rank {span}, got {self.rank}")
+            raise DomainError(f"family {family} needs rank {span}, got {rank}")
+        return tuple.__new__(cls, (family, rank))
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"
@@ -113,12 +112,10 @@ def cartan_matrix(t: LieType) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in a)
 
 
-@dataclass(frozen=True, order=True)
-class Root:
+class Root(Record, namedtuple("Root", "coeffs height")):
     """A positive root in simple-root coordinates c_1..c_l, and its height."""
 
-    coeffs: tuple[int, ...]
-    height: int
+    __slots__ = ()
 
 
 def _positive_roots(cartan: tuple[tuple[int, ...], ...]) -> list[Root]:
@@ -190,11 +187,8 @@ def _positive_roots(cartan: tuple[tuple[int, ...], ...]) -> list[Root]:
     ]
 
 
-@dataclass(frozen=True)
-class RootSystem:
-    lie_type: LieType
-    cartan: tuple[tuple[int, ...], ...]
-    positive_roots: tuple[Root, ...]
+class RootSystem(Record, namedtuple("RootSystem", "lie_type cartan positive_roots")):
+    __slots__ = ()
 
     @property
     def rank(self) -> int:
@@ -221,16 +215,33 @@ def height_histogram(r: RootSystem) -> dict[int, int]:
     return dict(sorted(Counter(root.height for root in r.positive_roots).items()))
 
 
-@dataclass(frozen=True)
 class DegreeSet:
-    """Multiset of invariant-polynomial degrees, sorted ascending."""
+    """Multiset of invariant-polynomial degrees, sorted ascending.
 
-    degrees: tuple[int, ...]
+    It iterates over its degrees, so it is not a Record; it compares,
+    hashes and prints as one would.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "degrees", tuple(sorted(int(d) for d in self.degrees)))
+    __slots__ = ("degrees",)
+
+    def __init__(self, degrees) -> None:
+        object.__setattr__(self, "degrees", tuple(sorted(int(d) for d in degrees)))
         if any(d < 1 for d in self.degrees):
             raise DomainError("degrees must be positive")
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and self.degrees == other.degrees
+
+    def __hash__(self) -> int:
+        return hash((self.degrees,))
+
+    def __repr__(self) -> str:
+        return f"DegreeSet(degrees={self.degrees!r})"
+
+    __setattr__ = Record.__setattr__
+
+    def __reduce__(self):
+        return DegreeSet, (self.degrees,)
 
     @property
     def weyl_order(self) -> int:

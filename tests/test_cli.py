@@ -87,6 +87,28 @@ class TestExitCodes:
         assert out == ""
         assert "DomainError" in err
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"\xff\xfe\x00bad", "cannot read chain file "),
+            (b"[" * 200000, "is not valid JSON: maximum recursion depth exceeded"),
+            (b'{"genus": ' + b"9" * 5000 + b"}", "is not valid JSON: Exceeds the limit"),
+        ],
+        ids=["not-utf8", "nested-too-deep", "int-past-digit-limit"],
+    )
+    def test_malformed_chain_file_is_2(self, capsys, tmp_path, content, message):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        for argv in (
+            ["classify"],
+            ["count"],
+            ["hecke", "--move", "remove:1:p"],
+            ["mult", "gl", "--type", "111"],
+        ):
+            code, out, err = invoke(capsys, argv + ["--chain-file", str(path)])
+            assert code == 2 and out == ""
+            assert err.startswith("DomainError: ") and message in err and err.count("\n") == 1
+
     def test_error_names_offending_input(self, capsys, wobbly_file):
         code, _, err = invoke(capsys, ["hecke", "--chain-file", wobbly_file, "--move", "add:1:r"])
         assert code == 2
@@ -362,6 +384,17 @@ class TestScan:
     def test_lexicographic(self, capsys):
         result = report(capsys, ["scan", "--type", "A", "--rank", "2", "--bound", "1"])["result"]
         assert [e["m"] for e in result["entries"]] == [[0, 0], [0, 1], [1, 0], [1, 1]]
+
+
+class TestCapDefaults:
+    def test_reported_when_omitted(self, capsys, chain_file):
+        from higgsmult.hecke import ENUMERATION_CAP
+        from higgsmult.multsimple import SCAN_CAP
+
+        rep = report(capsys, ["scan", "--type", "G", "--rank", "2", "--bound", "1"])
+        assert rep["inputs"]["cap"] == SCAN_CAP
+        rep = report(capsys, ["count", "--chain-file", chain_file, "--enumerate"])
+        assert rep["inputs"]["cap"] == ENUMERATION_CAP
 
 
 class TestPair:
