@@ -8,8 +8,16 @@ Lie groups built on a self-contained root system engine.  All
 arithmetic is exact; nothing here touches floating point.
 
 Each module imports what it uses, and the command line imports a
-subcommand's modules only when that subcommand runs.
+subcommand's modules only when that subcommand runs.  The value bases
+that several modules share live here: `Record`, and `SparseMap`, the one
+canonical finite formal sum (exponent maps in `polyalg`, weight gradings
+and divisors in `chain`).
 """
+
+from collections.abc import Mapping
+from operator import index
+
+from .errors import DomainError
 
 __version__ = "0.1.0"
 
@@ -38,3 +46,94 @@ class Record(tuple):
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
+
+
+class SparseMap:
+    """A finite formal sum: distinct keys, each with a nonzero integer count.
+
+    Its constructor is the one that builds the canonical form.  It takes
+    (key, count) pairs from a mapping or an iterable, normalises each key
+    by the class's key rule `_key` (here: an integer >= 1) and each count
+    by operator.index, sums equal keys, drops zero counts and sorts by
+    key.  Anything non-integral is refused with DomainError.  The dict built
+    on the way is kept, so a lookup is one dict read; an absent key
+    reads 0.  Equality and hashing are by class and terms, and no
+    attribute can be assigned.
+
+    >>> m = SparseMap([(3, 1), (1, 2), (3, -1), (2, 5)])
+    >>> m.terms
+    ((1, 2), (2, 5))
+    >>> m[2], m[3]
+    (5, 0)
+    >>> (m - SparseMap({2: 5})).as_dict()
+    {1: 2}
+    >>> m.scale(-2) == SparseMap({1: -4, 2: -10})
+    True
+    >>> SparseMap({2.5: 1})  # doctest: +IGNORE_EXCEPTION_DETAIL
+    Traceback (most recent call last):
+    DomainError: SparseMap takes (key, integer) pairs
+    """
+
+    __slots__ = ("terms", "_dict")
+
+    _noun = "key"
+
+    def __init__(self, pairs: "Mapping | Iterable[tuple]" = ()) -> None:
+        key = self._key
+        merged: dict = {}
+        try:
+            for k, count in pairs.items() if isinstance(pairs, Mapping) else pairs:
+                k = key(k)
+                count = index(count)
+                merged[k] = merged[k] + count if k in merged else count
+        except TypeError as exc:
+            raise DomainError(f"{type(self).__name__} takes (key, integer) pairs: {exc}") from None
+        canon = {k: c for k, c in sorted(merged.items()) if c}
+        object.__setattr__(self, "terms", tuple(canon.items()))
+        object.__setattr__(self, "_dict", canon)
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and self.terms == other.terms
+
+    def __hash__(self) -> int:
+        return hash((self.terms,))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(terms={self.terms!r})"
+
+    __setattr__ = Record.__setattr__
+
+    def __reduce__(self):
+        return type(self), (self.terms,)
+
+    def _key(self, k: object) -> int:
+        k = index(k)
+        if k < 1:
+            raise DomainError(f"{self._noun} must be >= 1, got {k}")
+        return k
+
+    def __getitem__(self, k: object) -> int:
+        return self._dict.get(self._key(k), 0)
+
+    def __iter__(self) -> "Iterator[tuple]":
+        return iter(self.terms)
+
+    def as_dict(self) -> dict:
+        return dict(self._dict)
+
+    def total(self) -> int:
+        """The sum of the counts."""
+        return sum(c for _, c in self.terms)
+
+    def __add__(self, other: "SparseMap") -> "SparseMap":
+        if type(other) is not type(self):
+            return NotImplemented
+        return type(self)(self.terms + other.terms)
+
+    def __sub__(self, other: "SparseMap") -> "SparseMap":
+        if type(other) is not type(self):
+            return NotImplemented
+        return type(self)(self.terms + tuple((k, -c) for k, c in other.terms))
+
+    def scale(self, m: int) -> "SparseMap":
+        return type(self)((k, m * c) for k, c in self.terms)

@@ -25,9 +25,8 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable, Mapping
 
-from . import Record
+from . import Record, SparseMap
 from .errors import DomainError, check_cost
-from .polyalg import SparseMap
 
 # chain_from_m refuses m-vectors with more zeros than this before building
 # any point (each zero is a labelled Point; 10^5 of them take about 0.6 s).

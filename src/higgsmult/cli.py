@@ -77,7 +77,7 @@ def _load_chain(path: str):
 
 
 def _mult_payload(result) -> dict:
-    """The report fields of a multgl.MultResult."""
+    """The report fields of a polyalg.MultResult."""
     payload: dict = {"factored": [[k, e] for k, e in result.factored]}
     if result.is_polynomial:
         payload["polynomial"] = list(result.polynomial.coeffs)
@@ -211,7 +211,7 @@ def _cmd_scan(ns) -> tuple[dict, dict]:
 
 
 def _pair_side(label: str, selector: str, g: int, n: int):
-    """The multgl.MultResult of one side of a pairing."""
+    """The polyalg.MultResult of one side of a pairing."""
     from .chain import chain_from_m
     from .multgl import mult_type111, mult_type_n
 

@@ -11,51 +11,26 @@ exact integer polynomial (or provably fails to): the downward-flow
 closure of the Hitchin section (type (n)), chains of line bundles
 (type (1,...,1)), and the rank-3 type (1,2) family that witnesses the
 wobbly polynomiality threshold.  `value_at_1` of the polynomial is the
-honest multiplicity of the component.
+honest multiplicity of the component.  `MultResult`, the factored form
+with its lazy expansion, lives in `polyalg` beside the functions it
+calls, so the simple-group formulas share it without loading this
+module.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
-from functools import cached_property
-
-from . import Record
 from .chain import ChainHiggsBundle, WeightDims, gl_hitchin_base_dims, is_stable, tplus_dims
 from .errors import DomainError, InternalError
 from .polyalg import (
     FactoredChar,
     IntPoly,
-    NotPolynomial,
+    MultResult,
     TruncatedSeries,
-    expand,
     is_polynomial,
     power_product,
     qbinom_factored,
     series_expand,
-    value_at_one,
 )
-
-
-class MultResult(Record, namedtuple("MultResult", "factored")):
-    """A multiplicity in factored form, expanded on first read.
-
-    is_polynomial and value_at_1 need no expansion; polynomial is either
-    the exact IntPoly or the NotPolynomial witness; value_at_1 is defined
-    only in the polynomial case.  No __slots__: the cached reads live in
-    the instance __dict__.
-    """
-
-    @cached_property
-    def polynomial(self) -> "IntPoly | NotPolynomial":
-        return expand(self.factored)
-
-    @cached_property
-    def is_polynomial(self) -> bool:
-        return is_polynomial(self.factored)
-
-    @property
-    def value_at_1(self) -> "int | None":
-        return value_at_one(self.factored) if self.is_polynomial else None
 
 
 def virtual_multiplicity(tplus: WeightDims, base: WeightDims) -> MultResult:

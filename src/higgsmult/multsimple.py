@@ -23,9 +23,8 @@ from collections.abc import Sequence
 
 from . import Record
 from .errors import DomainError, InternalError, check_cost
-from .multgl import MultResult
 from . import polyalg
-from .polyalg import FactoredChar, IntPoly, expand, expand_work, power_product
+from .polyalg import FactoredChar, IntPoly, MultResult, expand, expand_work, power_product
 from .rootsys import (
     RootSystem,
     cominuscule_nodes,

@@ -2,14 +2,12 @@
 
 Everything is exact: coefficients are arbitrary-precision Python ints,
 and a failed expansion is reported as a value (NotPolynomial), never as
-a rounded answer.  Finite formal sums with integer counts (exponent
-maps here, weight gradings and divisors in `chain`) are `SparseMap`s,
-built by one canonical constructor.  Graded characters are carried
-around in the factored form
+a rounded answer.  Graded characters are carried around in the
+factored form
 
     prod_k (1 - t^k)^{e_k},   e_k integer (possibly negative),
 
-a `FactoredChar`: the sparse map k -> e_k.
+a `FactoredChar`: the package's `SparseMap` k -> e_k.
 
 Since t^k - 1 = prod_{d|k} Phi_d (cyclotomic polynomials), such a
 character is +-prod_d Phi_d^{c_d} with c_d = sum_{d|k} e_k, and it is a
@@ -35,20 +33,21 @@ fits, `errors.check_cost` refuses the series before any list exists.
 (each (1 - t^k) is anti-palindromic); `series_expand` runs it to the
 requested order; `expand_work` is the cost of the path `expand` takes.
 `value_at_one` reads f(1) off the cyclotomic exponents, with no
-expansion.  `poly_divmod` and `divides` remain as the general IntPoly
-long-division API.
+expansion; `MultResult`, a multiplicity held in factored form, answers
+from those exponents and expands on first read.  `poly_divmod` and
+`divides` remain as the general IntPoly long-division API.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Callable, Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable
 from functools import cached_property, lru_cache
 from itertools import accumulate, zip_longest
 from math import ceil, isqrt, lgamma, log
-from operator import index, mul, sub
+from operator import mul, sub
 
-from . import Record
+from . import Record, SparseMap
 from .errors import DomainError, InternalError, check_cost
 
 # A series path whose up-front cost is above this is refused: kernel
@@ -77,9 +76,10 @@ class IntPoly(Record, namedtuple("IntPoly", "coeffs")):
 
     def __new__(cls, coeffs: "Iterable[int]" = ()) -> "IntPoly":
         c = tuple(int(a) for a in coeffs)
-        while c and c[-1] == 0:
-            c = c[:-1]
-        return tuple.__new__(cls, (c,))
+        n = len(c)
+        while n and c[n - 1] == 0:
+            n -= 1
+        return tuple.__new__(cls, (c[:n],))
 
     @classmethod
     def zero(cls) -> "IntPoly":
@@ -248,97 +248,6 @@ def qbinom_factored(n: int, k: int) -> "FactoredChar":
     return FactoredChar(
         [(n - j + 1, 1) for j in range(1, k + 1)] + [(j, -1) for j in range(1, k + 1)]
     )
-
-
-class SparseMap:
-    """A finite formal sum: distinct keys, each with a nonzero integer count.
-
-    Its constructor is the one that builds the canonical form.  It takes
-    (key, count) pairs from a mapping or an iterable, normalises each key
-    by the class's key rule `_key` (here: an integer >= 1) and each count
-    by operator.index, sums equal keys, drops zero counts and sorts by
-    key.  Anything non-integral is refused with DomainError.  The dict built
-    on the way is kept, so a lookup is one dict read; an absent key
-    reads 0.  Equality and hashing are by class and terms, and no
-    attribute can be assigned.
-
-    >>> m = SparseMap([(3, 1), (1, 2), (3, -1), (2, 5)])
-    >>> m.terms
-    ((1, 2), (2, 5))
-    >>> m[2], m[3]
-    (5, 0)
-    >>> (m - SparseMap({2: 5})).as_dict()
-    {1: 2}
-    >>> m.scale(-2) == SparseMap({1: -4, 2: -10})
-    True
-    >>> SparseMap({2.5: 1})  # doctest: +IGNORE_EXCEPTION_DETAIL
-    Traceback (most recent call last):
-    DomainError: SparseMap takes (key, integer) pairs
-    """
-
-    __slots__ = ("terms", "_dict")
-
-    _noun = "key"
-
-    def __init__(self, pairs: "Mapping | Iterable[tuple]" = ()) -> None:
-        key = self._key
-        merged: dict = {}
-        try:
-            for k, count in pairs.items() if isinstance(pairs, Mapping) else pairs:
-                k = key(k)
-                count = index(count)
-                merged[k] = merged[k] + count if k in merged else count
-        except TypeError as exc:
-            raise DomainError(f"{type(self).__name__} takes (key, integer) pairs: {exc}") from None
-        canon = {k: c for k, c in sorted(merged.items()) if c}
-        object.__setattr__(self, "terms", tuple(canon.items()))
-        object.__setattr__(self, "_dict", canon)
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is type(self) and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.terms,))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__qualname__}(terms={self.terms!r})"
-
-    __setattr__ = Record.__setattr__
-
-    def __reduce__(self):
-        return type(self), (self.terms,)
-
-    def _key(self, k: object) -> int:
-        k = index(k)
-        if k < 1:
-            raise DomainError(f"{self._noun} must be >= 1, got {k}")
-        return k
-
-    def __getitem__(self, k: object) -> int:
-        return self._dict.get(self._key(k), 0)
-
-    def __iter__(self) -> Iterator[tuple]:
-        return iter(self.terms)
-
-    def as_dict(self) -> dict:
-        return dict(self._dict)
-
-    def total(self) -> int:
-        """The sum of the counts."""
-        return sum(c for _, c in self.terms)
-
-    def __add__(self, other: "SparseMap") -> "SparseMap":
-        if type(other) is not type(self):
-            return NotImplemented
-        return type(self)(self.terms + other.terms)
-
-    def __sub__(self, other: "SparseMap") -> "SparseMap":
-        if type(other) is not type(self):
-            return NotImplemented
-        return type(self)(self.terms + tuple((k, -c) for k, c in other.terms))
-
-    def scale(self, m: int) -> "SparseMap":
-        return type(self)((k, m * c) for k, c in self.terms)
 
 
 class FactoredChar(SparseMap):
@@ -592,6 +501,29 @@ def expand(f: FactoredChar) -> "IntPoly | NotPolynomial":
     raise InternalError("a non-polynomial character left no remainder")
 
 
+class MultResult(Record, namedtuple("MultResult", "factored")):
+    """A multiplicity in factored form, expanded on first read.
+
+    is_polynomial and value_at_1 need no expansion: both read the
+    cyclotomic exponents that the factored form computes once.
+    polynomial is either the exact IntPoly or the NotPolynomial witness;
+    value_at_1 is defined only in the polynomial case.  No __slots__: the
+    cached expansion lives in the instance __dict__.
+    """
+
+    @cached_property
+    def polynomial(self) -> "IntPoly | NotPolynomial":
+        return expand(self.factored)
+
+    @property
+    def is_polynomial(self) -> bool:
+        return is_polynomial(self.factored)
+
+    @property
+    def value_at_1(self) -> "int | None":
+        return value_at_one(self.factored) if self.is_polynomial else None
+
+
 def is_palindromic_monic(p: IntPoly) -> bool:
     """True when p has constant term 1 and palindromic coefficients.
 
@@ -640,13 +572,6 @@ class TruncatedSeries(Record, namedtuple("TruncatedSeries", "order coeffs")):
                 for j, y in enumerate(other.coeffs[: order + 1 - i]):
                     out[i + j] += x * y
         return TruncatedSeries(order, tuple(out))
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        order = min(self.order, other.order)
-        return TruncatedSeries(
-            order,
-            tuple(x + y for x, y in zip(self.coeffs[: order + 1], other.coeffs[: order + 1])),
-        )
 
 
 def series_expand(f: FactoredChar, order: int) -> TruncatedSeries:

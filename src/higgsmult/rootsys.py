@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 
-from . import Record
+from . import Record, SparseMap
 from .errors import DomainError, InternalError, check_cost
 
 # Root systems with more positive roots than this are refused before any
@@ -219,42 +219,37 @@ class DegreeSet:
     """Multiset of invariant-polynomial degrees, sorted ascending.
 
     It iterates over its degrees, so it is not a Record; it compares,
-    hashes and prints as one would.
+    hashes, copies and refuses assignment as a SparseMap does, over
+    `terms`, of which `degrees` is an alias.
     """
 
-    __slots__ = ("degrees",)
+    __slots__ = ("terms",)
 
     def __init__(self, degrees) -> None:
-        object.__setattr__(self, "degrees", tuple(sorted(int(d) for d in degrees)))
-        if any(d < 1 for d in self.degrees):
+        object.__setattr__(self, "terms", tuple(sorted(int(d) for d in degrees)))
+        if any(d < 1 for d in self.terms):
             raise DomainError("degrees must be positive")
 
-    def __eq__(self, other: object) -> bool:
-        return type(other) is type(self) and self.degrees == other.degrees
+    degrees = property(lambda self: self.terms)
 
-    def __hash__(self) -> int:
-        return hash((self.degrees,))
+    __eq__ = SparseMap.__eq__
+    __hash__ = SparseMap.__hash__
+    __setattr__ = SparseMap.__setattr__
+    __reduce__ = SparseMap.__reduce__
+    __iter__ = SparseMap.__iter__
 
     def __repr__(self) -> str:
-        return f"DegreeSet(degrees={self.degrees!r})"
-
-    __setattr__ = Record.__setattr__
-
-    def __reduce__(self):
-        return DegreeSet, (self.degrees,)
+        return f"DegreeSet(degrees={self.terms!r})"
 
     @property
     def weyl_order(self) -> int:
         out = 1
-        for d in self.degrees:
+        for d in self.terms:
             out *= d
         return out
 
-    def __iter__(self):
-        return iter(self.degrees)
-
     def __len__(self) -> int:
-        return len(self.degrees)
+        return len(self.terms)
 
 
 def _degrees_from_histogram(hist: dict[int, int], rank: int) -> DegreeSet:

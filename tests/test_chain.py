@@ -94,6 +94,14 @@ class TestChainValidation:
         with pytest.raises(DomainError, match="zero divisors"):
             ChainHiggsBundle(2, (0, -1), Divisor.zero(), ())
 
+    @pytest.mark.parametrize("i", [0, 3])
+    def test_zero_divisor_index_checked(self, i):
+        c = chain_from_m(2, (1, 1))
+        with pytest.raises(DomainError) as info:
+            c.zero_divisor(i)
+        assert str(info.value) == f"map index must be in 1..2, got {i}"
+        assert c.zero_divisor(2) == c.zero_divisors[1]
+
     def test_rank_one(self):
         c = make_chain(2, (0,))
         assert c.rank == 1 and c.m_vector == ()

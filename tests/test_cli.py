@@ -109,6 +109,32 @@ class TestExitCodes:
             assert code == 2 and out == ""
             assert err.startswith("DomainError: ") and message in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("zeros", {"p": 1, "q": 1}, "chain: zeros must be a list of divisor objects"),
+            (
+                "delta0",
+                [["o", 2]],
+                "chain delta0: expected an object mapping labels to multiplicities",
+            ),
+            ("zeros", [{"": 1, "q": 1}], "chain zeros[0]: point labels must be nonempty strings"),
+        ],
+        ids=["zeros-not-a-list", "delta0-not-an-object", "empty-point-label"],
+    )
+    def test_invalid_chain_is_2(self, capsys, tmp_path, field, value, message):
+        chain = {"genus": 3, "degrees": [2, 0], "delta0": {"o": 2}, "zeros": [{"p": 1, "q": 1}]}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**chain, field: value}))
+        for argv in (
+            ["classify"],
+            ["count"],
+            ["hecke", "--move", "remove:1:p"],
+            ["mult", "gl", "--type", "111"],
+        ):
+            code, out, err = invoke(capsys, argv + ["--chain-file", str(path)])
+            assert (code, out, err) == (2, "", f"DomainError: {message}\n")
+
     def test_error_names_offending_input(self, capsys, wobbly_file):
         code, _, err = invoke(capsys, ["hecke", "--chain-file", wobbly_file, "--move", "add:1:r"])
         assert code == 2

@@ -188,6 +188,14 @@ class TestIntersectionEnumerate:
         out = intersection_enumerate(chain_from_m(2, (0,)))
         assert list(out) == [()]
 
+    def test_refuses_a_chain_that_is_not_very_stable(self):
+        # stable, but with a double zero at p
+        c = make_chain(3, (1, 0), [Divisor({"p": 2, "q": 1})])
+        assert is_stable(c) and not is_very_stable(c)
+        with pytest.raises(DomainError) as info:
+            intersection_enumerate(c)
+        assert str(info.value) == "intersection enumeration is only defined for very stable chains"
+
     def test_cap(self):
         c = chain_from_m(3, (3, 3))
         with pytest.raises(ResourceLimitError, match="cap"):

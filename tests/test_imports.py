@@ -58,13 +58,40 @@ def test_importing_the_cli_loads_only_errors(rootinfo):
     assert _package(imported) == {"higgsmult.cli", "higgsmult.errors"}
 
 
-def test_rootinfo_adds_only_rootsys(rootinfo):
-    assert _package(rootinfo[1]) == {"higgsmult.rootsys"}
+CHAIN = {"genus": 3, "degrees": [2, 0], "delta0": {"o": 2}, "zeros": [{"p": 1, "q": 1}]}
+
+# each subcommand's call, and the package modules it adds to the cli
+ADDED = {
+    "rootinfo": (["rootinfo", "--type", "B", "--rank", "3"], {"rootsys"}),
+    "mult-gl": (
+        ["mult", "gl", "--type", "n", "--g", "2", "--n", "3"],
+        {"chain", "multgl", "polyalg"},
+    ),
+    "pair": (
+        ["pair", "--g", "2", "--n", "2", "--order", "5", "--a", "n", "--b", "1"],
+        {"chain", "multgl", "polyalg"},
+    ),
+    "mult-simple": (
+        ["mult", "simple", "--type", "C", "--rank", "2", "--m", "0,1"],
+        {"multsimple", "polyalg", "rootsys"},
+    ),
+    "scan": (
+        ["scan", "--type", "G", "--rank", "2", "--bound", "1"],
+        {"multsimple", "polyalg", "rootsys"},
+    ),
+    "classify": (["classify", "--chain-file", "@chain"], {"chain"}),
+    "hecke": (["hecke", "--chain-file", "@chain", "--move", "remove:1:p"], {"chain", "hecke"}),
+    "count": (["count", "--chain-file", "@chain"], {"chain", "hecke"}),
+}
 
 
-def test_mult_gl_type_n_needs_no_root_systems_or_hecke_moves():
-    added = _probe(["mult", "gl", "--type", "n", "--g", "2", "--n", "3"])[1]
-    assert _package(added) == {"higgsmult.chain", "higgsmult.multgl", "higgsmult.polyalg"}
+@pytest.mark.parametrize("name", sorted(ADDED))
+def test_a_call_adds_only_its_modules(name, tmp_path):
+    argv, modules = ADDED[name]
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(CHAIN))
+    added = _probe([str(path) if arg == "@chain" else arg for arg in argv])[1]
+    assert _package(added) == {f"higgsmult.{module}" for module in modules}
 
 
 def test_no_package_module_imports_the_heavy_stdlib(rootinfo):

@@ -1,4 +1,7 @@
 import doctest
+import importlib
+import pkgutil
+import time
 from math import ceil, gcd, lgamma, log
 
 import pytest
@@ -39,14 +42,30 @@ from oracles import (
 
 
 def test_doctests():
-    failed, _ = doctest.testmod(higgsmult.polyalg)
-    assert failed == 0
+    """Every module of the package, the package root included."""
+    modules = pkgutil.iter_modules(higgsmult.__path__)
+    names = ["higgsmult"] + [f"higgsmult.{m.name}" for m in modules]
+    failed = {name: doctest.testmod(importlib.import_module(name)).failed for name in names}
+    assert "higgsmult.polyalg" in failed and not any(failed.values()), failed
+
+
+def test_moved_classes_keep_their_old_paths():
+    from higgsmult import multgl, polyalg
+
+    assert multgl.MultResult is polyalg.MultResult
+    assert polyalg.SparseMap is higgsmult.SparseMap
 
 
 class TestIntPoly:
     def test_trailing_zeros_trimmed(self):
         assert IntPoly((1, 2, 0, 0)).coeffs == (1, 2)
         assert IntPoly((0, 0)).coeffs == ()
+
+    def test_trailing_zeros_trimmed_in_linear_time(self):
+        start = time.perf_counter()
+        p = IntPoly((1,) + (0,) * 50_000)
+        assert time.perf_counter() - start < 0.5
+        assert p.coeffs == (1,)
 
     def test_degree_convention(self):
         assert IntPoly.zero().degree == -1
@@ -135,6 +154,11 @@ class TestQuantum:
         # frozen from the subset-sum oracle: Gaussian binomial [4 choose 2]
         assert gaussian_binomial(4, 2) == [1, 1, 2, 1, 1]
         assert qbinom(4, 2).coeffs == (1, 1, 2, 1, 1)
+
+    def test_qbinom_factored_domain(self):
+        with pytest.raises(DomainError) as exc:
+            qbinom_factored(3, 5)
+        assert str(exc.value) == "quantum binomial needs 0 <= k <= n, n >= 1; got k=5, n=3"
 
     def test_qbinom_edges(self):
         assert qbinom(5, 0).coeffs == (1,)

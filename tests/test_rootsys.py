@@ -4,6 +4,7 @@ from math import comb, factorial
 
 import pytest
 
+from higgsmult import SparseMap
 from higgsmult.errors import DomainError, InternalError, ResourceLimitError
 from higgsmult.rootsys import (
     ORBIT_CAP,
@@ -296,6 +297,13 @@ class TestDegreeSet:
     def test_positive(self):
         with pytest.raises(DomainError):
             DegreeSet((0, 2))
+
+    def test_value_dunders_come_from_sparse_map(self):
+        # assigned in the class body, so no copies of SparseMap's own
+        for name in ("__eq__", "__hash__", "__reduce__"):
+            assert vars(DegreeSet)[name] is vars(SparseMap)[name]
+        d = DegreeSet((3, 1))
+        assert d.degrees is d.terms and d.terms == (1, 3)
 
 
 # Reference implementations: direct algorithms, slower but plainly
