@@ -24,17 +24,11 @@ from collections.abc import Sequence
 from . import Record
 from .errors import DomainError, InternalError, check_cost
 from . import polyalg
-from .polyalg import FactoredChar, IntPoly, MultResult, expand, expand_work, power_product
-from .rootsys import (
-    RootSystem,
-    cominuscule_nodes,
-    degrees,
-    levi_degrees,
-    weyl_orbit_minuscule,
-)
+from .polyalg import FactoredChar, IntPoly, MultResult, power_product
+from .rootsys import RootSystem, _minuscule_orbit, cominuscule_nodes, degrees, levi_degrees
 
 # Grids larger than this are refused; (bound+1)**rank grows fast and every
-# point costs a full expand().
+# point is priced and read off on its own.
 SCAN_CAP = 100_000
 
 
@@ -96,10 +90,14 @@ def mult_cominuscule(r: RootSystem, i: int) -> MultResult:
 
 
 def gross_check(r: RootSystem, i: int) -> bool:
-    """True iff sum of t^depth over the minuscule orbit equals mult_cominuscule."""
-    counts = Counter(depth for _, depth in weyl_orbit_minuscule(r, i))
+    """True iff sum of t^depth over the minuscule orbit equals mult_cominuscule.
+
+    The orbit has |W| / |W_Levi| = m(1) weights, read off the closed form,
+    so the degrees are computed once."""
+    closed = mult_cominuscule(r, i)
+    counts = Counter(depth for _, depth in _minuscule_orbit(r, i, closed.value_at_1))
     coeffs = [counts[k] for k in range(max(counts) + 1)]
-    return IntPoly(tuple(coeffs)) == mult_cominuscule(r, i).polynomial
+    return IntPoly(tuple(coeffs)) == closed.polynomial
 
 
 class ScanEntry(Record, namedtuple("ScanEntry", "m result")):
@@ -129,25 +127,52 @@ def polynomiality_scan(r: RootSystem, bound: int, cap: int = SCAN_CAP) -> ScanRe
     """Evaluate mult_simple on every m with 0 <= m_i <= bound.
 
     Entries come out in lexicographic order of m, so the all-zero vector
-    (always polynomial, value 1) is first.  Each unit factored form is
-    computed once and combined by `power_product`, mult_simple's
-    accumulation, which agrees with the per-root product by
-    multiplicativity.  Refused above `cap` points, or before any expansion
-    once the summed costs of their expansions' series paths
-    (polyalg.expand_work) pass polyalg.SERIES_WORK_CAP.
+    (always polynomial, value 1) is first.  The grid is walked depth
+    first: each prefix of m holds one running series, as long as the
+    longest one any point under it reads (polyalg._expand_length); each
+    child starts from a prefix slice of it, and between siblings it is
+    multiplied in place by the next unit factored form u_i.  A point's
+    entry is read off the slice of its length, as `expand` reads it off
+    its own series.  The walk costs, summed over prefixes, length * bound
+    * (sum |e(u_i)| + 1) kernel updates; it is priced point by point in
+    lexicographic order before any series exists, and refused at the
+    first point that takes it past polyalg.SERIES_WORK_CAP.  Grids of more
+    than `cap` points are refused first.
     """
     if bound < 1:
         raise DomainError(f"scan bound must be >= 1, got {bound}")
     check_cost("scan grid", (bound + 1) ** r.rank, cap, "points")
     units = [unit_multiplicity_factored(r, i) for i in range(1, r.rank + 1)]
+    steps = [bound * (sum(abs(e) for _, e in u) + 1) for u in units]
     scope = f"scan of {r.lie_type} to bound {bound}"
     points = []
+    lengths: dict[tuple[int, ...], int] = {}  # prefix of m -> its series length
     work = 0
     for m in itertools.product(range(bound + 1), repeat=r.rank):
         f = power_product(zip(units, m))
-        work += expand_work(f)
+        length = polyalg._expand_length(f)
+        for i, step in enumerate(steps):
+            grown = length - lengths.get(m[:i], 0)
+            if grown > 0:
+                work += grown * step
+                lengths[m[:i]] = length
         what = f"{scope} at m = {list(m)}"
         check_cost(what, work, polyalg.SERIES_WORK_CAP, "units of series work")
-        points.append((m, f))
-    entries = tuple(ScanEntry(m=m, result=expand(f)) for m, f in points)
-    return ScanReport(lie_type=r.lie_type, bound=bound, entries=entries)
+        points.append((m, f, length))
+    leaves = iter(points)
+    entries = []
+
+    def walk(prefix: tuple[int, ...], series: list[int]) -> None:
+        i = len(prefix)
+        for k in range(bound + 1):
+            if k:
+                polyalg._kernel(units[i], len(series), series)
+            if i + 1 < r.rank:
+                child = prefix + (k,)
+                walk(child, series[: lengths[child]])
+            else:
+                m, f, length = next(leaves)
+                entries.append(ScanEntry(m=m, result=polyalg._read_off(f, series[:length])))
+
+    walk((), [1] + [0] * (lengths[()] - 1))
+    return ScanReport(lie_type=r.lie_type, bound=bound, entries=tuple(entries))

@@ -25,13 +25,19 @@ with the exponents.  The log-derivative recurrence (`_recurrence`) reads
 each coefficient off the previous deg Q by a fixed stencil, Q the product
 of the distinct cyclotomic factors; it costs length x (deg Q + 1) steps,
 whatever the exponents, and its up-front cost counts word operations:
-that times the 64-bit words of a bound on the coefficient bits.
+that times the 64-bit words of a bound on the coefficient bits (for a
+polynomial, the product of its cyclotomic factors' L1 norms).
 `_series_plan` takes, of the paths within SERIES_WORK_CAP, the one with
 the lower predicted time, from costs known before any work; when neither
 fits, `errors.check_cost` refuses the series before any list exists.
 `expand` runs it to half the degree of a polynomial and mirrors the rest
-(each (1 - t^k) is anti-palindromic); `series_expand` runs it to the
-requested order; `expand_work` is the cost of the path `expand` takes.
+(each (1 - t^k) is anti-palindromic); for a non-polynomial it runs only
+through N', the numerator degree in lowest terms, which the same
+symmetry shows to hold the witness; `_read_off` turns such a series into
+the answer, and the scan of `multsimple` calls it on series it builds
+by multiplying one kernel list in place.  `series_expand` runs a series
+to the requested order; `expand_work` is the cost of the path `expand`
+takes.
 `value_at_one` reads f(1) off the cyclotomic exponents, with no
 expansion; `MultResult`, a multiplicity held in factored form, answers
 from those exponents and expands on first read.  `poly_divmod` and
@@ -44,7 +50,7 @@ from collections import namedtuple
 from collections.abc import Callable, Iterable
 from functools import cached_property, lru_cache
 from itertools import accumulate, zip_longest
-from math import ceil, isqrt, lgamma, log
+from math import ceil, isqrt, lgamma, log, log2
 from operator import mul, sub
 
 from . import Record, SparseMap
@@ -346,10 +352,13 @@ def expand_work(f: FactoredChar) -> int:
 
 
 def _expand_length(f: FactoredChar) -> int:
-    # past half the degree of a polynomial, else past the numerator degree
+    """How many series coefficients `expand` reads: through half the degree
+    of a polynomial, else through the degree N' = sum_{c_d > 0} c_d phi(d)
+    of the numerator in lowest terms, past which no witness index lies
+    (see expand)."""
     if is_polynomial(f):
         return sum(k * e for k, e in f) // 2 + 1
-    return sum(k * e for k, e in f if e > 0) + 1
+    return sum(c * _totient(d) for d, c in f._cyclotomic.items() if c > 0) + 1
 
 
 def _primes(d: int) -> list[int]:
@@ -384,15 +393,26 @@ def _cyclotomic_factors(d: int) -> list[tuple[int, int]]:
 
 
 def _coefficient_bits(f: FactoredChar, length: int) -> float:
-    """Bound on the bits of the first `length` series coefficients of f:
+    """Bound on the bits of the first `length` series coefficients of f.
+
+    A polynomial f = +-prod Phi_d^{c_d} has no coefficient larger than its
+    L1 norm, and so none larger than prod ||Phi_d||_1^{c_d}.  Otherwise
     |coefficients| of prod (1 - t^k)^{e_k} sum to at most 2^{e_k}, and the
     denominator is bounded coefficientwise by (1 - t)^(-E) with E the sum
     of the negative exponents' sizes."""
+    if is_polynomial(f):
+        return sum(c * _norm_bits(d) for d, c in f._cyclotomic.items())
     neg = -sum(e for _, e in f if e < 0)
     bits = sum(e for _, e in f if e > 0)
     if neg:
         bits += (lgamma(length + neg - 1) - lgamma(neg) - lgamma(length)) / log(2)
     return bits
+
+
+@lru_cache(maxsize=4096)
+def _norm_bits(d: int) -> float:
+    """log2 of ||Phi_d||_1, the sum of the sizes of its coefficients."""
+    return log2(sum(map(abs, _kernel(FactoredChar(_cyclotomic_factors(d)), _totient(d) + 1))))
 
 
 def _series_plan(f: FactoredChar, length: int) -> "tuple[Callable | None, int]":
@@ -420,9 +440,10 @@ def _series_plan(f: FactoredChar, length: int) -> "tuple[Callable | None, int]":
     return (_kernel if fits else None), kernel
 
 
-def _kernel(f: FactoredChar, length: int) -> list[int]:
-    """The first `length` series coefficients of f, on one list in place."""
-    c = [1] + [0] * (length - 1)
+def _kernel(f: FactoredChar, length: int, start: "list[int] | None" = None) -> list[int]:
+    """The first `length` series coefficients of f, on one list in place;
+    given a `start` list of that length, its series times f, in place."""
+    c = [1] + [0] * (length - 1) if start is None else start
     ups = [k for k, e in f if e > 0 and k < length for _ in range(e)]
     downs = [k for k, e in f if e < 0 and k < length for _ in range(-e)]
     for up, down in zip_longest(ups, downs):
@@ -478,26 +499,36 @@ def expand(f: FactoredChar) -> "IntPoly | NotPolynomial":
 
     Polynomiality comes from the cyclotomic exponents.  A polynomial of
     degree D = sum k*e_k satisfies t^D p(1/t) = (-1)^{sum e_k} p(t), so
-    only its lower half is computed.  Otherwise the series runs to the
-    numerator degree N, and the witness carries the degree N - j of the
-    remainder that long division of numerator by denominator would leave,
-    where j is the first index past D with a nonzero series coefficient.
+    only its lower half is computed.  Otherwise the witness carries the
+    degree N - j of the remainder that long division of the numerator by
+    the denominator would leave, N = sum_{e_k > 0} k*e_k the numerator
+    degree and j the first index past D with a nonzero series coefficient.
+    The series runs only through N' = sum_{c_d > 0} c_d phi(d), the
+    numerator degree in lowest terms: write f = q + r/Q' with deg r <
+    deg Q'; the same symmetry f(1/t) = +-t^{-D} f(t) makes r equal
+    t^{N' - deg r} times its own reversal, so r/Q' first has a nonzero
+    coefficient at j = N' - deg r <= N'.
 
     >>> expand(FactoredChar({2: 3, 1: -3})).coeffs
     (1, 3, 3, 1)
     >>> expand(FactoredChar({3: 5, 1: -6}))
     NotPolynomial(remainder_degree=5)
     """
+    return _read_off(f, _series(f, _expand_length(f)))
+
+
+def _read_off(f: FactoredChar, c: list[int]) -> "IntPoly | NotPolynomial":
+    """expand(f) from its first _expand_length(f) series coefficients c:
+    the mirrored polynomial, or the witness at the first nonzero c_j past
+    the degree."""
     degree = sum(k * e for k, e in f)
-    c = _series(f, _expand_length(f))
     if is_polynomial(f):
         sign = -1 if sum(e for _, e in f) % 2 else 1
         mirrored = reversed(c[: degree - degree // 2])
         return IntPoly(tuple(c) + tuple(sign * a for a in mirrored))
-    top = len(c) - 1
-    for j in range(max(degree + 1, 0), top + 1):
+    for j in range(max(degree + 1, 0), len(c)):
         if c[j]:
-            return NotPolynomial(remainder_degree=top - j)
+            return NotPolynomial(remainder_degree=sum(k * e for k, e in f if e > 0) - j)
     raise InternalError("a non-polynomial character left no remainder")
 
 

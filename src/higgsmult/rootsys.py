@@ -319,7 +319,12 @@ def weyl_orbit_minuscule(r: RootSystem, i: int) -> list[tuple[tuple[int, ...], i
     """
     if i not in cominuscule_nodes(r):
         raise DomainError(f"node {i} of {r.lie_type} is not cominuscule")
-    size = degrees(r).weyl_order // levi_degrees(r, i).weyl_order
+    return _minuscule_orbit(r, i, degrees(r).weyl_order // levi_degrees(r, i).weyl_order)
+
+
+def _minuscule_orbit(r: RootSystem, i: int, size: int) -> list[tuple[tuple[int, ...], int]]:
+    """weyl_orbit_minuscule(r, i) for a cominuscule node i whose orbit is
+    known to have `size` weights."""
     check_cost(f"orbit of node {i} of {r.lie_type}", size, ORBIT_CAP, "weights")
     l = r.rank
     dual = tuple(tuple(r.cartan[b][a] for b in range(l)) for a in range(l))

@@ -176,7 +176,7 @@ class TestExitCodes:
         code, out, err = invoke(capsys, ["scan", "--type", "A", "--rank", "1", "--bound", "99999"])
         assert time.perf_counter() - start < 1.0
         assert code == 3 and out == ""
-        assert err.startswith("ResourceLimitError: scan of A1 to bound 99999 at m = [925] has ")
+        assert err.startswith("ResourceLimitError: scan of A1 to bound 99999 at m = [66] has ")
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize(

@@ -96,6 +96,11 @@ class TestMultTypeN:
             p = mult_type_n(g, n).polynomial
             assert is_palindromic_monic(p)
 
+    def test_g20_n9_is_admitted(self):
+        # priced by the cyclotomic L1 bound, it fits the recurrence
+        p = mult_type_n(20, 9).polynomial
+        assert sum(p.coeffs) == prod(i ** ((2 * i - 1) * 19) for i in range(2, 10))
+
 
 class TestMultType111:
     def test_rank3_single_zeros(self):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from higgsmult import multsimple, polyalg
+from higgsmult import multsimple, polyalg, rootsys
 from higgsmult.errors import DomainError, ResourceLimitError
 from higgsmult.multsimple import (
     SCAN_CAP,
@@ -17,7 +17,6 @@ from higgsmult.multsimple import (
 from higgsmult.polyalg import (
     IntPoly,
     NotPolynomial,
-    expand_work,
     is_palindromic_monic,
     power_product,
     qbinom,
@@ -153,6 +152,21 @@ class TestGrossCheck:
         with pytest.raises(DomainError):
             gross_check(G2, 2)
 
+    def test_degrees_are_computed_once(self, monkeypatch):
+        calls = []
+        original = rootsys.degrees
+
+        def spy(r):
+            calls.append(r)
+            return original(r)
+
+        for module in (rootsys, multsimple):
+            monkeypatch.setattr(module, "degrees", spy)
+        for r, node in ((C2, 2), (build(LieType("E", 6)), 1)):
+            calls.clear()
+            assert gross_check(r, node)
+            assert len(calls) == 1
+
 
 class TestScan:
     def test_g2_bound_2(self):
@@ -174,9 +188,43 @@ class TestScan:
         assert [e.m for e in report.entries] == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
     def test_matches_pointwise_mult_simple(self):
-        report = polynomiality_scan(C2, 2)
+        # every type of rank <= 4 at bound 2, and E6 at bound 1
+        grid = [("A", l, 2) for l in (1, 2, 3, 4)]
+        grid += [(f, l, 2) for f in "BC" for l in (2, 3, 4)]
+        grid += [("D", 4, 2), ("F", 4, 2), ("G", 2, 2), ("E", 6, 1)]
+        for family, rank, bound in grid:
+            r = build(LieType(family, rank))
+            report = polynomiality_scan(r, bound)
+            points = list(itertools.product(range(bound + 1), repeat=rank))
+            assert [e.m for e in report.entries] == points
+            for entry in report.entries:
+                assert entry.result == mult_simple(r, entry.m).polynomial
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.dictionaries(st.integers(1, 6), st.integers(-3, 3), max_size=3),
+            min_size=1,
+            max_size=3,
+        ),
+        st.integers(1, 3),
+    )
+    def test_walk_matches_pointwise_expand(self, exps, bound):
+        # any unit forms: the constant 1, non-polynomials, negative degrees
+        units = [polyalg.FactoredChar(e) for e in exps]
+        r = build(LieType("A", len(units)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(multsimple, "unit_multiplicity_factored", lambda _, i: units[i - 1])
+            report = polynomiality_scan(r, bound)
+        points = list(itertools.product(range(bound + 1), repeat=len(units)))
+        assert [e.m for e in report.entries] == points
         for entry in report.entries:
-            assert entry.result == mult_simple(C2, entry.m).polynomial
+            assert entry.result == polyalg.expand(power_product(zip(units, entry.m)))
+
+    def test_e6_bound_2_is_admitted(self):
+        report = polynomiality_scan(build(LieType("E", 6)), 2)
+        assert len(report.entries) == 729
+        assert report.polynomial_count == 9
 
     def test_bound_validation(self):
         with pytest.raises(DomainError, match="bound"):
@@ -189,14 +237,22 @@ class TestScan:
         polynomiality_scan(C2, 3)
 
     def test_work_cap_refuses_before_any_expansion(self, monkeypatch):
+        # the walk's cost: each prefix of m holds a series as long as the
+        # longest any point under it reads, multiplied `bound` times by the
+        # next unit at (sum |e| + 1) updates per coefficient
         units = [unit_multiplicity_factored(G2, i) for i in (1, 2)]
+        lengths = {}
+        for m in itertools.product(range(4), repeat=2):
+            length = polyalg._expand_length(power_product(zip(units, m)))
+            for i in range(2):
+                lengths[m[:i]] = max(lengths.get(m[:i], 0), length)
         total = sum(
-            expand_work(power_product(zip(units, m)))
-            for m in itertools.product(range(4), repeat=2)
+            length * 3 * (sum(abs(e) for _, e in units[len(prefix)]) + 1)
+            for prefix, length in lengths.items()
         )
         monkeypatch.setattr(polyalg, "SERIES_WORK_CAP", total)
         assert len(polynomiality_scan(G2, 3).entries) == 16
         monkeypatch.setattr(polyalg, "SERIES_WORK_CAP", total - 1)
-        monkeypatch.setattr(multsimple, "expand", lambda f: pytest.fail("expanded"))
+        monkeypatch.setattr(polyalg, "_kernel", lambda *args: pytest.fail("expanded"))
         with pytest.raises(ResourceLimitError, match=r"at m = \[3, 3\]"):
             polynomiality_scan(G2, 3)

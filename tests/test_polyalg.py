@@ -2,7 +2,7 @@ import doctest
 import importlib
 import pkgutil
 import time
-from math import ceil, gcd, lgamma, log
+from math import ceil, gcd, lgamma, log, log2
 
 import pytest
 from hypothesis import given, settings
@@ -443,6 +443,20 @@ def _totient(d):
     return sum(1 for a in range(1, d + 1) if gcd(a, d) == 1)
 
 
+def _cyclotomic_l1(d):
+    """||Phi_d||_1, with Phi_d = (t^d - 1) / prod_{e | d, e < d} Phi_e by fractions."""
+    return sum(abs(int(a)) for a in _cyclotomic(d))
+
+
+def _cyclotomic(d):
+    num = [-1] + [0] * (d - 1) + [1]
+    for e in range(1, d):
+        if d % e == 0:
+            num, rest = divmod_fractions(num, _cyclotomic(e))
+            assert not rest
+    return num
+
+
 class TestRecurrence:
     @given(wide_factors, st.integers(1, 60))
     @settings(max_examples=150, deadline=None)
@@ -486,11 +500,15 @@ class TestRecurrence:
         # the rule as documented, rebuilt from a test-local totient and lgamma
         polyalg = higgsmult.polyalg
         kernel = length * (sum(abs(e) for k, e in f if k < length) + 1)
-        degree = sum(_totient(d) for d in cyclotomic_exponents(f))
+        exps = cyclotomic_exponents(f)
+        degree = sum(_totient(d) for d in exps)
         neg = -sum(e for _, e in f if e < 0)
-        bits = sum(e for _, e in f if e > 0)
-        if neg:
-            bits += (lgamma(length + neg - 1) - lgamma(neg) - lgamma(length)) / log(2)
+        if all(c > 0 for c in exps.values()):
+            bits = sum(c * log2(_cyclotomic_l1(d)) for d, c in exps.items())
+        else:
+            bits = sum(e for _, e in f if e > 0)
+            if neg:
+                bits += (lgamma(length + neg - 1) - lgamma(neg) - lgamma(length)) / log(2)
         recurrence = length * (degree + 1) * max(1, ceil(bits / 64))
         faster = polyalg._RATIO * length * (degree + 1) + polyalg._SETUP < kernel
         with pytest.MonkeyPatch.context() as mp:
@@ -528,6 +546,23 @@ class TestRecurrence:
             f = FactoredChar(exps)
             c = polyalg._kernel(f, 200)
             assert max(abs(a) for a in c).bit_length() <= polyalg._coefficient_bits(f, 200)
+
+    def test_polynomials_are_priced_by_the_cyclotomic_norms(self):
+        from higgsmult.multgl import _type_n_factored
+
+        polyalg = higgsmult.polyalg
+        for g, n in ((2, 6), (16, 8), (20, 9)):
+            f = _type_n_factored(g, n)
+            top = max(abs(a) for a in expand(f).coeffs)
+            bits = polyalg._coefficient_bits(f, polyalg._expand_length(f))
+            assert top.bit_length() <= bits
+            assert bits == pytest.approx(
+                sum(c * log2(_cyclotomic_l1(d)) for d, c in cyclotomic_exponents(f).items())
+            )
+        # (20, 9) now fits the recurrence; (24, 9) still fits no path
+        assert polyalg._series_plan(f, polyalg._expand_length(f))[0] is polyalg._recurrence
+        f = _type_n_factored(24, 9)
+        assert polyalg._series_plan(f, polyalg._expand_length(f))[0] is None
 
 
 class TestValueAtOne:
