@@ -10,20 +10,20 @@ m_i = l_i - l_{i-1} + 2g - 2, each b_i is nonzero exactly when
 m_i >= 0, and deg(div b_i) = m_i.  The choice of all the divisors pins
 the chain down completely: L_i is recovered from L_0 and the div b_j.
 
-`tplus_dims` computes the dimensions of the positive-weight part of the
-tangent space at the fixed point, weight by weight, from hypercohomology
-Euler characteristics; `gl_hitchin_base_dims` gives the weights of the
-Hitchin base, which double as the weights of a moduli-space cotangent
-fibre.  Both feed the virtual multiplicity ratio downstream, and both
-refuse ranks above RANK_CAP; `chain_from_m` refuses m-vectors with more
-than ZERO_CAP zeros.  Each refusal is an `errors.check_cost` call made
-before any work.
+`block_tplus_dims` gives the positive-weight tangent dimensions at any
+GL_n fixed point by Riemann-Roch on its blocks' (rank, degree): type
+(1,...,1) is the blocks (1, l_i) (`tplus_dims`), type (n) the block
+(n, 0), type (1,2) the blocks (1, 0), (2, -w).  `gl_hitchin_base_dims`
+gives the Hitchin base weights, which double as those of a cotangent
+fibre.  Both feed the virtual multiplicity ratio; `tplus_dims` and the
+base refuse ranks above RANK_CAP, `chain_from_m` m-vectors with more
+than ZERO_CAP zeros, each by an `errors.check_cost` call before any work.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
 
 from . import Record, SparseMap
 from .errors import DomainError, check_cost
@@ -282,32 +282,39 @@ def is_very_stable(c: ChainHiggsBundle) -> bool:
     return stability(c).very_stable
 
 
-def tplus_dims(c: ChainHiggsBundle) -> WeightDims:
-    """Weight-space dimensions of the positive-weight tangent part.
+def block_tplus_dims(genus: int, blocks: Sequence[tuple[int, int]]) -> WeightDims:
+    """Positive tangent weight dimensions at a GL_n fixed point, from the
+    (rank >= 1, degree) of its blocks E_0..E_{s-1}, phi: E_a -> E_{a+1} (x) K:
 
-    For weight k, the relevant Euler characteristic over ordered index
-    pairs (i, j) with 0 <= i, j <= n-1 is
+      dim_k = delta_{k,1} - sum_{a-b=k} chi(E_a, E_b) + sum_{a-b=k-1} chi(E_a, E_b (x) K)
 
-      chi_k = sum_{i-j=k} (l_j - l_i + 1 - g)
-            - sum_{i-j=k-1} (l_j - l_i + (2g-2) + 1 - g),
+    over the pairs b <= a, with chi(E, F) = rk E deg F - rk F deg E +
+    rk E rk F (1-g) by Riemann-Roch and delta for the Higgs field's trace.
+    At a stable fixed point the relevant cohomology vanishes, so these are
+    dimensions; they total n^2 (g-1) + 1, n the sum of the ranks.
 
-    and dim = -chi_k, corrected by +1 at k = 1 for the trace of the
-    Higgs field.  Requires a stable chain, where the relevant
-    cohomology vanishing makes the Euler characteristics compute actual
-    dimensions; the total is then n^2 (g-1) + 1.
+    >>> block_tplus_dims(2, [(3, 0)]).as_dict()  # type (3)
+    {1: 10}
+    >>> block_tplus_dims(2, [(1, 0), (2, -1)]).as_dict()  # type (1,2)
+    {1: 7, 2: 3}
     """
+    g1 = genus - 1
+    dims = [0, 1] + [0] * (len(blocks) - 1)  # dims[k] at index k
+    for a, (ra, da) in enumerate(blocks):
+        for b, (rb, db) in enumerate(blocks[: a + 1]):
+            chi = ra * db - rb * da - ra * rb * g1  # chi(E_a, E_b)
+            if a > b:
+                dims[a - b] -= chi
+            dims[a - b + 1] += chi + 2 * ra * rb * g1  # chi(E_a, E_b (x) K)
+    return WeightDims(enumerate(dims[1:], 1))
+
+
+def tplus_dims(c: ChainHiggsBundle) -> WeightDims:
+    """`block_tplus_dims` of a stable chain: one block (1, l_i) per line bundle."""
     check_cost(f"GL_{c.rank}", c.rank, RANK_CAP, "invariant degrees")
     if not is_stable(c):
         raise DomainError("positive tangent weights need a stable chain")
-    g = c.genus
-    l = c.degrees
-    n = c.rank
-    dims: dict[int, int] = {}
-    for k in range(1, n + 1):
-        chi = sum(l[j] - l[j + k] + 1 - g for j in range(n - k))
-        chi -= sum(l[j] - l[j + k - 1] + g - 1 for j in range(n - k + 1))
-        dims[k] = -chi + (1 if k == 1 else 0)
-    return WeightDims(dims)
+    return block_tplus_dims(c.genus, [(1, l) for l in c.degrees])
 
 
 def gl_hitchin_base_dims(genus: int, n: int) -> WeightDims:

@@ -6,20 +6,22 @@ point E is the ratio of equivariant characters
     m_E(t) = chi_T(Sym T+*) / chi_T(Sym A*),
 
 a product of (1-t^k) factors with integer exponents read off from the
-two weight gradings.  For the types handled here it expands to an
-exact integer polynomial (or provably fails to): the downward-flow
-closure of the Hitchin section (type (n)), chains of line bundles
-(type (1,...,1)), and the rank-3 type (1,2) family that witnesses the
-wobbly polynomiality threshold.  `value_at_1` of the polynomial is the
-honest multiplicity of the component.  `MultResult`, the factored form
-with its lazy expansion, lives in `polyalg` beside the functions it
-calls, so the simple-group formulas share it without loading this
-module.
+two weight gradings, T+ always by `chain.block_tplus_dims` on the fixed
+point's blocks: type (n), the downward-flow closure of the Hitchin
+section, is the block (n, 0); type (1,...,1), chains of line bundles,
+the blocks (1, l_i); the rank-3 type (1,2) family of the wobbly
+polynomiality threshold, the blocks (1, 0), (2, -w).  Each expands to an
+exact integer polynomial or provably fails to; `value_at_1` of the
+polynomial is the honest multiplicity of the component.  `MultResult`,
+the factored form with its lazy expansion, lives in `polyalg` beside
+the functions it calls, so the simple-group formulas share it without
+loading this module.
 """
 
 from __future__ import annotations
 
-from .chain import ChainHiggsBundle, WeightDims, gl_hitchin_base_dims, is_stable, tplus_dims
+from .chain import ChainHiggsBundle, WeightDims, block_tplus_dims, gl_hitchin_base_dims
+from .chain import is_stable, tplus_dims
 from .errors import DomainError, InternalError
 from .polyalg import (
     FactoredChar,
@@ -40,8 +42,7 @@ def virtual_multiplicity(tplus: WeightDims, base: WeightDims) -> MultResult:
 
 
 def _type_n_factored(g: int, n: int) -> FactoredChar:
-    tplus = WeightDims({1: n * n * (g - 1) + 1})
-    return FactoredChar(gl_hitchin_base_dims(g, n) - tplus)
+    return FactoredChar(gl_hitchin_base_dims(g, n) - block_tplus_dims(g, [(n, 0)]))
 
 
 def mult_type_n(g: int, n: int) -> MultResult:
@@ -81,15 +82,13 @@ def mult_type12_rank3(g: int, twol_minus_v: int) -> MultResult:
 
     a polynomial exactly when 2l - v <= g - 1 (the wobbly threshold);
     past the threshold the (1+t) factors sit in the denominator and do
-    not cancel."""
+    not cancel.  T+ is `block_tplus_dims` of the blocks (1, 0), (2, v - 2l)."""
     w = twol_minus_v
     if not 0 < w < 3 * g - 3:
         raise DomainError(
             f"2l-v = {w} outside the stability window 0 < 2l-v < {3 * g - 3} at genus {g}"
         )
-    e1 = g - 1 - w
-    e2 = 5 * g - 5
-    return MultResult(FactoredChar({2: e1, 3: e2, 1: -e1 - e2}))
+    return virtual_multiplicity(block_tplus_dims(g, [(1, 0), (2, -w)]), gl_hitchin_base_dims(g, 3))
 
 
 def master_divisibility(m: MultResult, g: int, n: int) -> bool:
@@ -104,16 +103,9 @@ def master_divisibility(m: MultResult, g: int, n: int) -> bool:
 
 
 def euler_prefactor(g: int, n: int) -> int:
-    """Exponent of the monomial character of the weight-1 line against
-    the dual base: (4n+1)(n-1)n(g-1)/6; equals 3g-3 at n = 2."""
-    if g < 2:
-        raise DomainError(f"genus must be >= 2, got {g}")
-    if n < 1:
-        raise DomainError(f"rank must be >= 1, got {n}")
-    num = (4 * n + 1) * (n - 1) * n * (g - 1)
-    if num % 6:
-        raise InternalError(f"prefactor {num}/6 is not integral")
-    return num // 6
+    """Exponent of the monomial character of the weight-1 line against the
+    dual base: deg mult_type_n = (4n+1)(n-1)n(g-1)/6, 3g-3 at n = 2."""
+    return sum(k * e for k, e in _type_n_factored(g, n))
 
 
 def euler_pairing_series(

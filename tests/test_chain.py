@@ -7,6 +7,7 @@ from higgsmult.chain import (
     Divisor,
     Point,
     WeightDims,
+    block_tplus_dims,
     chain_from_json,
     chain_from_m,
     chain_to_json,
@@ -279,6 +280,16 @@ class TestTplusDims:
         assert dims.total() == n * n * (g - 1) + 1
         assert dims[n] == (2 * n - 1) * (g - 1) - sum(m)
         assert all(d >= 0 for _, d in dims)
+
+    @given(
+        st.integers(2, 6),
+        st.lists(st.tuples(st.integers(1, 5), st.integers(-20, 20)), min_size=1, max_size=6),
+    )
+    @settings(max_examples=100)
+    def test_block_total(self, g, blocks):
+        # blocks of any rank and any degrees, stable or not
+        n = sum(r for r, _ in blocks)
+        assert block_tplus_dims(g, blocks).total() == n * n * (g - 1) + 1
 
 
 def reference_tplus_dims(c):

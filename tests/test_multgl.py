@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from higgsmult import polyalg
-from higgsmult.chain import WeightDims, chain_from_m, gl_hitchin_base_dims, tplus_dims
-from higgsmult.errors import DomainError
+from higgsmult.chain import RANK_CAP, WeightDims, chain_from_m, gl_hitchin_base_dims, tplus_dims
+from higgsmult.errors import DomainError, ResourceLimitError
 from higgsmult.hecke import intersection_count
 from higgsmult.multgl import (
     MultResult,
@@ -161,6 +161,8 @@ class TestMultType12:
             for w in range(1, 3 * g - 3):
                 r = mult_type12_rank3(g, w)
                 assert r.is_polynomial == (w <= g - 1)
+                # the closed form of the docstring, independent of the weights
+                assert r.factored == FactoredChar({1: w - 6 * g + 6, 2: g - 1 - w, 3: 5 * g - 5})
 
     @pytest.mark.parametrize("g,w", [(2, 0), (2, 3), (3, -1), (3, 6)])
     def test_window(self, g, w):
@@ -261,13 +263,17 @@ class TestEulerPrefactor:
     def test_always_integral(self):
         for g in range(2, 8):
             for n in range(1, 10):
-                assert isinstance(euler_prefactor(g, n), int)
+                value = euler_prefactor(g, n)
+                assert isinstance(value, int)
+                assert 6 * value == (4 * n + 1) * (n - 1) * n * (g - 1)
 
     def test_domain(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="genus must be >= 2, got 1"):
             euler_prefactor(1, 2)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="rank must be >= 1, got 0"):
             euler_prefactor(2, 0)
+        with pytest.raises(ResourceLimitError, match="GL_142"):
+            euler_prefactor(2, RANK_CAP + 1)
 
 
 class TestEulerPairing:
