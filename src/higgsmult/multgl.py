@@ -21,14 +21,13 @@ loading this module.
 from __future__ import annotations
 
 from .chain import ChainHiggsBundle, WeightDims, block_tplus_dims, gl_hitchin_base_dims
-from .chain import is_stable, tplus_dims
+from .chain import is_stable
 from .errors import DomainError, InternalError
 from .polyalg import (
     FactoredChar,
     IntPoly,
     MultResult,
     TruncatedSeries,
-    is_polynomial,
     power_product,
     qbinom_factored,
     series_expand,
@@ -37,12 +36,14 @@ from .polyalg import (
 
 def virtual_multiplicity(tplus: WeightDims, base: WeightDims) -> MultResult:
     """The ratio of Sym characters in factored form: exponent of
-    (1-t^k) is base[k] - tplus[k]."""
-    return MultResult(FactoredChar(base - tplus))
+    (1-t^k) is base[k] - tplus[k], built from both gradings' terms in one
+    constructor call."""
+    return MultResult(FactoredChar([*base, *((k, -d) for k, d in tplus)]))
 
 
 def _type_n_factored(g: int, n: int) -> FactoredChar:
-    return FactoredChar(gl_hitchin_base_dims(g, n) - block_tplus_dims(g, [(n, 0)]))
+    base = gl_hitchin_base_dims(g, n)
+    return virtual_multiplicity(block_tplus_dims(g, [(n, 0)]), base).factored
 
 
 def mult_type_n(g: int, n: int) -> MultResult:
@@ -59,7 +60,8 @@ def mult_type111(c: ChainHiggsBundle) -> MultResult:
     prod_i qbinom(n, i)^{m_i}, cross-checked against the weight-ratio
     definition on every call.  Equal canonical factored forms are equal
     characters, so the check compares factored forms and only the
-    closed form is expanded."""
+    closed form is expanded.  The chain is tested for stability once, and
+    its T+ is `block_tplus_dims` of the blocks (1, l_i)."""
     if not is_stable(c):
         raise DomainError("multiplicity of a chain needs a stable chain")
     n = c.rank
@@ -67,7 +69,8 @@ def mult_type111(c: ChainHiggsBundle) -> MultResult:
     factored = power_product(
         (qbinom_factored(n, i), m) for i, m in enumerate(c.m_vector, start=1)
     )
-    if factored != FactoredChar(base - tplus_dims(c)):
+    tplus = block_tplus_dims(c.genus, [(1, l) for l in c.degrees])
+    if factored != virtual_multiplicity(tplus, base).factored:
         raise InternalError(
             "chain multiplicity: quantum binomial closed form disagrees with the weight ratio"
         )
@@ -94,12 +97,15 @@ def mult_type12_rank3(g: int, twol_minus_v: int) -> MultResult:
 def master_divisibility(m: MultResult, g: int, n: int) -> bool:
     """Whether m divides the type (n) master multiplicity at (g, n).
 
-    Both are products of cyclotomic polynomials, so m divides the master
-    exactly when their quotient has no negative cyclotomic exponent; the
-    master is never expanded."""
+    Both are products of cyclotomic polynomials, whose exponents add
+    under multiplication, so m divides the master exactly when
+    c_d(master) >= c_d(m) for every d: one comparison of the two exponent
+    maps that the factored forms already hold.  Nothing is expanded."""
     if not m.is_polynomial:
         raise DomainError("divisibility needs a polynomial multiplicity")
-    return is_polynomial(_type_n_factored(g, n) * m.factored.inverse())
+    ours = m.factored._cyclotomic
+    master = _type_n_factored(g, n)._cyclotomic
+    return all(master.get(d, 0) >= ours.get(d, 0) for d in master.keys() | ours.keys())
 
 
 def euler_prefactor(g: int, n: int) -> int:

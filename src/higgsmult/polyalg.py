@@ -22,11 +22,13 @@ multiplying by (1 - t^k) subtracts the list shifted by k, dividing by
 and divide steps alternate so the coefficients stay small; it costs
 length x (sum |e_k| + 1) coefficient updates (`series_work`), so it grows
 with the exponents.  The log-derivative recurrence (`_recurrence`) reads
-each coefficient off the previous deg Q by a fixed stencil, Q the product
-of the distinct cyclotomic factors; it costs length x (deg Q + 1) steps,
-whatever the exponents, and its up-front cost counts word operations:
-that times the 64-bit words of a bound on the coefficient bits (for a
-polynomial, the product of its cyclotomic factors' L1 norms).
+each coefficient off the previous deg Q by one dot product with small
+weights, Q the product of the distinct cyclotomic factors; the weights
+move by Q from one coefficient to the next.  It costs length x (deg Q + 1)
+steps of deg Q big-integer products each, whatever the exponents, and its
+up-front cost counts word operations: that times the 64-bit words of a
+bound on the coefficient bits (for a polynomial, the product of its
+cyclotomic factors' L1 norms).
 `_series_plan` takes, of the paths within SERIES_WORK_CAP, the one with
 the lower predicted time, from costs known before any work; when neither
 fits, `errors.check_cost` refuses the series before any list exists.
@@ -34,10 +36,12 @@ fits, `errors.check_cost` refuses the series before any list exists.
 (each (1 - t^k) is anti-palindromic); for a non-polynomial it runs only
 through N', the numerator degree in lowest terms, which the same
 symmetry shows to hold the witness; `_read_off` turns such a series into
-the answer, and the scan of `multsimple` calls it on series it builds
-by multiplying one kernel list in place.  `series_expand` runs a series
-to the requested order; `expand_work` is the cost of the path `expand`
-takes.
+the answer, building the IntPoly directly (an expanded polynomial's
+coefficients are ints with top coefficient +-1, so there is nothing to
+convert or trim), and the scan of `multsimple` calls it on series it
+builds by multiplying one kernel list in place.  `series_expand` runs a
+series to the requested order; `expand_work` is the cost of the path
+`expand` takes.
 `value_at_one` reads f(1) off the cyclotomic exponents, with no
 expansion; `MultResult`, a multiplicity held in factored form, answers
 from those exponents and expands on first read.  `poly_divmod` and
@@ -46,12 +50,12 @@ from those exponents and expands on first read.  `poly_divmod` and
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import deque, namedtuple
 from collections.abc import Callable, Iterable
 from functools import cached_property, lru_cache
 from itertools import accumulate, zip_longest
 from math import ceil, isqrt, lgamma, log, log2
-from operator import mul, sub
+from operator import mul, neg, sub
 
 from . import Record, SparseMap
 from .errors import DomainError, InternalError, check_cost
@@ -64,7 +68,7 @@ SERIES_WORK_CAP = 10 ** 7
 # Predicted recurrence time in kernel coefficient updates:
 # _RATIO * length * (deg Q + 1) + _SETUP, fitted on timings of both paths
 # (type (n), type (1,2), pairing, chain and simple-type series).
-_RATIO = 6
+_RATIO = 5
 _SETUP = 500
 
 
@@ -461,9 +465,10 @@ def _recurrence(f: FactoredChar, length: int) -> list[int]:
     With f = prod_d Phi_d^{c_d}, Q = prod_{c_d != 0} Phi_d (each with
     constant term 1) of degree D and R = Q * t f'/f, a polynomial of degree
     at most D, Q * t f' = R * f gives
-    n f_n = sum_{j=1..D} (R_j f_{n-j} - Q_j (n-j) f_{n-j}), an exact division.
-    The list h interleaves f_n and n f_n, so each step is one dot product
-    of the fixed stencil (R_D, -Q_D, ..., R_1, -Q_1) with a window of h.
+    n f_n = sum_{j=1..D} (R_j + j Q_j - n Q_j) f_{n-j}, an exact division.
+    Step n's weights are step n-1's minus Q, so each step is one pass of
+    small-integer subtractions, then one dot product of the weights with the
+    last D coefficients: D big-integer products per coefficient.
     """
     stencil = FactoredChar(p for d in f._cyclotomic for p in _cyclotomic_factors(d))
     degree = sum(k * e for k, e in stencil)
@@ -473,14 +478,18 @@ def _recurrence(f: FactoredChar, length: int) -> list[int]:
     for k, e in f:
         for n in range(k, degree + 1, k):
             logd[n] -= k * e
-    weights = []
-    for j in range(degree, 0, -1):  # R_j is coefficient j of Q * t f'/f
-        weights += (sum(map(mul, q[:j], logd[j:0:-1])), -q[j])
-    h = [0, 0] * degree + [1, 0]  # (f_n, n f_n) at 2(n + degree), after zeros
+    # in window order j = D..1: Q_j, and R_j + j Q_j with R_j coefficient j
+    # of Q * t f'/f; step n subtracts Q once more, leaving R_j + j Q_j - n Q_j
+    qs = q[degree:0:-1]
+    weights = [sum(map(mul, q[:j], logd[j:0:-1])) + j * q[j] for j in range(degree, 0, -1)]
+    out = [1]
+    window = deque([0] * (degree - 1) + out, maxlen=degree)  # f_{n-D} .. f_{n-1}
     for n in range(1, length):
-        s = sum(map(mul, weights, h[2 * n : 2 * (n + degree)]))
-        h += (s // n, s)
-    return h[2 * degree :: 2]
+        weights = list(map(sub, weights, qs))
+        fn = sum(map(mul, weights, window)) // n
+        out.append(fn)
+        window.append(fn)
+    return out
 
 
 def _series(f: FactoredChar, length: int) -> list[int]:
@@ -523,9 +532,12 @@ def _read_off(f: FactoredChar, c: list[int]) -> "IntPoly | NotPolynomial":
     the degree."""
     degree = sum(k * e for k, e in f)
     if is_polynomial(f):
-        sign = -1 if sum(e for _, e in f) % 2 else 1
-        mirrored = reversed(c[: degree - degree // 2])
-        return IntPoly(tuple(c) + tuple(sign * a for a in mirrored))
+        mirrored = c[: degree - degree // 2]
+        mirrored.reverse()
+        if sum(e for _, e in f) % 2:
+            mirrored = map(neg, mirrored)
+        # ints already, and the top coefficient is +-1: skip IntPoly.__new__
+        return IntPoly._make(((*c, *mirrored),))
     for j in range(max(degree + 1, 0), len(c)):
         if c[j]:
             return NotPolynomial(remainder_degree=sum(k * e for k, e in f if e > 0) - j)
@@ -615,4 +627,5 @@ def series_expand(f: FactoredChar, order: int) -> TruncatedSeries:
     """
     if order < 1:
         raise DomainError(f"series order must be >= 1, got {order}")
-    return TruncatedSeries(order, tuple(_series(f, order + 1)))
+    # exactly order + 1 ints: skip TruncatedSeries.__new__
+    return TruncatedSeries._make((order, tuple(_series(f, order + 1))))

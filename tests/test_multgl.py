@@ -135,6 +135,18 @@ class TestMultType111:
             assert ratio.polynomial == closed
             assert mult_type111(c).polynomial == closed
 
+    def test_stability_is_tested_once(self, monkeypatch):
+        import higgsmult.chain
+
+        calls = []
+        unstable_index = higgsmult.chain.unstable_index
+        monkeypatch.setattr(
+            higgsmult.chain, "unstable_index", lambda c: calls.append(c) or unstable_index(c)
+        )
+        c = chain_from_m(3, (2, 0, 3))
+        mult_type111(c)
+        assert calls == [c]
+
     def test_value_matches_intersection_count(self):
         for g, m in [(2, (1, 1)), (3, (2, 1)), (3, (3,))]:
             c = chain_from_m(g, m)
@@ -188,6 +200,31 @@ class TestMasterDivisibility:
         for g, m in [(2, (1, 1)), (3, (2, 2)), (2, (1, 0, 1))]:
             c = chain_from_m(g, m)
             assert master_divisibility(mult_type111(c), g, c.rank)
+
+    def test_equals_the_quotient_test(self):
+        # the exponent comparison against polynomiality of master / m, the
+        # test it replaced, on every polynomial type (1,2) w and on chains
+        from itertools import product
+
+        from higgsmult.chain import is_stable
+        from higgsmult.multgl import _type_n_factored
+        from higgsmult.polyalg import is_polynomial
+
+        checked = {True: 0, False: 0}
+        for g in range(2, 13):
+            mults = [mult_type12_rank3(g, w) for w in range(1, g)]
+            for r in range(1, 5):
+                for mv in product(range(3), repeat=r):
+                    c = chain_from_m(g, mv)
+                    if is_stable(c):
+                        mults.append(mult_type111(c))
+            for n in range(2, 6):
+                master = _type_n_factored(g, n)
+                for m in mults:
+                    verdict = master_divisibility(m, g, n)
+                    assert verdict == is_polynomial(master * m.factored.inverse())
+                    checked[verdict] += 1
+        assert min(checked.values()) > 100  # both verdicts are reached
 
     @given(polynomial_mults(), st.integers(2, 3), st.integers(1, 4))
     @settings(max_examples=80, deadline=None)

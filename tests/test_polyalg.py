@@ -5,7 +5,7 @@ import time
 from math import ceil, gcd, lgamma, log, log2
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import higgsmult.polyalg
@@ -464,6 +464,51 @@ class TestRecurrence:
         f = FactoredChar(exps)
         out = higgsmult.polyalg._recurrence(f, length)
         assert out == higgsmult.polyalg._kernel(f, length) == factored_series(exps, length - 1)
+
+    @given(
+        st.one_of(
+            st.dictionaries(st.integers(1, 12), st.integers(-8, 8), max_size=6),
+            st.integers(-8, 8).map(lambda e: {1: e}),  # deg Q = 1: a power of 1 - t
+        ),
+        st.integers(1, 300),
+    )
+    @example({1: 3}, 300)
+    @example({1: -1}, 1)
+    @example({}, 5)
+    @settings(max_examples=200, deadline=None)
+    def test_long_series_equal_the_kernel(self, exps, length):
+        f = FactoredChar(exps)
+        polyalg = higgsmult.polyalg
+        assert polyalg._recurrence(f, length) == polyalg._kernel(f, length)
+
+    @pytest.mark.parametrize(
+        "exps",
+        [
+            {},  # the empty character, 1, the only constant polynomial character
+            {2: 1, 1: -2},  # degree 0, not a polynomial
+            {3: 1, 1: -1, 2: 1, 6: -1},  # degree -2
+            {4: 1, 2: -1, 1: -2},  # degree 0, not a polynomial
+            {1: 1},  # odd sum of exponents: the mirror takes sign -1
+            {1: 3},
+            {3: 1},
+            {2: 5, 1: -4},
+            {4: 3, 2: -2},
+            {6: 1, 3: -1, 2: -1, 1: 1},  # Phi_6, even
+            {12: 3, 4: -1, 3: -1},
+        ],
+    )
+    def test_read_off_against_division_oracle(self, exps):
+        num, den = factored_to_num_den(exps)
+        q, r = divmod_fractions(num, den)
+        polyalg = higgsmult.polyalg
+        for path in (polyalg._kernel, polyalg._recurrence):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(polyalg, "_series", path)
+                out = expand(FactoredChar(exps))
+            if r:
+                assert out == NotPolynomial(remainder_degree=len(r) - 1)
+            else:  # equal to the canonical IntPoly: no trailing zero, no extra term
+                assert out == IntPoly([int(x) for x in q])
 
     @given(st.one_of(wide_polynomials(), wide_factors.map(FactoredChar)))
     @settings(max_examples=100, deadline=None)
