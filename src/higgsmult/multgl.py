@@ -20,6 +20,8 @@ loading this module.
 
 from __future__ import annotations
 
+from math import comb
+
 from .chain import ChainHiggsBundle, WeightDims, block_tplus_dims, gl_hitchin_base_dims
 from .chain import is_stable
 from .errors import DomainError, InternalError
@@ -87,11 +89,12 @@ def mult_type12_rank3(g: int, twol_minus_v: int) -> MultResult:
     past the threshold the (1+t) factors sit in the denominator and do
     not cancel.  T+ is `block_tplus_dims` of the blocks (1, 0), (2, v - 2l)."""
     w = twol_minus_v
+    base = gl_hitchin_base_dims(g, 3)  # refuses a genus below 2 before the window
     if not 0 < w < 3 * g - 3:
         raise DomainError(
             f"2l-v = {w} outside the stability window 0 < 2l-v < {3 * g - 3} at genus {g}"
         )
-    return virtual_multiplicity(block_tplus_dims(g, [(1, 0), (2, -w)]), gl_hitchin_base_dims(g, 3))
+    return virtual_multiplicity(block_tplus_dims(g, [(1, 0), (2, -w)]), base)
 
 
 def master_divisibility(m: MultResult, g: int, n: int) -> bool:
@@ -115,39 +118,31 @@ def euler_prefactor(g: int, n: int) -> int:
 
 
 def euler_pairing_series(
-    mA: "MultResult | IntPoly",
-    mB: "MultResult | IntPoly",
-    g: int,
-    n: int,
-    order: int,
+    mA: MultResult, mB: MultResult, g: int, n: int, order: int
 ) -> TruncatedSeries:
     """Series of m_A(t) * m_B(t) * chi_T(Sym A*) through t^order.
 
     The character pairing of the two components' structure sheaves over
-    the moduli space; visibly symmetric in its two arguments.  Factored
-    sides are folded into chi_T(Sym A*) and expanded as one series; only
-    a bare IntPoly side is multiplied into it.
+    the moduli space; visibly symmetric in its two arguments.  All three
+    factors are products of (1-t^k) powers, so the pairing is one factored
+    character, built in one constructor call from the base grading's
+    negated terms and both sides' terms, and expanded as one series.
     """
-    factored = FactoredChar(gl_hitchin_base_dims(g, n)).inverse()
-    polys = []
-    for m in (mA, mB):
-        if isinstance(m, MultResult) and m.is_polynomial:
-            factored = factored * m.factored
-        elif isinstance(m, IntPoly):
-            polys.append(m)
-        else:
-            raise DomainError("the pairing needs polynomial multiplicities")
-    out = series_expand(factored, order)
-    for p in polys:
-        out = out * p
-    return out
+    base = gl_hitchin_base_dims(g, n)
+    if not (mA.is_polynomial and mB.is_polynomial):
+        raise DomainError("the pairing needs polynomial multiplicities")
+    return series_expand(
+        FactoredChar([*((k, -d) for k, d in base), *mA.factored, *mB.factored]), order
+    )
 
 
 def cotangent_cross_character(g: int, i: int) -> IntPoly:
     """Equivariant character pairing a rank-2 chain component with the
-    mirror of a cotangent fibre: 2^(2i) t^i (1+t)^(3g-3-2i)."""
+    mirror of a cotangent fibre: 2^(2i) t^i (1+t)^(3g-3-2i), whose
+    coefficient at t^(i+j) is 4^i C(3g-3-2i, j)."""
+    if g < 2:
+        raise DomainError(f"genus must be >= 2, got {g}")
     if not 0 <= i <= g - 1:
         raise DomainError(f"component index must satisfy 0 <= i <= g-1, got i={i}, g={g}")
-    if 3 * g - 3 - 2 * i < 0:
-        raise DomainError(f"exponent 3g-3-2i is negative at g={g}, i={i}")
-    return (IntPoly((1, 1)) ** (3 * g - 3 - 2 * i)).shift(i) * (4 ** i)
+    a = 3 * g - 3 - 2 * i
+    return IntPoly((0,) * i + tuple(4 ** i * comb(a, j) for j in range(a + 1)))

@@ -40,12 +40,11 @@ the answer, building the IntPoly directly (an expanded polynomial's
 coefficients are ints with top coefficient +-1, so there is nothing to
 convert or trim), and the scan of `multsimple` calls it on series it
 builds by multiplying one kernel list in place.  `series_expand` runs a
-series to the requested order; `expand_work` is the cost of the path
-`expand` takes.
+series to the requested order.
 `value_at_one` reads f(1) off the cyclotomic exponents, with no
 expansion; `MultResult`, a multiplicity held in factored form, answers
-from those exponents and expands on first read.  `poly_divmod` and
-`divides` remain as the general IntPoly long-division API.
+from those exponents and expands on first read.  `divides` is the one
+long-division entry point, for polynomials already in dense form.
 """
 
 from __future__ import annotations
@@ -92,18 +91,8 @@ class IntPoly(Record, namedtuple("IntPoly", "coeffs")):
         return tuple.__new__(cls, (c[:n],))
 
     @classmethod
-    def zero(cls) -> "IntPoly":
-        return cls(())
-
-    @classmethod
     def one(cls) -> "IntPoly":
         return cls((1,))
-
-    @classmethod
-    def monomial(cls, power: int, coeff: int = 1) -> "IntPoly":
-        if power < 0:
-            raise DomainError(f"monomial power must be >= 0, got {power}")
-        return cls((0,) * power + (coeff,))
 
     @property
     def degree(self) -> int:
@@ -117,40 +106,16 @@ class IntPoly(Record, namedtuple("IntPoly", "coeffs")):
     def value_at_one(self) -> int:
         return sum(self.coeffs)
 
-    def shift(self, k: int) -> "IntPoly":
-        """Multiply by t^k."""
-        if k < 0:
-            raise DomainError(f"shift must be >= 0, got {k}")
-        if self.is_zero:
-            return self
-        return IntPoly((0,) * k + self.coeffs)
-
-    def __add__(self, other: "IntPoly") -> "IntPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return IntPoly(tuple(x + y for x, y in zip(a, b)) + a[len(b):])
-
-    def __neg__(self) -> "IntPoly":
-        return IntPoly(tuple(-x for x in self.coeffs))
-
-    def __sub__(self, other: "IntPoly") -> "IntPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "IntPoly | int") -> "IntPoly":
-        if isinstance(other, int):
-            return IntPoly(tuple(other * x for x in self.coeffs))
+    def __mul__(self, other: "IntPoly") -> "IntPoly":
         a, b = self.coeffs, other.coeffs
         if not a or not b:
-            return IntPoly.zero()
+            return IntPoly()
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b):
                     out[i + j] += x * y
         return IntPoly(tuple(out))
-
-    __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "IntPoly":
         if n < 0:
@@ -164,20 +129,6 @@ class IntPoly(Record, namedtuple("IntPoly", "coeffs")):
             n >>= 1
         return result
 
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        terms = []
-        for k, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            if k == 0:
-                terms.append(str(a))
-            else:
-                c = "" if a == 1 else "-" if a == -1 else str(a) + "*"
-                terms.append(f"{c}t" if k == 1 else f"{c}t^{k}")
-        return " + ".join(terms).replace("+ -", "- ")
-
 
 class NotPolynomial(Record, namedtuple("NotPolynomial", "remainder_degree")):
     """Witness that a factored character fails to expand to a polynomial.
@@ -187,46 +138,6 @@ class NotPolynomial(Record, namedtuple("NotPolynomial", "remainder_degree")):
     """
 
     __slots__ = ()
-
-
-def poly_divmod(num: IntPoly, den: IntPoly) -> "tuple[IntPoly, IntPoly] | None":
-    """Classical long division over the integers.
-
-    Returns (q, r) with num = q*den + r and deg r < deg den.  Returns
-    None when some leading-coefficient step is inexact over the
-    integers; in that case no exact integer-coefficient quotient of num
-    by den exists.
-    """
-    if den.is_zero:
-        raise DomainError("division by the zero polynomial")
-    rem = list(num.coeffs)
-    dc = den.coeffs
-    dn = len(dc)
-    lead = dc[-1]
-    if len(rem) < dn:
-        return IntPoly.zero(), num
-    qlen = len(rem) - dn + 1
-    quot = [0] * qlen
-    for i in range(qlen - 1, -1, -1):
-        c = rem[i + dn - 1]
-        if c % lead:
-            return None
-        q = c // lead
-        quot[i] = q
-        if q:
-            rem[i : i + dn] = [r - q * d for r, d in zip(rem[i : i + dn], dc)]
-    return IntPoly(tuple(quot)), IntPoly(tuple(rem[: dn - 1]))
-
-
-def qint(n: int) -> IntPoly:
-    """Quantum integer [n]_t = 1 + t + ... + t^(n-1).
-
-    >>> qint(3).coeffs
-    (1, 1, 1)
-    """
-    if n <= 0:
-        raise DomainError(f"quantum integer needs n >= 1, got {n}")
-    return IntPoly((1,) * n)
 
 
 def qbinom(n: int, k: int) -> IntPoly:
@@ -300,15 +211,6 @@ def power_product(powers: Iterable[tuple[FactoredChar, int]]) -> FactoredChar:
     return FactoredChar((k, m * e) for f, m in powers if m for k, e in f)
 
 
-def cyclotomic_exponents(f: FactoredChar) -> dict[int, int]:
-    """Exponents c_d of f = +-prod_d Phi_d^{c_d}; zero exponents are dropped.
-
-    >>> cyclotomic_exponents(FactoredChar({2: 3, 1: -3}))
-    {2: 3}
-    """
-    return dict(f._cyclotomic)
-
-
 def _divisors(k: int) -> list[int]:
     small = [d for d in range(1, isqrt(k) + 1) if k % d == 0]
     return small + [k // d for d in small if d * d != k]
@@ -348,11 +250,6 @@ def series_work(f: FactoredChar, length: int) -> int:
     """Kernel cost of `length` series coefficients of f: one pass over the
     list to allocate it and one per factor (1 - t^k)^{+-1} with k < length."""
     return length * (sum(abs(e) for k, e in f if k < length) + 1)
-
-
-def expand_work(f: FactoredChar) -> int:
-    """Cost of the series path that expand(f) runs, known before it runs."""
-    return _series_plan(f, _expand_length(f))[1]
 
 
 def _expand_length(f: FactoredChar) -> int:
@@ -584,12 +481,19 @@ def divides(d: IntPoly, p: IntPoly) -> bool:
     """True when d divides p exactly in integer-coefficient arithmetic."""
     if d.is_zero:
         raise DomainError("divisibility by the zero polynomial is undefined")
-    if p.is_zero:
-        return True
-    qr = poly_divmod(p, d)
-    if qr is None:
-        return False
-    return qr[1].is_zero
+    rem = list(p.coeffs)
+    dc = d.coeffs
+    dn = len(dc)
+    lead = dc[-1]
+    # long division from the top; an inexact leading step means no integer quotient
+    for i in range(len(rem) - dn, -1, -1):
+        c = rem[i + dn - 1]
+        if c % lead:
+            return False
+        q = c // lead
+        if q:
+            rem[i : i + dn] = [r - q * x for r, x in zip(rem[i : i + dn], dc)]
+    return not any(rem)
 
 
 class TruncatedSeries(Record, namedtuple("TruncatedSeries", "order coeffs")):
@@ -604,17 +508,6 @@ class TruncatedSeries(Record, namedtuple("TruncatedSeries", "order coeffs")):
         if len(c) > order + 1:
             raise DomainError("more coefficients than the order allows")
         return tuple.__new__(cls, (order, c + (0,) * (order + 1 - len(c))))
-
-    def __mul__(self, other: "TruncatedSeries | IntPoly") -> "TruncatedSeries":
-        if isinstance(other, IntPoly):
-            other = TruncatedSeries(self.order, other.coeffs[: self.order + 1])
-        order = min(self.order, other.order)
-        out = [0] * (order + 1)
-        for i, x in enumerate(self.coeffs[: order + 1]):
-            if x:
-                for j, y in enumerate(other.coeffs[: order + 1 - i]):
-                    out[i + j] += x * y
-        return TruncatedSeries(order, tuple(out))
 
 
 def series_expand(f: FactoredChar, order: int) -> TruncatedSeries:

@@ -87,6 +87,12 @@ class TestExitCodes:
         assert out == ""
         assert "DomainError" in err
 
+    @pytest.mark.parametrize("g", ["1", "0", "-3"])
+    def test_type12_refuses_genus_before_window(self, capsys, g):
+        code, out, err = invoke(capsys, ["mult", "gl", "--type", "12", "--g", g, "--w", "1"])
+        assert (code, out) == (2, "")
+        assert f"genus must be >= 2, got {g}" in err and "window" not in err
+
     @pytest.mark.parametrize(
         "content, message",
         [

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from higgsmult import polyalg
+from higgsmult import SparseMap, polyalg
 from higgsmult.chain import RANK_CAP, WeightDims, chain_from_m, gl_hitchin_base_dims, tplus_dims
 from higgsmult.errors import DomainError, ResourceLimitError
 from higgsmult.hecke import intersection_count
@@ -26,10 +26,9 @@ from higgsmult.polyalg import (
     divides,
     is_palindromic_monic,
     qbinom,
-    qint,
 )
 
-from oracles import divmod_fractions, factored_series, mul_lists
+from oracles import divmod_fractions, factored_series, mul_lists, pow_list
 
 
 # polynomial multiplicities: products of (1-t^(j*q))^e / (1-t^j)^e, each a
@@ -60,7 +59,7 @@ class TestVirtualMultiplicity:
         g, n = 2, 3
         tplus = WeightDims({1: n * n * (g - 1) + 1})
         r = virtual_multiplicity(tplus, gl_hitchin_base_dims(g, n))
-        expected = qint(2) ** 3 * qint(3) ** 5
+        expected = IntPoly((1, 1)) ** 3 * IntPoly((1, 1, 1)) ** 5
         assert r.polynomial == expected
 
     def test_not_polynomial_case(self):
@@ -77,7 +76,7 @@ class TestMultTypeN:
 
     def test_g2_n3(self):
         r = mult_type_n(2, 3)
-        assert r.polynomial == qint(2) ** 3 * qint(3) ** 5
+        assert r.polynomial == IntPoly((1, 1)) ** 3 * IntPoly((1, 1, 1)) ** 5
         assert r.value_at_1 == 1944
 
     def test_rank_one_trivial(self):
@@ -106,7 +105,7 @@ class TestMultType111:
     def test_rank3_single_zeros(self):
         c = chain_from_m(2, (1, 1))
         r = mult_type111(c)
-        assert r.polynomial == qint(3) ** 2
+        assert r.polynomial == IntPoly((1, 1, 1)) ** 2
         assert r.value_at_1 == 9
 
     def test_zero_m_vector(self):
@@ -156,7 +155,7 @@ class TestMultType111:
 class TestMultType12:
     def test_threshold_polynomial(self):
         r = mult_type12_rank3(2, 1)
-        assert r.polynomial == qint(3) ** 5
+        assert r.polynomial == IntPoly((1, 1, 1)) ** 5
         assert r.value_at_1 == 243
 
     def test_past_threshold(self):
@@ -165,7 +164,7 @@ class TestMultType12:
 
     def test_g3(self):
         r = mult_type12_rank3(3, 2)
-        assert r.polynomial == qint(3) ** 10
+        assert r.polynomial == IntPoly((1, 1, 1)) ** 10
         assert r.value_at_1 == 3 ** 10
 
     def test_wobbly_threshold_exact(self):
@@ -321,15 +320,23 @@ class TestEulerPairing:
         s = euler_pairing_series(one, one, 2, 2, 3)
         assert s.coeffs == (1, 2, 6, 10)
 
-    def test_multiplied_by_polynomial(self):
-        one = MultResult(FactoredChar.one())
-        s = euler_pairing_series(IntPoly((1, 1)), one, 2, 2, 1)
-        assert s.coeffs == (1, 3)
-
     def test_symmetry(self):
         a = mult_type_n(2, 2)
         b = MultResult(FactoredChar({3: 1, 1: -1}))
         assert euler_pairing_series(a, b, 2, 3, 12) == euler_pairing_series(b, a, 2, 3, 12)
+
+    def test_builds_one_factored_character(self, monkeypatch):
+        # the base grading, the pairing character, its cyclotomic exponents
+        # and the recurrence's stencil
+        a, b = mult_type_n(4, 5), mult_type_n(4, 5)
+        built = []
+        init = SparseMap.__init__
+        monkeypatch.setattr(SparseMap, "__init__", lambda m, *args: built.append(m) or init(m, *args))
+        s = euler_pairing_series(a, b, 4, 5, 400)
+        assert len(built) <= 4, [type(m).__name__ for m in built]
+        monkeypatch.undo()
+        sym = FactoredChar(gl_hitchin_base_dims(4, 5)).inverse()
+        assert s == polyalg.series_expand(sym * a.factored * b.factored, 400)
 
     def test_not_polynomial_rejected(self):
         bad = MultResult(FactoredChar({3: 1, 2: -1}))
@@ -351,15 +358,13 @@ class TestEulerPairing:
     @given(
         polynomial_mults(),
         polynomial_mults(),
-        st.booleans(),
         st.integers(2, 3),
         st.integers(1, 3),
         st.integers(1, 20),
     )
     @settings(max_examples=60, deadline=None)
-    def test_folded_against_oracle_product(self, a, b, bare, g, n, order):
-        side_b = b.polynomial if bare else b
-        s = euler_pairing_series(a, side_b, g, n, order)
+    def test_folded_against_oracle_product(self, a, b, g, n, order):
+        s = euler_pairing_series(a, b, g, n, order)
         sym = {k: -d for k, d in gl_hitchin_base_dims(g, n)}
         expected = mul_lists(
             mul_lists(factored_series(sym, order), list(a.polynomial.coeffs)),
@@ -374,6 +379,10 @@ class TestCotangentCross:
         assert cotangent_cross_character(2, 0) == IntPoly((1, 3, 3, 1))
         assert cotangent_cross_character(2, 1) == IntPoly((0, 4, 4))
         assert cotangent_cross_character(3, 2) == IntPoly((0, 0, 16, 32, 16))
+        for g in range(2, 7):
+            for i in range(g):
+                expected = [0] * i + [4 ** i * x for x in pow_list([1, 1], 3 * g - 3 - 2 * i)]
+                assert list(cotangent_cross_character(g, i).coeffs) == expected
 
     def test_value_at_one(self):
         # 2^(2i) * 2^(3g-3-2i) = 2^(3g-3), independent of i
@@ -381,7 +390,7 @@ class TestCotangentCross:
             for i in range(0, g):
                 assert cotangent_cross_character(g, i).value_at_one() == 2 ** (3 * g - 3)
 
-    @pytest.mark.parametrize("g,i", [(2, -1), (2, 2), (3, 3)])
+    @pytest.mark.parametrize("g,i", [(2, -1), (2, 2), (3, 3), (1, 0)])
     def test_domain(self, g, i):
         with pytest.raises(DomainError):
             cotangent_cross_character(g, i)

@@ -17,17 +17,13 @@ from higgsmult.polyalg import (
     NotPolynomial,
     SparseMap,
     TruncatedSeries,
-    cyclotomic_exponents,
     divides,
     expand,
-    expand_work,
     is_palindromic_monic,
     is_polynomial,
-    poly_divmod,
     qbinom,
     qbinom_factored,
     power_product,
-    qint,
     series_expand,
     value_at_one,
 )
@@ -68,7 +64,7 @@ class TestIntPoly:
         assert p.coeffs == (1,)
 
     def test_degree_convention(self):
-        assert IntPoly.zero().degree == -1
+        assert IntPoly().degree == -1
         assert IntPoly.one().degree == 0
         assert IntPoly((0, 0, 7)).degree == 2
 
@@ -76,9 +72,7 @@ class TestIntPoly:
         a = IntPoly((1, -2, 3))
         b = IntPoly((4, 5))
         assert (a * b).coeffs == tuple(mul_lists([1, -2, 3], [4, 5]))
-        assert (a + b).coeffs == (5, 3, 3)
-        assert (a - b).coeffs == (-3, -7, 3)
-        assert (a * 0).is_zero
+        assert (a * IntPoly()).is_zero and (IntPoly() * b).is_zero
 
     def test_pow(self):
         p = IntPoly((1, 1))
@@ -86,12 +80,6 @@ class TestIntPoly:
         assert (p ** 0) == IntPoly.one()
         with pytest.raises(DomainError):
             p ** -1
-
-    def test_shift_and_monomial(self):
-        assert IntPoly((1, 1)).shift(2).coeffs == (0, 0, 1, 1)
-        assert IntPoly.monomial(3).coeffs == (0, 0, 0, 1)
-        with pytest.raises(DomainError):
-            IntPoly.monomial(-1)
 
     @given(st.lists(st.integers(-9, 9), max_size=7), st.lists(st.integers(-9, 9), max_size=7))
     def test_mul_commutes_with_oracle(self, a, b):
@@ -101,33 +89,38 @@ class TestIntPoly:
 class TestDivision:
     def test_exact_division(self):
         num = IntPoly((1, 1)) * IntPoly((1, 0, 1))
-        q, r = poly_divmod(num, IntPoly((1, 1)))
-        assert q.coeffs == (1, 0, 1) and r.is_zero
+        assert divides(IntPoly((1, 1)), num) and divides(IntPoly((1, 0, 1)), num)
+        assert divides(num, num) and not divides(num, IntPoly((1, 1)))
 
-    def test_remainder_matches_fraction_oracle(self):
-        num = IntPoly((3, 1, 4, 1, 5, 9))
-        den = IntPoly((1, 0, -1))
-        q, r = poly_divmod(num, den)
-        oq, orr = divmod_fractions(num.coeffs, den.coeffs)
-        assert [int(x) for x in oq] == list(q.coeffs)
-        assert [int(x) for x in orr] == list(r.coeffs)
-        assert num == q * den + r
+    @given(
+        st.lists(st.integers(-5, 5), max_size=7),
+        st.lists(st.integers(-5, 5), min_size=1, max_size=4),
+    )
+    @example([3, 1, 4, 1, 5, 9], [1, 0, -1])
+    @example([1, 2, 1], [2, 2])
+    def test_remainder_matches_fraction_oracle(self, num, den):
+        if not any(den):
+            return
+        q, r = divmod_fractions(num, den)
+        exact = not r and all(x.denominator == 1 for x in q)
+        assert divides(IntPoly(den), IntPoly(num)) == exact
 
     def test_inexact_leading_coefficient_gives_none(self):
-        # (t+1)^2 is not an integer multiple of 2t+2
-        assert poly_divmod(IntPoly((1, 2, 1)), IntPoly((2, 2))) is None
+        # (t+1)^2 = (2t+2)(t+1)/2: no integer quotient, though one over Q
+        assert not divides(IntPoly((2, 2)), IntPoly((1, 2, 1)))
+        assert not divides(IntPoly((1, 2)), IntPoly((1, 3, 1, 1)))
 
     def test_zero_divisor_rejected(self):
         with pytest.raises(DomainError):
-            poly_divmod(IntPoly((1,)), IntPoly.zero())
+            divides(IntPoly(), IntPoly((1,)))
 
     def test_divides(self):
         assert divides(IntPoly((1, 1)), IntPoly((1, 2, 1)))
         assert not divides(IntPoly((1, 1)), IntPoly((1, 1, 1)))
-        assert divides(IntPoly((1, 1)), IntPoly.zero())
+        assert divides(IntPoly((1, 1)), IntPoly())
         assert not divides(IntPoly((2, 2)), IntPoly((1, 2, 1)))
         with pytest.raises(DomainError):
-            divides(IntPoly.zero(), IntPoly((1, 1)))
+            divides(IntPoly(), IntPoly((1, 1)))
 
     @given(
         st.lists(st.integers(-5, 5), min_size=1, max_size=5),
@@ -142,13 +135,14 @@ class TestDivision:
 
 class TestQuantum:
     def test_qint_values(self):
-        assert qint(1).coeffs == (1,)
-        assert qint(4).coeffs == (1, 1, 1, 1)
+        # the quantum integer [n]_t is qbinom(n, 1)
+        assert qbinom(1, 1).coeffs == (1,)
+        assert qbinom(4, 1).coeffs == (1, 1, 1, 1)
 
     @pytest.mark.parametrize("n", [0, -3])
     def test_qint_domain(self, n):
         with pytest.raises(DomainError):
-            qint(n)
+            qbinom(n, 1)
 
     def test_qbinom_4_2(self):
         # frozen from the subset-sum oracle: Gaussian binomial [4 choose 2]
@@ -164,7 +158,7 @@ class TestQuantum:
         assert qbinom(5, 0).coeffs == (1,)
         assert qbinom(5, 5).coeffs == (1,)
         assert qbinom(1, 1).coeffs == (1,)
-        assert qbinom(3, 1) == qint(3)
+        assert qbinom(3, 1) == IntPoly((1, 1, 1))
 
     @pytest.mark.parametrize("n,k", [(3, -1), (3, 4), (0, 0)])
     def test_qbinom_domain(self, n, k):
@@ -256,13 +250,6 @@ class TestFactoredChar:
         s = series_expand(f, p.degree + 5)
         assert s.coeffs == p.coeffs + (0,) * (p.degree + 5 - p.degree)
 
-    def test_cyclotomic_exponents_are_a_copy(self):
-        f = FactoredChar({3: 5, 1: -6})
-        exps = cyclotomic_exponents(f)
-        exps[1] = 0
-        assert not is_polynomial(f)
-        assert cyclotomic_exponents(f) == {1: -1, 3: 5}
-
     @given(
         st.dictionaries(st.integers(1, 9), st.integers(-4, 4), max_size=5),
         st.integers(1, 80),
@@ -272,7 +259,7 @@ class TestFactoredChar:
         f = FactoredChar(exps)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(higgsmult.polyalg, "SERIES_WORK_CAP", cap)
-            if expand_work(f) > cap:
+            if higgsmult.polyalg._series_plan(f, higgsmult.polyalg._expand_length(f))[1] > cap:
                 with pytest.raises(ResourceLimitError):
                     expand(f)
             else:
@@ -376,9 +363,9 @@ class TestExpandAgainstOracle:
 
     def test_cyclotomic_exponents(self):
         # (1-t^6)/(1-t^2)^2 = Phi_3 Phi_6 / (Phi_1 Phi_2)
-        assert cyclotomic_exponents(FactoredChar({6: 1, 2: -2})) == {1: -1, 2: -1, 3: 1, 6: 1}
-        assert cyclotomic_exponents(FactoredChar({4: 2, 2: -1, 1: -1})) == {2: 1, 4: 2}
-        assert cyclotomic_exponents(FactoredChar.one()) == {}
+        assert FactoredChar({6: 1, 2: -2})._cyclotomic == {1: -1, 2: -1, 3: 1, 6: 1}
+        assert FactoredChar({4: 2, 2: -1, 1: -1})._cyclotomic == {2: 1, 4: 2}
+        assert FactoredChar.one()._cyclotomic == {}
 
 
 class TestPalindromic:
@@ -390,7 +377,7 @@ class TestPalindromic:
 
     def test_zero_rejected(self):
         with pytest.raises(DomainError):
-            is_palindromic_monic(IntPoly.zero())
+            is_palindromic_monic(IntPoly())
 
 
 class TestSeries:
@@ -410,16 +397,6 @@ class TestSeries:
     def test_order_must_be_positive(self):
         with pytest.raises(DomainError):
             series_expand(FactoredChar.one(), 0)
-
-    def test_mul_truncates_to_min_order(self):
-        a = TruncatedSeries(4, (1, 1, 1, 1, 1))
-        b = TruncatedSeries(2, (1, 1, 1))
-        assert (a * b).order == 2
-        assert (a * b).coeffs == (1, 2, 3)
-
-    def test_mul_by_polynomial(self):
-        s = TruncatedSeries(3, (1, 2, 6, 10))
-        assert (s * IntPoly((1, 1))).coeffs == (1, 3, 8, 16)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(DomainError):
@@ -545,7 +522,7 @@ class TestRecurrence:
         # the rule as documented, rebuilt from a test-local totient and lgamma
         polyalg = higgsmult.polyalg
         kernel = length * (sum(abs(e) for k, e in f if k < length) + 1)
-        exps = cyclotomic_exponents(f)
+        exps = f._cyclotomic
         degree = sum(_totient(d) for d in exps)
         neg = -sum(e for _, e in f if e < 0)
         if all(c > 0 for c in exps.values()):
@@ -602,7 +579,7 @@ class TestRecurrence:
             bits = polyalg._coefficient_bits(f, polyalg._expand_length(f))
             assert top.bit_length() <= bits
             assert bits == pytest.approx(
-                sum(c * log2(_cyclotomic_l1(d)) for d, c in cyclotomic_exponents(f).items())
+                sum(c * log2(_cyclotomic_l1(d)) for d, c in f._cyclotomic.items())
             )
         # (20, 9) now fits the recurrence; (24, 9) still fits no path
         assert polyalg._series_plan(f, polyalg._expand_length(f))[0] is polyalg._recurrence
