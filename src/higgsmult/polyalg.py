@@ -16,13 +16,19 @@ of one character by another is the same test on the quotient; each
 `FactoredChar` computes its c_d once.
 
 Two exact paths turn a factored character into its power series through
-a given order.  The kernel works in place on one coefficient list:
-multiplying by (1 - t^k) subtracts the list shifted by k, dividing by
-(1 - t^k) takes prefix sums over each residue class mod k, and multiply
-and divide steps alternate so the coefficients stay small; it costs
-length x (sum |e_k| + 1) coefficient updates (`series_work`), so it grows
-with the exponents.  The log-derivative recurrence (`_recurrence`) reads
-each coefficient off the previous deg Q by one dot product with small
+a given order.  The kernel works in place on one coefficient list.  The
+list starts as the binomial series of f's largest factor (1 - t^k)^e,
+the largest |e| among k < length with ties to the smallest k, one exact
+step per coefficient; then multiplying by each other (1 - t^k) subtracts
+the list shifted by k, dividing by (1 - t^k) takes prefix sums over each
+residue class mod k, and multiply and divide steps alternate so the
+coefficients stay small.  It makes length x (sum |e_k| - max |e_k| + 2)
+passes, so a character with one dominant factor, such as an Euler
+pairing against a type (n) side, takes about one pass.  It is admitted
+by length x (sum |e_k| + 1) coefficient updates (`series_work`), one per
+unit of exponent, since the coefficients' bits grow with every unit.
+The log-derivative recurrence (`_recurrence`) reads each coefficient
+off the previous deg Q by one dot product with small
 weights, Q the product of the distinct cyclotomic factors; the weights
 move by Q from one coefficient to the next.  It costs length x (deg Q + 1)
 steps of deg Q big-integer products each, whatever the exponents, and its
@@ -182,10 +188,6 @@ class FactoredChar(SparseMap):
 
     factors = property(lambda self: self.terms)
 
-    @classmethod
-    def one(cls) -> "FactoredChar":
-        return cls()
-
     __mul__ = SparseMap.__add__
     __pow__ = SparseMap.scale
 
@@ -195,11 +197,6 @@ class FactoredChar(SparseMap):
     @cached_property
     def _cyclotomic(self) -> dict[int, int]:
         return SparseMap((d, e) for k, e in self for d in _divisors(k)).as_dict()
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "1"
-        return " * ".join(f"(1-t^{k})^{e}" for k, e in self.terms)
 
 
 def power_product(powers: Iterable[tuple[FactoredChar, int]]) -> FactoredChar:
@@ -247,8 +244,16 @@ def value_at_one(f: FactoredChar) -> int:
 
 
 def series_work(f: FactoredChar, length: int) -> int:
-    """Kernel cost of `length` series coefficients of f: one pass over the
-    list to allocate it and one per factor (1 - t^k)^{+-1} with k < length."""
+    """Admission cost of `length` series coefficients of f on the kernel:
+    one pass over the list to allocate it and one per factor
+    (1 - t^k)^{+-1} with k < length.
+
+    The kernel's binomial start makes the largest factor a single pass,
+    but the bits of the coefficients still grow with its exponent
+    (C(j + 125, 125), the t^j coefficient of (1 - t)^{-126}, has 1797 bits
+    at j = 10^6), so admission still counts one pass per unit of exponent:
+    a long series of one large factor, such as a pairing at order 10^6,
+    is refused up front, not run into gigabytes of coefficients."""
     return length * (sum(abs(e) for k, e in f if k < length) + 1)
 
 
@@ -319,21 +324,25 @@ def _norm_bits(d: int) -> float:
 def _series_plan(f: FactoredChar, length: int) -> "tuple[Callable | None, int]":
     """The path for `length` series coefficients of f and its up-front cost.
 
-    The kernel costs series_work coefficient updates.  The recurrence costs
-    length * (deg Q + 1) * words, counted in word operations, where words is
-    the number of 64-bit words of `_coefficient_bits`; it is a candidate
-    only when deg Q < length, so building its stencil costs no more than
-    running it.  Of the paths within SERIES_WORK_CAP the one with the lower
-    predicted time runs: the kernel's is its cost, the recurrence's is
-    _RATIO * length * (deg Q + 1) + _SETUP.  When neither fits, the path
-    is None and the cost is the kernel's.
+    The kernel is admitted by series_work coefficient updates.  The
+    recurrence costs length * (deg Q + 1) * words, counted in word
+    operations, where words is the number of 64-bit words of
+    `_coefficient_bits`; it is a candidate only when deg Q < length, so
+    building its stencil costs no more than running it.  Of the paths
+    within SERIES_WORK_CAP the one with the lower predicted time runs: the
+    kernel's is the passes it makes, length * (sum |e_k| - max |e_k| + 2)
+    over k < length (its largest factor is one binomial pass), the
+    recurrence's is _RATIO * length * (deg Q + 1) + _SETUP.  When neither
+    fits, the path is None and the cost is the kernel's admission cost.
+    Admission and timing differ on purpose: see series_work.
     """
     kernel = series_work(f, length)
     fits = kernel <= SERIES_WORK_CAP
-    if fits and kernel <= _RATIO * length + _SETUP:  # below any recurrence's time
+    passes = kernel - length * (max((abs(e) for k, e in f if k < length), default=0) - 1)
+    if fits and passes <= _RATIO * length + _SETUP:  # below any recurrence's time
         return _kernel, kernel
     degree = sum(map(_totient, f._cyclotomic))
-    faster = _RATIO * length * (degree + 1) + _SETUP < kernel
+    faster = _RATIO * length * (degree + 1) + _SETUP < passes
     if degree < length and (faster or not fits):
         recurrence = length * (degree + 1) * max(1, ceil(_coefficient_bits(f, length) / 64))
         if recurrence <= SERIES_WORK_CAP:
@@ -343,10 +352,24 @@ def _series_plan(f: FactoredChar, length: int) -> "tuple[Callable | None, int]":
 
 def _kernel(f: FactoredChar, length: int, start: "list[int] | None" = None) -> list[int]:
     """The first `length` series coefficients of f, on one list in place;
-    given a `start` list of that length, its series times f, in place."""
-    c = [1] + [0] * (length - 1) if start is None else start
-    ups = [k for k, e in f if e > 0 and k < length for _ in range(e)]
-    downs = [k for k, e in f if e < 0 and k < length for _ in range(-e)]
+    given a `start` list of that length, its series times f, in place.
+
+    Without a start, the list begins as the binomial series of f's largest
+    factor (1 - t^k)^e, the largest |e| among k < length with ties to the
+    smallest k: c[jk] = c[(j-1)k] (j-1-e) / j, one exact step per
+    coefficient.  Only the other factors then take a pass over the list.
+    """
+    if start is None:
+        # terms are sorted by k, so max keeps the smallest k of a tie; with
+        # no factor below length, top = length leaves the list 1, 0, 0, ...
+        top, e = max((p for p in f if p[0] < length), key=lambda p: abs(p[1]), default=(length, 0))
+        c = [0] * length
+        steps = range(1, (length - 1) // top + 1)
+        c[::top] = accumulate(steps, lambda a, j: a * (j - 1 - e) // j, initial=1)
+    else:
+        top, c = 0, start
+    ups = [k for k, e in f if e > 0 and k < length and k != top for _ in range(e)]
+    downs = [k for k, e in f if e < 0 and k < length and k != top for _ in range(-e)]
     for up, down in zip_longest(ups, downs):
         if up:  # times (1 - t^up)
             c[up:] = map(sub, c[up:], c[:-up])

@@ -177,6 +177,20 @@ class TestExitCodes:
         assert code == 3 and out == ""
         assert err.startswith("ResourceLimitError: a series of ") and err.count("\n") == 1
 
+    def test_one_factor_pairing_is_priced_per_unit_of_exponent(self, capsys):
+        # (1 - t)^{-126} to order 10^6 is one binomial pass of the kernel, but
+        # its coefficients reach 1797 bits; admission counts all 126 units
+        argv = ["pair", "--g", "6", "--n", "5", "--order", "1000000", "--a", "0,0,0,0", "--b", "n"]
+        start = time.perf_counter()
+        with _deadline(1.0, argv):
+            code, out, err = invoke(capsys, argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and out == ""
+        assert err == (
+            "ResourceLimitError: a series of 1000001 coefficients through 126 factors has "
+            "127000127 coefficient updates, above the cap 10000000\n"
+        )
+
     def test_scan_work_cap_is_3(self, capsys):
         start = time.perf_counter()
         code, out, err = invoke(capsys, ["scan", "--type", "A", "--rank", "1", "--bound", "99999"])

@@ -35,7 +35,7 @@ from oracles import divmod_fractions, factored_series, mul_lists, pow_list
 # power of a polynomial since 1-t^j divides 1-t^(j*q)
 @st.composite
 def polynomial_mults(draw):
-    f = FactoredChar.one()
+    f = FactoredChar()
     for j, q, e in draw(
         st.lists(st.tuples(st.integers(1, 3), st.integers(2, 4), st.integers(0, 5)), max_size=3)
     ):
@@ -53,7 +53,7 @@ class TestVirtualMultiplicity:
     def test_equal_dims_give_one(self):
         w = WeightDims({1: 5, 3: 2})
         r = virtual_multiplicity(w, w)
-        assert r.polynomial == IntPoly.one() and r.factored == FactoredChar.one()
+        assert r.polynomial == IntPoly.one() and r.factored == FactoredChar()
 
     def test_concentrated_weight_one(self):
         g, n = 2, 3
@@ -316,7 +316,7 @@ class TestEulerPairing:
     def test_trivial_pair_series(self):
         # frozen from the recurrence oracle: 1/((1-t)^2 (1-t^2)^3)
         assert factored_series({1: -2, 2: -3}, 3) == [1, 2, 6, 10]
-        one = MultResult(FactoredChar.one())
+        one = MultResult(FactoredChar())
         s = euler_pairing_series(one, one, 2, 2, 3)
         assert s.coeffs == (1, 2, 6, 10)
 
@@ -340,7 +340,7 @@ class TestEulerPairing:
 
     def test_not_polynomial_rejected(self):
         bad = MultResult(FactoredChar({3: 1, 2: -1}))
-        one = MultResult(FactoredChar.one())
+        one = MultResult(FactoredChar())
         with pytest.raises(DomainError, match="polynomial"):
             euler_pairing_series(bad, one, 2, 3, 5)
 

@@ -187,7 +187,7 @@ class TestQuantum:
 @st.composite
 def expandable_factored(draw):
     pieces = draw(st.lists(st.tuples(st.integers(1, 6), st.integers(0, 6), st.integers(0, 3)), max_size=3))
-    f = FactoredChar.one()
+    f = FactoredChar()
     for n, k, m in pieces:
         if k > n:
             k = n
@@ -213,14 +213,14 @@ class TestFactoredChar:
         f = FactoredChar({2: 1, 1: -1})
         assert (f * f).as_dict() == {2: 2, 1: -2}
         assert (f ** 3).as_dict() == {2: 3, 1: -3}
-        assert (f ** 0) == FactoredChar.one()
-        assert f * f.inverse() == FactoredChar.one()
+        assert (f ** 0) == FactoredChar()
+        assert f * f.inverse() == FactoredChar()
 
     def test_expand_cube(self):
         assert expand(FactoredChar({2: 3, 1: -3})).coeffs == (1, 3, 3, 1)
 
     def test_expand_empty_is_one(self):
-        assert expand(FactoredChar.one()) == IntPoly.one()
+        assert expand(FactoredChar()) == IntPoly.one()
 
     def test_expand_not_polynomial_witness(self):
         # (1-t^3)^5 / (1-t)^6 = (1+t+t^2)^5 / (1-t); dividing the full
@@ -335,7 +335,7 @@ class TestSparseMap:
     def test_power_product(self):
         q = qbinom_factored(5, 2)
         assert power_product([(q, 3), (q.inverse(), 1)]) == q ** 2
-        assert power_product([(q, 0)]) == FactoredChar.one()
+        assert power_product([(q, 0)]) == FactoredChar()
 
 
 # arbitrary factored characters, polynomial or not
@@ -365,7 +365,7 @@ class TestExpandAgainstOracle:
         # (1-t^6)/(1-t^2)^2 = Phi_3 Phi_6 / (Phi_1 Phi_2)
         assert FactoredChar({6: 1, 2: -2})._cyclotomic == {1: -1, 2: -1, 3: 1, 6: 1}
         assert FactoredChar({4: 2, 2: -1, 1: -1})._cyclotomic == {2: 1, 4: 2}
-        assert FactoredChar.one()._cyclotomic == {}
+        assert FactoredChar()._cyclotomic == {}
 
 
 class TestPalindromic:
@@ -396,7 +396,7 @@ class TestSeries:
 
     def test_order_must_be_positive(self):
         with pytest.raises(DomainError):
-            series_expand(FactoredChar.one(), 0)
+            series_expand(FactoredChar(), 0)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(DomainError):
@@ -432,6 +432,50 @@ def _cyclotomic(d):
             num, rest = divmod_fractions(num, _cyclotomic(e))
             assert not rest
     return num
+
+
+# a dominant factor (1 - t^k)^e, |e| <= 120, over a few small ones
+@st.composite
+def dominated_factors(draw):
+    exps = draw(st.dictionaries(st.integers(1, 12), st.integers(-8, 8), max_size=4))
+    exps[draw(st.integers(1, 12))] = draw(st.integers(-120, 120))
+    return exps
+
+
+def _truncated_product(start, series):
+    """The first len(start) coefficients of start times series, by the oracle."""
+    out = mul_lists(start, series)[: len(start)]
+    return out + [0] * (len(start) - len(out))
+
+
+class TestBinomialStart:
+    @given(dominated_factors(), st.integers(1, 300))
+    @example({2: 7, 5: -7}, 60)  # a tie in |e|: the start is (1 - t^2)^7
+    @example({1: -3, 4: 3, 9: -3}, 40)  # a three-way tie
+    @example({40: -9, 1: 2}, 30)  # the largest factor has k >= length
+    @example({30: 50, 2: -3}, 30)  # the largest factor has k == length
+    @example({3: 40, 1: -5}, 200)  # a numerator dominates
+    @example({1: 6}, 300)  # a numerator alone: its series ends at t^6
+    @example({}, 1)  # the empty character
+    @example({}, 7)
+    @example({1: -1}, 1)
+    @example({1: -1, 2: 1, 3: -1, 5: 1}, 50)  # every exponent +-1
+    @example({k: (-1) ** k for k in range(1, 13)}, 100)
+    @settings(max_examples=60, deadline=None)
+    def test_series_against_the_oracle(self, exps, length):
+        out = higgsmult.polyalg._kernel(FactoredChar(exps), length)
+        assert out == factored_series(exps, length - 1)
+
+    @given(
+        dominated_factors(),
+        st.lists(st.integers(-(10 ** 6), 10 ** 6), min_size=1, max_size=80),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_a_start_list_is_multiplied_in_place(self, exps, start):
+        # the scan's path: no binomial start, the given list times f
+        expected = _truncated_product(start, factored_series(exps, len(start) - 1))
+        out = higgsmult.polyalg._kernel(FactoredChar(exps), len(start), start)
+        assert out is start and out == expected
 
 
 class TestRecurrence:
@@ -519,9 +563,13 @@ class TestRecurrence:
     )
     @settings(max_examples=200, deadline=None)
     def test_dispatch_follows_the_cost_rule(self, f, length, cap):
-        # the rule as documented, rebuilt from a test-local totient and lgamma
+        # the rule as documented, rebuilt from a test-local totient and lgamma:
+        # the kernel is admitted by one update per unit of exponent, and timed
+        # by its passes, where the largest factor is one binomial pass
         polyalg = higgsmult.polyalg
-        kernel = length * (sum(abs(e) for k, e in f if k < length) + 1)
+        sizes = [abs(e) for k, e in f if k < length]
+        kernel = length * (sum(sizes) + 1)
+        passes = length * (sum(sizes) - max(sizes, default=0) + 2)
         exps = f._cyclotomic
         degree = sum(_totient(d) for d in exps)
         neg = -sum(e for _, e in f if e < 0)
@@ -532,7 +580,7 @@ class TestRecurrence:
             if neg:
                 bits += (lgamma(length + neg - 1) - lgamma(neg) - lgamma(length)) / log(2)
         recurrence = length * (degree + 1) * max(1, ceil(bits / 64))
-        faster = polyalg._RATIO * length * (degree + 1) + polyalg._SETUP < kernel
+        faster = polyalg._RATIO * length * (degree + 1) + polyalg._SETUP < passes
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(polyalg, "SERIES_WORK_CAP", cap)
             path, cost = polyalg._series_plan(f, length)
@@ -545,7 +593,13 @@ class TestRecurrence:
 
     def test_dispatch_on_named_inputs(self):
         from higgsmult.chain import chain_from_m
-        from higgsmult.multgl import _type_n_factored, mult_type111, mult_type12_rank3
+        from higgsmult.multgl import (
+            _type_n_factored,
+            euler_pairing_series,
+            mult_type111,
+            mult_type12_rank3,
+            mult_type_n,
+        )
 
         polyalg = higgsmult.polyalg
 
@@ -561,6 +615,28 @@ class TestRecurrence:
         assert path(mult_type12_rank3(32, 1).factored) is polyalg._recurrence
         # neither path fits
         assert path(_type_n_factored(40, 12)) is None
+        # the benchmark's pairings, a type (n) side against chains whose
+        # m-vectors keep sum m_i i(n - i) fixed: (1 - t)^{-N} dominates, and
+        # the kernel's binomial start makes them nearly one pass
+        real = polyalg._series_plan
+        plans = []
+
+        def spy(f, length):
+            plan = real(f, length)
+            plans.append(plan[0])
+            return plan
+
+        cases = [(3, 4, [a, 1, 2 - a], range(60, 141, 20)) for a in range(3)]
+        cases += [
+            (4, 5, [a, b, 2 - b, 2 - a], range(200, 401, 50)) for a in range(3) for b in range(3)
+        ]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(polyalg, "_series_plan", spy)
+            for g, n, m, orders in cases:
+                sides = mult_type_n(g, n), mult_type111(chain_from_m(g, m))
+                for order in orders:
+                    euler_pairing_series(*sides, g, n, order)
+        assert len(plans) == 3 * 5 + 9 * 5 and set(plans) == {polyalg._kernel}
 
     def test_coefficient_bits_bound_the_coefficients(self):
         polyalg = higgsmult.polyalg
@@ -595,6 +671,6 @@ class TestValueAtOne:
 
     def test_zero_and_refusal(self):
         assert value_at_one(FactoredChar({1: 1})) == 0
-        assert value_at_one(FactoredChar.one()) == 1
+        assert value_at_one(FactoredChar()) == 1
         with pytest.raises(DomainError):
             value_at_one(FactoredChar({3: 5, 1: -6}))
