@@ -19,7 +19,8 @@ Two exact paths turn a factored character into its power series through
 a given order.  The kernel works in place on one coefficient list.  The
 list starts as the binomial series of f's largest factor (1 - t^k)^e,
 the largest |e| among k < length with ties to the smallest k, one exact
-step per coefficient; then multiplying by each other (1 - t^k) subtracts
+step per coefficient (when that |e| is 1 the list starts as 1, 0, 0, ...,
+since the start would save no pass); then multiplying by each other (1 - t^k) subtracts
 the list shifted by k, dividing by (1 - t^k) takes prefix sums over each
 residue class mod k, and multiply and divide steps alternate so the
 coefficients stay small.  It makes length x (sum |e_k| - max |e_k| + 2)
@@ -358,11 +359,15 @@ def _kernel(f: FactoredChar, length: int, start: "list[int] | None" = None) -> l
     factor (1 - t^k)^e, the largest |e| among k < length with ties to the
     smallest k: c[jk] = c[(j-1)k] (j-1-e) / j, one exact step per
     coefficient.  Only the other factors then take a pass over the list.
+    When that |e| is 1 the start would save no pass, so the list begins
+    as 1, 0, 0, ... and every factor takes its pass.
     """
     if start is None:
         # terms are sorted by k, so max keeps the smallest k of a tie; with
         # no factor below length, top = length leaves the list 1, 0, 0, ...
         top, e = max((p for p in f if p[0] < length), key=lambda p: abs(p[1]), default=(length, 0))
+        if abs(e) <= 1:  # one pass either way, and the pass runs in C
+            top, e = length, 0
         c = [0] * length
         steps = range(1, (length - 1) // top + 1)
         c[::top] = accumulate(steps, lambda a, j: a * (j - 1 - e) // j, initial=1)
