@@ -5,7 +5,7 @@ bundles on a curve of genus g >= 2: stability and very-stability tests,
 Hecke-transform rewrites, virtual equivariant multiplicities as exact
 integer polynomials, and the parallel multiplicity formulas for simple
 Lie groups built on a self-contained root system engine.  All
-arithmetic is exact; nothing here touches floating point.
+arithmetic is exact; floats appear only in up-front cost estimates.
 
 Each module imports what it uses, and the command line imports a
 subcommand's modules only when that subcommand runs.  The value bases
@@ -29,7 +29,8 @@ class Record(tuple):
     of its fields, in that order, so an instance is the tuple of its
     fields: it hashes as that tuple, orders as it, and prints as
     ``Name(field=value, ...)``.  Record makes it equal only to instances
-    of its own class and refuses every assignment.
+    of its own class and refuses every assignment.  `rootsys.DegreeSet`
+    is a Record over its own elements, with no namedtuple.
     """
 
     __slots__ = ()

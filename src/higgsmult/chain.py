@@ -88,11 +88,6 @@ class Divisor(SparseMap):
     def points(self) -> tuple[Point, ...]:
         return tuple(p for p, _ in self.terms)
 
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        return " + ".join(p.label if m == 1 else f"{m}({p.label})" for p, m in self.terms)
-
 
 class WeightDims(SparseMap):
     """Dimensions of a graded vector space: the sparse map from positive

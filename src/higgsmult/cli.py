@@ -28,7 +28,7 @@ import sys
 import time
 
 from . import __version__
-from .errors import DomainError, InternalError, ResourceLimitError
+from .errors import DomainError, InternalError, ResourceLimitError, check_digits
 
 
 class _UsageError(Exception):
@@ -77,11 +77,15 @@ def _load_chain(path: str):
 
 
 def _mult_payload(result) -> dict:
-    """The report fields of a polyalg.MultResult."""
+    """The report fields of a polyalg.MultResult; a polynomial's value at 1
+    and largest coefficient pass `check_digits` after the capped expansion."""
     payload: dict = {"factored": [[k, e] for k, e in result.factored]}
     if result.is_polynomial:
-        payload["polynomial"] = list(result.polynomial.coeffs)
-        payload["value"] = str(result.value_at_1)
+        coeffs, value = result.polynomial.coeffs, result.value_at_1
+        check_digits("the value at 1", value)
+        check_digits("the largest coefficient", max(map(abs, coeffs)))
+        payload["polynomial"] = list(coeffs)
+        payload["value"] = str(value)
     else:
         payload["polynomial"] = None
         payload["remainder_degree"] = result.polynomial.remainder_degree
@@ -236,6 +240,7 @@ def _cmd_pair(ns) -> tuple[dict, dict]:
     except argparse.ArgumentTypeError as exc:
         raise _UsageError(str(exc))
     series = euler_pairing_series(side_a, side_b, ns.g, ns.n, ns.order)
+    check_digits("the largest series coefficient", max(map(abs, series.coeffs)))
     return inputs, {"order": ns.order, "series": list(series.coeffs)}
 
 

@@ -5,8 +5,14 @@ Three kinds of failure are kept apart deliberately: bad input data
 (ResourceLimitError), and a broken internal invariant that callers
 should never be able to trigger (InternalError).  The command line
 maps them to exit codes 2, 3 and 70.  Every cap is enforced by one
-call of `check_cost`, with a cost known before the work it bounds.
+call of `check_cost`, with a cost known before the work it bounds,
+but for the printing limit: `check_digits` runs after the work.
 """
+
+from math import log10
+
+# Python's default int-to-str limit: what passes `check_digits` prints.
+DIGITS_CAP = 4300
 
 
 class DomainError(ValueError):
@@ -27,6 +33,21 @@ def check_cost(what: str, cost: int, cap: int, unit: str) -> None:
     """
     if cost > cap:
         raise ResourceLimitError(f"{what} has {cost} {unit}, above the cap {cap}")
+
+
+def check_digits(what: str, n: int) -> None:
+    """Refuse an integer whose decimal form has more than DIGITS_CAP digits.
+
+    >>> check_digits("x", 10 ** 4300 - 1)
+    >>> check_digits("x", -10 ** 4300)
+    Traceback (most recent call last):
+    ...
+    higgsmult.errors.ResourceLimitError: x has 4301 digits, above the cap 4300
+    """
+    n = abs(n)
+    # n >= 2**(bits - 1), which has int((bits - 1) * log10(2)) + 1 digits
+    digits = int((n.bit_length() - 1) * log10(2)) + 1
+    check_cost(what, digits + (n >= 10 ** digits), DIGITS_CAP, "digits")
 
 
 class InternalError(RuntimeError):

@@ -22,7 +22,7 @@ The enumeration is an `IntersectionPoints` view of the Cartesian
 product of its per-zero slots, never a list of points: building it
 costs O(slots), `len` O(1), one index O(slots), and iterating all
 points O(size).  Its size is the closed-form count, checked against the
-cap before any slot is built; a count is refused past COUNT_DIGITS_CAP
+cap before any slot is built; a count is refused past errors.DIGITS_CAP
 decimal digits, on a lower bound taken before each power is formed.
 """
 
@@ -34,11 +34,10 @@ from math import comb, log10, prod
 from operator import index
 
 from .chain import ChainHiggsBundle, Divisor, PointLike, as_point, is_stable, is_very_stable
-from .errors import DomainError, InternalError, UnstableResultError, check_cost
+from .errors import DIGITS_CAP, DomainError, InternalError, UnstableResultError
+from .errors import check_cost, check_digits
 
 ENUMERATION_CAP = 10 ** 6
-# Python's default int-to-str limit, so every count returned can be printed.
-COUNT_DIGITS_CAP = 4300
 _COUNT = "the intersection count"
 
 
@@ -127,10 +126,9 @@ def _count(c: ChainHiggsBundle) -> int:
             b = comb(n, i)
             # out * b**m >= 2**bits, and 2**bits has int(bits * log10(2)) + 1 digits
             bits = out.bit_length() - 1 + m * (b.bit_length() - 1)
-            check_cost(_COUNT, int(bits * log10(2)) + 1, COUNT_DIGITS_CAP, "digits or more")
+            check_cost(_COUNT, int(bits * log10(2)) + 1, DIGITS_CAP, "digits or more")
             out *= b ** m
-    digits = int((out.bit_length() - 1) * log10(2)) + 1
-    check_cost(_COUNT, digits + (out >= 10 ** digits), COUNT_DIGITS_CAP, "digits")
+    check_digits(_COUNT, out)
     return out
 
 

@@ -25,7 +25,7 @@ from . import Record
 from .errors import DomainError, InternalError, check_cost
 from . import polyalg
 from .polyalg import FactoredChar, IntPoly, MultResult, power_product
-from .rootsys import RootSystem, _minuscule_orbit, cominuscule_nodes, degrees, levi_degrees
+from .rootsys import RootSystem, cominuscule_nodes, degrees, levi_degrees, weyl_orbit_minuscule
 
 # Grids larger than this are refused; (bound+1)**rank grows fast and every
 # point is priced and read off on its own.
@@ -92,10 +92,10 @@ def mult_cominuscule(r: RootSystem, i: int) -> MultResult:
 def gross_check(r: RootSystem, i: int) -> bool:
     """True iff sum of t^depth over the minuscule orbit equals mult_cominuscule.
 
-    The orbit has |W| / |W_Levi| = m(1) weights, read off the closed form,
-    so the degrees are computed once."""
+    The orbit sizes itself from the roots, so the degrees are computed
+    once, by the closed form."""
     closed = mult_cominuscule(r, i)
-    counts = Counter(depth for _, depth in _minuscule_orbit(r, i, closed.value_at_1))
+    counts = Counter(depth for _, depth in weyl_orbit_minuscule(r, i))
     coeffs = [counts[k] for k in range(max(counts) + 1)]
     return IntPoly(tuple(coeffs)) == closed.polynomial
 

@@ -192,9 +192,6 @@ class FactoredChar(SparseMap):
     __mul__ = SparseMap.__add__
     __pow__ = SparseMap.scale
 
-    def inverse(self) -> "FactoredChar":
-        return self.scale(-1)
-
     @cached_property
     def _cyclotomic(self) -> dict[int, int]:
         return SparseMap((d, e) for k, e in self for d in _divisors(k)).as_dict()

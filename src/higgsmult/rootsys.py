@@ -15,17 +15,19 @@ plus one step per edge of the root poset.  Each root keeps the height
 of the layer that found it, and the histogram queries read it.  Levi
 degrees come from the roots already built: those with c_i = 0 are the
 Levi's roots, and the conjugate of their summed height histogram is the
-union of its components' degrees.  Orbit depths are carried along the
-orbit search (s_j lowers mu by mu_j simple roots), and every edge is
-checked against them.  `build` refuses systems with more than ROOT_CAP positive roots,
-and `weyl_orbit_minuscule` orbits with more than ORBIT_CAP weights.
+union of its components' degrees.  A minuscule orbit is sized from the
+roots, as prod (h + 1) / h over those with c_i > 0, and its depths are
+carried along the search (s_j lowers mu by mu_j simple roots) and checked
+on every edge.  `build` refuses systems with more than ROOT_CAP positive
+roots, and `weyl_orbit_minuscule` orbits with more than ORBIT_CAP weights.
 """
 
 from __future__ import annotations
 
 from collections import Counter, namedtuple
+from math import prod
 
-from . import Record, SparseMap
+from . import Record
 from .errors import DomainError, InternalError, check_cost
 
 # Root systems with more positive roots than this are refused before any
@@ -215,41 +217,23 @@ def height_histogram(r: RootSystem) -> dict[int, int]:
     return dict(sorted(Counter(root.height for root in r.positive_roots).items()))
 
 
-class DegreeSet:
-    """Multiset of invariant-polynomial degrees, sorted ascending.
+class DegreeSet(Record):
+    """Multiset of invariant-polynomial degrees: a Record whose tuple is
+    its degrees, sorted ascending."""
 
-    It iterates over its degrees, so it is not a Record; it compares,
-    hashes, copies and refuses assignment as a SparseMap does, over
-    `terms`, of which `degrees` is an alias.
-    """
+    __slots__ = ()
 
-    __slots__ = ("terms",)
-
-    def __init__(self, degrees) -> None:
-        object.__setattr__(self, "terms", tuple(sorted(int(d) for d in degrees)))
-        if any(d < 1 for d in self.terms):
+    def __new__(cls, degrees) -> "DegreeSet":
+        self = tuple.__new__(cls, sorted(int(d) for d in degrees))
+        if any(d < 1 for d in self):
             raise DomainError("degrees must be positive")
+        return self
 
-    degrees = property(lambda self: self.terms)
-
-    __eq__ = SparseMap.__eq__
-    __hash__ = SparseMap.__hash__
-    __setattr__ = SparseMap.__setattr__
-    __reduce__ = SparseMap.__reduce__
-    __iter__ = SparseMap.__iter__
+    degrees = property(tuple)
+    weyl_order = property(prod)
 
     def __repr__(self) -> str:
-        return f"DegreeSet(degrees={self.terms!r})"
-
-    @property
-    def weyl_order(self) -> int:
-        out = 1
-        for d in self.terms:
-            out *= d
-        return out
-
-    def __len__(self) -> int:
-        return len(self.terms)
+        return f"DegreeSet(degrees={self.degrees!r})"
 
 
 def _degrees_from_histogram(hist: dict[int, int], rank: int) -> DegreeSet:
@@ -299,7 +283,7 @@ def levi_degrees(r: RootSystem, i: int) -> DegreeSet:
     if not 1 <= i <= l:
         raise DomainError(f"node index must be in 1..{l}, got {i}")
     hist = Counter(root.height for root in r.positive_roots if not root.coeffs[i - 1])
-    return DegreeSet(_degrees_from_histogram(hist, l - 1).degrees + (1,))
+    return DegreeSet(_degrees_from_histogram(hist, l - 1) + (1,))
 
 
 def weyl_orbit_minuscule(r: RootSystem, i: int) -> list[tuple[tuple[int, ...], int]]:
@@ -313,18 +297,14 @@ def weyl_orbit_minuscule(r: RootSystem, i: int) -> list[tuple[tuple[int, ...], i
     carries depth(s_j mu) = depth(mu) + mu_j along.  Every edge that
     reaches a weight already seen must agree with its recorded depth,
     every depth must be >= 0, and only lambda may have depth 0.
-    Sorted by depth, then lexicographically.  The orbit has
-    |W/W_P| = |W| / |W_Levi| weights, so one above ORBIT_CAP raises
-    ResourceLimitError before the search.
+    Sorted by depth, then lexicographically.  The orbit has prod (h + 1) / h
+    = |W/W_P| weights over the positive roots with c_i > 0 (Macdonald's
+    formula at t = 1); one above ORBIT_CAP raises ResourceLimitError first.
     """
     if i not in cominuscule_nodes(r):
         raise DomainError(f"node {i} of {r.lie_type} is not cominuscule")
-    return _minuscule_orbit(r, i, degrees(r).weyl_order // levi_degrees(r, i).weyl_order)
-
-
-def _minuscule_orbit(r: RootSystem, i: int, size: int) -> list[tuple[tuple[int, ...], int]]:
-    """weyl_orbit_minuscule(r, i) for a cominuscule node i whose orbit is
-    known to have `size` weights."""
+    heights = [root.height for root in r.positive_roots if root.coeffs[i - 1]]
+    size = prod(h + 1 for h in heights) // prod(heights)
     check_cost(f"orbit of node {i} of {r.lie_type}", size, ORBIT_CAP, "weights")
     l = r.rank
     dual = tuple(tuple(r.cartan[b][a] for b in range(l)) for a in range(l))

@@ -242,6 +242,39 @@ class TestExitCodes:
         count = report(capsys, ["count", "--chain-file", str(path)])["result"]["count"]
         assert count == str(2 ** 14000) and len(count) == 4215
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("mult gl --type n --g 4763 --n 2", "the value at 1 has 4301 digits"),
+            ("mult gl --type n --g 8000 --n 2", "the value at 1 has 7224 digits"),
+            ("mult gl --type 12 --g 1700 --w 1", "the value at 1 has 4565 digits"),
+            ("mult simple --type A --rank 1 --m 20000", "the value at 1 has 6021 digits"),
+            (
+                "pair --g 2500 --n 2 --order 6000 --a n --b n",
+                "the largest series coefficient has 5538 digits",
+            ),
+        ],
+    )
+    def test_past_the_printable_digits_is_3(self, capsys, argv, message):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, argv.split())
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and out == ""
+        assert err == f"ResourceLimitError: {message}, above the cap 4300\n"
+
+    @given(g=st.integers(4763, 9000))
+    @settings(
+        max_examples=15, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    def test_type_n_past_the_printable_digits_is_3(self, capsys, g):
+        # the exit-code fuzz draws no genus between 6 and 10**6; here the
+        # value at 1 has over 4300 digits, or the series cap refuses first
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, ["mult", "gl", "--type", "n", "--g", str(g), "--n", "2"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and out == ""
+        assert err.startswith("ResourceLimitError: ") and err.count("\n") == 1
+
     def test_internal_error_is_70(self, capsys, monkeypatch):
         import higgsmult.cli
         from higgsmult.errors import InternalError

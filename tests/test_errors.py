@@ -4,7 +4,37 @@ from pathlib import Path
 import pytest
 
 import higgsmult
-from higgsmult.errors import ResourceLimitError, check_cost
+from higgsmult.errors import DIGITS_CAP, ResourceLimitError, check_cost, check_digits
+from higgsmult.multgl import mult_type_n
+
+
+class TestCheckDigits:
+    def test_the_cap_itself_passes(self):
+        assert DIGITS_CAP == 4300
+        assert check_digits("n", 10 ** 4300 - 1) is None
+        assert check_digits("n", 0) is None
+        with pytest.raises(ResourceLimitError, match="^n has 4301 digits, above the cap 4300$"):
+            check_digits("n", 10 ** 4300)
+        with pytest.raises(ResourceLimitError, match="^n has 4301 digits, above the cap 4300$"):
+            check_digits("n", -10 ** 4300)
+
+    def test_refuses_exactly_past_the_cap(self):
+        top = 10 ** DIGITS_CAP  # the least integer with 4301 digits
+        for m in [top - 1, top, top + 1] + [2 ** b for b in range(14270, 14300)]:
+            if m < top:
+                check_digits("m", m)
+            else:
+                digits = DIGITS_CAP + 1
+                while m >= 10 ** digits:
+                    digits += 1
+                with pytest.raises(ResourceLimitError, match=f"has {digits} digits"):
+                    check_digits("m", m)
+
+    def test_the_type_n_boundary(self):
+        # the value 2**(3(g - 1)) passes its 4300 digits at g = 4763
+        check_digits("the value at 1", mult_type_n(4762, 2).value_at_1)
+        with pytest.raises(ResourceLimitError, match="has 4301 digits"):
+            check_digits("the value at 1", mult_type_n(4763, 2).value_at_1)
 
 
 class TestCheckCost:

@@ -7,10 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from higgsmult.chain import Divisor, chain_from_m, is_stable, is_very_stable, make_chain, twist
-from higgsmult.errors import DomainError, ResourceLimitError, UnstableResultError
+from higgsmult.errors import DIGITS_CAP, DomainError, ResourceLimitError, UnstableResultError
 from higgsmult import hecke
 from higgsmult.hecke import (
-    COUNT_DIGITS_CAP,
     apply_move,
     hecke_add_zero,
     hecke_remove_zero,
@@ -150,7 +149,7 @@ class TestIntersectionCount:
 
     def test_digit_cap_is_exact(self):
         # C(5, 2) = 10, so m_2 = k gives the count 10**k, with k + 1 digits
-        assert COUNT_DIGITS_CAP == 4300
+        assert DIGITS_CAP == 4300
         assert intersection_count(chain_from_m(3000, (0, 4299, 0, 0))) == 10 ** 4299
         with pytest.raises(ResourceLimitError) as info:
             intersection_count(chain_from_m(3000, (0, 4300, 0, 0)))

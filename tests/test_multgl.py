@@ -221,7 +221,7 @@ class TestMasterDivisibility:
                 master = _type_n_factored(g, n)
                 for m in mults:
                     verdict = master_divisibility(m, g, n)
-                    assert verdict == is_polynomial(master * m.factored.inverse())
+                    assert verdict == is_polynomial(master * m.factored.scale(-1))
                     checked[verdict] += 1
         assert min(checked.values()) > 100  # both verdicts are reached
 
@@ -335,7 +335,7 @@ class TestEulerPairing:
         s = euler_pairing_series(a, b, 4, 5, 400)
         assert len(built) <= 4, [type(m).__name__ for m in built]
         monkeypatch.undo()
-        sym = FactoredChar(gl_hitchin_base_dims(4, 5)).inverse()
+        sym = FactoredChar(gl_hitchin_base_dims(4, 5)).scale(-1)
         assert s == polyalg.series_expand(sym * a.factored * b.factored, 400)
 
     def test_not_polynomial_rejected(self):

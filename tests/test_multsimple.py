@@ -152,6 +152,19 @@ class TestGrossCheck:
         with pytest.raises(DomainError):
             gross_check(G2, 2)
 
+    def test_one_orbit_search_per_check(self, monkeypatch):
+        calls = []
+        original = multsimple.weyl_orbit_minuscule
+
+        def spy(r, i):
+            calls.append((r, i))
+            return original(r, i)
+
+        monkeypatch.setattr(multsimple, "weyl_orbit_minuscule", spy)
+        e6 = build(LieType("E", 6))
+        assert gross_check(e6, 1)
+        assert calls == [(e6, 1)]
+
     def test_degrees_are_computed_once(self, monkeypatch):
         calls = []
         original = rootsys.degrees

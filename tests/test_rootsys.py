@@ -1,10 +1,10 @@
 import time
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import pytest
 
-from higgsmult import SparseMap
+from higgsmult import Record
 from higgsmult.errors import DomainError, InternalError, ResourceLimitError
 from higgsmult.rootsys import (
     ORBIT_CAP,
@@ -298,12 +298,12 @@ class TestDegreeSet:
         with pytest.raises(DomainError):
             DegreeSet((0, 2))
 
-    def test_value_dunders_come_from_sparse_map(self):
-        # assigned in the class body, so no copies of SparseMap's own
-        for name in ("__eq__", "__hash__", "__reduce__"):
-            assert vars(DegreeSet)[name] is vars(SparseMap)[name]
+    def test_is_a_record_over_its_degrees(self):
         d = DegreeSet((3, 1))
-        assert d.degrees is d.terms and d.terms == (1, 3)
+        assert isinstance(d, Record) and tuple.__eq__(d, (1, 3))
+        assert type(d.degrees) is tuple and d.degrees == (1, 3)
+        assert d != (1, 3) and d == DegreeSet([1, 3])
+        assert len(d) == 2 and d.weyl_order == 3 and DegreeSet(()).weyl_order == 1
 
 
 # Reference implementations: direct algorithms, slower but plainly
@@ -424,6 +424,14 @@ class TestAgainstReferences:
             assert [d for _, d in orbit] == reference_depths(r, orbit)
             assert orbit == sorted(orbit, key=lambda pair: (pair[1], pair[0]))
 
+    @pytest.mark.parametrize("family,rank", GRID)
+    def test_orbit_size_is_the_degree_quotient(self, family, rank):
+        # the search sizes the orbit from the roots; the tables and the
+        # reference Levi degrees give |W| / |W_Levi| on their own
+        r = build(LieType(family, rank))
+        for node in sorted(cominuscule_nodes(r)):
+            quotient = prod(classical_degrees(family, rank)) // reference_levi_degrees(r, node).weyl_order
+            assert len(weyl_orbit_minuscule(r, node)) == quotient
 
     def test_inconsistent_depths_raise(self):
         # a zero diagonal makes s_1 fix lambda while lowering its depth by 1

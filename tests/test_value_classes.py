@@ -93,7 +93,7 @@ SAMPLES = {
         "RootSystem(lie_type=LieType(family='A', rank=1), cartan=((2,),), "
         "positive_roots=(Root(coeffs=(1,), height=1),))",
     ),
-    "DegreeSet": (DegreeSet((4, 2, 2)), DegreeSet([2, 4.0, 2]), ((2, 2, 4),), "DegreeSet(degrees=(2, 2, 4))"),
+    "DegreeSet": (DegreeSet((4, 2, 2)), DegreeSet([2, 4.0, 2]), (2, 2, 4), "DegreeSet(degrees=(2, 2, 4))"),
     "MultResult": (
         MultResult(FactoredChar({2: 3, 1: -3})),
         MultResult(factored=FactoredChar({1: -3, 2: 3})),
