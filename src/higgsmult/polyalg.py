@@ -47,7 +47,12 @@ the answer, building the IntPoly directly (an expanded polynomial's
 coefficients are ints with top coefficient +-1, so there is nothing to
 convert or trim), and the scan of `multsimple` calls it on series it
 builds by multiplying one kernel list in place.  `series_expand` runs a
-series to the requested order.
+series to the requested order.  Both share one memo per process, in
+`_series`: f.terms -> the longest list computed for f, whose prefixes
+serve shorter requests.  The cost check runs
+first, so no refusal depends on earlier calls.  Keys, lists and their
+elements count by sys.getsizeof against SERIES_MEMO_BYTES, least recently
+used out first; a list above a quarter of it is never kept.
 `value_at_one` reads f(1) off the cyclotomic exponents, with no
 expansion; `MultResult`, a multiplicity held in factored form, answers
 from those exponents and expands on first read.  `divides` is the one
@@ -56,12 +61,13 @@ long-division entry point, for polynomials already in dense form.
 
 from __future__ import annotations
 
-from collections import deque, namedtuple
+from collections import OrderedDict, deque, namedtuple
 from collections.abc import Callable, Iterable
 from functools import cached_property, lru_cache
 from itertools import accumulate, zip_longest
 from math import ceil, isqrt, lgamma, log, log2
 from operator import mul, neg, sub
+from sys import getsizeof
 
 from . import Record, SparseMap
 from .errors import DomainError, InternalError, check_cost
@@ -70,6 +76,7 @@ from .errors import DomainError, InternalError, check_cost
 # coefficient updates, or recurrence word operations.  mult_type_n(16, 8)
 # costs 4.4e6 on the kernel and 3.0e6 on the recurrence.
 SERIES_WORK_CAP = 10 ** 7
+SERIES_MEMO_BYTES = 3 << 17  # the budget of the series memo (see _series)
 
 # Predicted recurrence time in kernel coefficient updates:
 # _RATIO * length * (deg Q + 1) + _SETUP, fitted on timings of both paths
@@ -414,15 +421,48 @@ def _recurrence(f: FactoredChar, length: int) -> list[int]:
     return out
 
 
+class _SeriesMemo(OrderedDict):
+    """f.terms -> the longest series list computed for f, oldest use first."""
+    hits = misses = bytes = 0
+
+    @staticmethod
+    def size(key: tuple, kept: list[int]) -> int:
+        # for an int, int.__sizeof__ is sys.getsizeof without its slower lookup
+        return sum(map(getsizeof, (key, *key, kept))) + sum(map(int.__sizeof__, kept))
+
+
+_memo = _SeriesMemo()
+SeriesMemoInfo = namedtuple("SeriesMemoInfo", "hits misses entries bytes budget")
+
+
+def series_memo_info() -> SeriesMemoInfo:
+    """Counts of this process's series memo, like lru_cache's cache_info."""
+    return SeriesMemoInfo(_memo.hits, _memo.misses, len(_memo), _memo.bytes, SERIES_MEMO_BYTES)
+
+
 def _series(f: FactoredChar, length: int) -> list[int]:
-    """The first `length` series coefficients of f, by the path of
-    `_series_plan`; work above SERIES_WORK_CAP is refused before the list
-    exists."""
+    """The first `length` series coefficients of f by `_series_plan`'s path or
+    as a fresh prefix of a kept list; refused above SERIES_WORK_CAP before either."""
     run, work = _series_plan(f, length)
     if run is None:
         what = f"a series of {length} coefficients through {work // length - 1} factors"
         check_cost(what, work, SERIES_WORK_CAP, "coefficient updates")
-    return run(f, length)
+    memo, key = _memo, f.terms
+    kept = memo.get(key)
+    if kept is not None and len(kept) >= length:
+        memo.hits += 1
+        memo.move_to_end(key)
+        return kept[:length]
+    memo.misses += 1
+    memo.bytes -= memo.size(key, memo.pop(key)) if kept is not None else 0  # a shorter list
+    c = run(f, length)
+    size = memo.size(key, c)
+    if size <= SERIES_MEMO_BYTES // 4:
+        memo[key], memo.bytes = c, memo.bytes + size
+        while memo.bytes > SERIES_MEMO_BYTES:
+            memo.bytes -= memo.size(*memo.popitem(last=False))
+        c = c[:]
+    return c
 
 
 def expand(f: FactoredChar) -> "IntPoly | NotPolynomial":

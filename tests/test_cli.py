@@ -1,5 +1,6 @@
 import contextlib
 import json
+import re
 import signal
 import time
 
@@ -299,6 +300,112 @@ class TestExitCodes:
             finally:
                 sys.argv = old
         assert exc.value.code == 64
+
+
+ONES = ",".join(["1"] * 9999)
+
+
+class TestWarmSeriesMemo:
+    """In-process calls after the series memo holds earlier answers."""
+
+    @staticmethod
+    def masked(out):
+        return re.sub(r'"elapsed_ms":\d+', '"elapsed_ms":0', out)
+
+    def test_repeated_calls_are_byte_identical(self, capsys, monkeypatch):
+        import higgsmult.polyalg as polyalg
+
+        calls = [
+            "mult gl --type n --g 10 --n 6",
+            "pair --g 4 --n 5 --order 400 --a n --b 1,1,1,1",
+            "pair --g 4 --n 5 --order 100 --a n --b 1,1,1,1",
+        ]
+
+        def outputs():
+            out = []
+            for argv in calls:
+                code, stdout, err = invoke(capsys, argv.split())
+                assert code == 0 and err == ""
+                out.append(self.masked(stdout))
+            return out
+
+        # a zero budget keeps nothing, so every series is computed afresh
+        with monkeypatch.context() as mp:
+            mp.setattr(polyalg, "SERIES_MEMO_BYTES", 0)
+            mp.setattr(polyalg, "_memo", polyalg._SeriesMemo())
+            cold = outputs()
+            assert polyalg.series_memo_info().entries == 0
+        monkeypatch.setattr(polyalg, "_memo", polyalg._SeriesMemo())
+        for _ in range(3):
+            assert outputs() == cold
+        info = polyalg.series_memo_info()
+        assert info.misses == 2 and info.hits == 7
+
+    @pytest.mark.parametrize(
+        "warm, argv, message",
+        [
+            (
+                "mult gl --type n --g 2 --n 12",
+                "mult gl --type n --g 40 --n 12",
+                "a series of 21022 coefficients through 11154 factors has 234500410 "
+                "coefficient updates, above the cap 10000000",
+            ),
+            (
+                "mult gl --type 111 --g 2 --m 1,1,1",
+                f"mult gl --type 111 --g 2 --m {ONES}",
+                "GL_10000 has 10000 invariant degrees, above the cap 141",
+            ),
+            (
+                "mult simple --type E --rank 8 --m 1,0,0,0,0,0,0,1",
+                "mult simple --type E --rank 8 --m 50,50,50,50,50,50,50,50",
+                "a series of 86301 coefficients through 9800 factors has 845836101 "
+                "coefficient updates, above the cap 10000000",
+            ),
+            (
+                # the same factored character, so the memo holds its first 51 coefficients
+                "pair --g 2 --n 2 --order 50 --a n --b n",
+                "pair --g 2 --n 2 --order 100000000 --a n --b n",
+                "a series of 100000001 coefficients through 11 factors has 1200000012 "
+                "coefficient updates, above the cap 10000000",
+            ),
+            (
+                "scan --type A --rank 1 --bound 5",
+                "scan --type A --rank 1 --bound 99999",
+                "scan of A1 to bound 99999 at m = [66] has 10199898 units of series work, "
+                "above the cap 10000000",
+            ),
+            (
+                "mult gl --type n --g 47 --n 2",
+                "mult gl --type n --g 4763 --n 2",
+                "the value at 1 has 4301 digits, above the cap 4300",
+            ),
+            (
+                "mult gl --type n --g 80 --n 2",
+                "mult gl --type n --g 8000 --n 2",
+                "the value at 1 has 7224 digits, above the cap 4300",
+            ),
+            (
+                "mult gl --type 12 --g 17 --w 1",
+                "mult gl --type 12 --g 1700 --w 1",
+                "the value at 1 has 4565 digits, above the cap 4300",
+            ),
+            (
+                "mult simple --type A --rank 1 --m 200",
+                "mult simple --type A --rank 1 --m 20000",
+                "the value at 1 has 6021 digits, above the cap 4300",
+            ),
+            (
+                "pair --g 2500 --n 2 --order 60 --a n --b n",
+                "pair --g 2500 --n 2 --order 6000 --a n --b n",
+                "the largest series coefficient has 5538 digits, above the cap 4300",
+            ),
+        ],
+    )
+    def test_formerly_unbounded_inputs_exit_3_after_a_warm_up(self, capsys, warm, argv, message):
+        assert invoke(capsys, warm.split())[0] == 0
+        code, out, err = invoke(capsys, argv.split())
+        assert code == 3 and out == ""
+        assert err == f"ResourceLimitError: {message}\n"
 
 
 class TestReportEnvelope:

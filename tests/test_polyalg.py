@@ -3,6 +3,7 @@ import importlib
 import pkgutil
 import time
 from math import ceil, gcd, lgamma, log, log2
+from sys import getsizeof
 
 import pytest
 from hypothesis import example, given, settings
@@ -674,3 +675,127 @@ class TestValueAtOne:
         assert value_at_one(FactoredChar()) == 1
         with pytest.raises(DomainError):
             value_at_one(FactoredChar({3: 5, 1: -6}))
+
+
+def _recount(memo):
+    """The memo's bytes by sys.getsizeof, counted afresh: each key tuple and
+    its (k, e) pairs, each list and its coefficients."""
+    return sum(
+        getsizeof(key) + sum(map(getsizeof, key)) + getsizeof(kept) + sum(map(getsizeof, kept))
+        for key, kept in memo.items()
+    )
+
+
+class TestSeriesMemo:
+    @pytest.fixture(autouse=True)
+    def empty_memo(self, monkeypatch):
+        monkeypatch.setattr(higgsmult.polyalg, "_memo", higgsmult.polyalg._SeriesMemo())
+
+    @given(wide_factors, st.lists(st.integers(1, 120), min_size=1, max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_every_length_cold_and_warm_equals_the_kernel(self, exps, lengths):
+        polyalg = higgsmult.polyalg
+        f = FactoredChar(exps)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(polyalg, "_memo", polyalg._SeriesMemo())
+            for length in lengths + lengths[::-1]:
+                expected = polyalg._kernel(f, length)
+                assert polyalg._series(f, length) == expected
+                assert expected == factored_series(exps, length - 1)
+            info = polyalg.series_memo_info()
+        assert info.hits + info.misses == 2 * len(lengths)
+        assert info.misses <= len(lengths)
+
+    def test_a_shorter_order_is_a_prefix_with_no_series_work(self, monkeypatch):
+        polyalg = higgsmult.polyalg
+        f = FactoredChar({1: -20, 3: 5, 7: -2})
+        long = series_expand(f, 400)
+        calls = []
+        for name in ("_kernel", "_recurrence"):
+            real = getattr(polyalg, name)
+            monkeypatch.setattr(polyalg, name, lambda *a, real=real: calls.append(a) or real(*a))
+        short = series_expand(f, 100)
+        assert calls == []
+        assert short.coeffs == long.coeffs[:101]
+        assert polyalg.series_memo_info()[:3] == (1, 1, 1)
+
+    def test_a_longer_order_replaces_the_kept_list(self):
+        polyalg = higgsmult.polyalg
+        f = FactoredChar({1: -20, 3: 5, 7: -2})
+        assert series_expand(f, 100).coeffs == series_expand(f, 400).coeffs[:101]
+        info = polyalg.series_memo_info()
+        assert (info.hits, info.misses, info.entries) == (0, 2, 1)
+        assert len(polyalg._memo[f.terms]) == 401 and info.bytes == _recount(polyalg._memo)
+
+    def test_returned_lists_can_be_mutated(self):
+        polyalg = higgsmult.polyalg
+        f = FactoredChar({1: -6, 2: 3})
+        expected = polyalg._kernel(f, 60)
+        for length in (60, 60, 40):  # a miss, then two hits
+            out = polyalg._series(f, length)
+            assert out == expected[:length]
+            out[0] = 99
+            out.append(7)
+        assert polyalg._series(f, 60) == expected
+        assert polyalg.series_memo_info().hits == 3
+
+    def test_refusal_does_not_depend_on_the_memo(self):
+        polyalg = higgsmult.polyalg
+        f = FactoredChar({1: -12, 2: 5, 5: -3})
+
+        def refusal():
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(polyalg, "SERIES_WORK_CAP", 100)
+                with pytest.raises(ResourceLimitError) as exc:
+                    polyalg._series(f, 300)
+            return str(exc.value)
+
+        cold = refusal()
+        assert polyalg._series_plan(f, 300)[1] > 100
+        polyalg._series(f, 300)
+        assert polyalg.series_memo_info().entries == 1
+        assert refusal() == cold
+        assert cold.startswith("a series of 300 coefficients through 20 factors has ")
+
+    def test_a_flood_stays_within_the_budget(self):
+        polyalg = higgsmult.polyalg
+        budget = polyalg.SERIES_MEMO_BYTES
+        for k in range(1, 41):
+            for order in (200, 600):
+                series_expand(FactoredChar({1: -k, 2: 3, 3: -(k % 5)}), order)
+                info = polyalg.series_memo_info()
+                assert info.bytes <= budget and info.budget == budget
+                assert info.bytes == _recount(polyalg._memo)
+        # the flood evicted: the last key is kept, the first is gone
+        assert 0 < info.entries < 40 and info.misses == 80
+        assert FactoredChar({1: -40, 2: 3}).terms in polyalg._memo
+        assert FactoredChar({1: -1, 2: 3, 3: -1}).terms not in polyalg._memo
+
+    def test_eviction_is_least_recently_used(self, monkeypatch):
+        polyalg = higgsmult.polyalg
+        chars = [FactoredChar({1: -2, k: 1}) for k in range(2, 7)]
+        for f in chars[:4]:
+            series_expand(f, 50)
+        sizes = [_recount({f.terms: polyalg._memo[f.terms]}) for f in chars[:4]]
+        # room for four entries only: the fifth evicts one
+        monkeypatch.setattr(polyalg, "SERIES_MEMO_BYTES", sum(sizes) + min(sizes) // 2)
+        series_expand(chars[0], 30)  # a hit: chars[0] is now the most recent
+        series_expand(chars[4], 50)
+        kept = [f.terms in polyalg._memo for f in chars]
+        assert kept == [True, False, True, True, True]
+
+    def test_an_entry_above_a_quarter_of_the_budget_is_never_kept(self, monkeypatch):
+        polyalg = higgsmult.polyalg
+        f = FactoredChar({1: -50})
+        s = series_expand(f, 20000)
+        assert s.coeffs[:3] == (1, 50, 1275) and len(s.coeffs) == 20001
+        info = polyalg.series_memo_info()
+        assert (info.misses, info.entries, info.bytes) == (1, 0, 0)
+        assert _recount({f.terms: list(s.coeffs)}) > info.budget // 4
+        # an entry of exactly a quarter of the budget is kept, one byte more is not
+        f = FactoredChar({1: -3})
+        size = _recount({f.terms: polyalg._kernel(f, 500)})
+        for budget, entries in ((4 * size - 1, 0), (4 * size, 1)):
+            monkeypatch.setattr(polyalg, "SERIES_MEMO_BYTES", budget)
+            series_expand(f, 499)
+            assert polyalg.series_memo_info().entries == entries
