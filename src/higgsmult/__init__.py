@@ -8,12 +8,14 @@ Lie groups built on a self-contained root system engine.  All
 arithmetic is exact; floats appear only in up-front cost estimates.
 
 Each module imports what it uses, and the command line imports a
-subcommand's modules only when that subcommand runs.  The value bases
-that several modules share live here: `Record`, and `SparseMap`, the one
+subcommand's modules only when that subcommand runs.  The bases that
+several modules share live here: `Record`; `SparseMap`, the one
 canonical finite formal sum (exponent maps in `polyalg`, weight gradings
-and divisors in `chain`).
+and divisors in `chain`); and `ByteMemo`, the one memo, which keeps
+`polyalg`'s series and `rootsys`'s packed roots within byte budgets.
 """
 
+from collections import OrderedDict, namedtuple
 from collections.abc import Mapping
 from operator import index
 
@@ -138,3 +140,59 @@ class SparseMap:
 
     def scale(self, m: int) -> "SparseMap":
         return type(self)((k, m * c) for k, c in self.terms)
+
+
+MemoInfo = namedtuple("MemoInfo", "hits misses entries bytes budget")
+
+
+class ByteMemo(OrderedDict):
+    """A memo kept within a byte budget, least recently used first.
+
+    `size(key, value)` prices an entry in bytes.  `find` counts a hit or
+    a miss; `keep` replaces any entry for the key, keeps the new one
+    unless it costs more than a quarter of the budget, and then drops
+    the least recently used entries until the total is within it.  The
+    budget comes with each call, so a caller passes its module constant
+    as it reads at that moment.
+
+    >>> memo = ByteMemo(lambda key, value: len(value))
+    >>> memo.keep("a", "xx", 8), memo.keep("b", "xxx", 8)
+    (True, False)
+    >>> memo.find("a"), memo.find("b"), memo.find("a", fits=lambda v: len(v) > 2)
+    ('xx', None, None)
+    >>> memo.info(8)
+    MemoInfo(hits=1, misses=2, entries=1, bytes=2, budget=8)
+    """
+
+    hits = misses = bytes = 0
+
+    def __init__(self, size: "Callable[[object, object], int]") -> None:
+        super().__init__()
+        self.size = size
+
+    def find(self, key, fits=None):
+        """The value kept for key, now the most recent, if `fits` (when
+        given) accepts it; else None.  Counted as a hit or a miss."""
+        kept = self.get(key)
+        if kept is None or fits is not None and not fits(kept):
+            self.misses += 1
+            return None
+        self.hits += 1
+        self.move_to_end(key)
+        return kept
+
+    def keep(self, key, value, budget: int) -> bool:
+        """Offer value for key; True when it is kept."""
+        if key in self:
+            self.bytes -= self.size(key, self.pop(key))
+        size = self.size(key, value)
+        if size > budget // 4:
+            return False
+        self[key], self.bytes = value, self.bytes + size
+        while self.bytes > budget:
+            self.bytes -= self.size(*self.popitem(last=False))
+        return True
+
+    def info(self, budget: int) -> MemoInfo:
+        """Counts like lru_cache's cache_info, with the caller's budget."""
+        return MemoInfo(self.hits, self.misses, len(self), self.bytes, budget)

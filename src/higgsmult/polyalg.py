@@ -47,8 +47,8 @@ the answer, building the IntPoly directly (an expanded polynomial's
 coefficients are ints with top coefficient +-1, so there is nothing to
 convert or trim), and the scan of `multsimple` calls it on series it
 builds by multiplying one kernel list in place.  `series_expand` runs a
-series to the requested order.  Both share one memo per process, in
-`_series`: f.terms -> the longest list computed for f, whose prefixes
+series to the requested order.  Both share one `ByteMemo` per process,
+in `_series`: f.terms -> the longest list computed for f, whose prefixes
 serve shorter requests.  The cost check runs
 first, so no refusal depends on earlier calls.  Keys, lists and their
 elements count by sys.getsizeof against SERIES_MEMO_BYTES, least recently
@@ -61,7 +61,7 @@ long-division entry point, for polynomials already in dense form.
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque, namedtuple
+from collections import deque, namedtuple
 from collections.abc import Callable, Iterable
 from functools import cached_property, lru_cache
 from itertools import accumulate, zip_longest
@@ -69,7 +69,7 @@ from math import ceil, isqrt, lgamma, log, log2
 from operator import mul, neg, sub
 from sys import getsizeof
 
-from . import Record, SparseMap
+from . import ByteMemo, MemoInfo, Record, SparseMap
 from .errors import DomainError, InternalError, check_cost
 
 # A series path whose up-front cost is above this is refused: kernel
@@ -421,23 +421,19 @@ def _recurrence(f: FactoredChar, length: int) -> list[int]:
     return out
 
 
-class _SeriesMemo(OrderedDict):
-    """f.terms -> the longest series list computed for f, oldest use first."""
-    hits = misses = bytes = 0
-
-    @staticmethod
-    def size(key: tuple, kept: list[int]) -> int:
-        # for an int, int.__sizeof__ is sys.getsizeof without its slower lookup
-        return sum(map(getsizeof, (key, *key, kept))) + sum(map(int.__sizeof__, kept))
+def _series_bytes(key: tuple, kept: list[int]) -> int:
+    """A series memo entry's size: the key tuple, its (k, e) pairs, the list
+    and its ints (for an int, int.__sizeof__ is sys.getsizeof without its
+    slower lookup)."""
+    return sum(map(getsizeof, (key, *key, kept))) + sum(map(int.__sizeof__, kept))
 
 
-_memo = _SeriesMemo()
-SeriesMemoInfo = namedtuple("SeriesMemoInfo", "hits misses entries bytes budget")
+_memo = ByteMemo(_series_bytes)  # f.terms -> the longest series list computed for f
 
 
-def series_memo_info() -> SeriesMemoInfo:
+def series_memo_info() -> MemoInfo:
     """Counts of this process's series memo, like lru_cache's cache_info."""
-    return SeriesMemoInfo(_memo.hits, _memo.misses, len(_memo), _memo.bytes, SERIES_MEMO_BYTES)
+    return _memo.info(SERIES_MEMO_BYTES)
 
 
 def _series(f: FactoredChar, length: int) -> list[int]:
@@ -447,22 +443,12 @@ def _series(f: FactoredChar, length: int) -> list[int]:
     if run is None:
         what = f"a series of {length} coefficients through {work // length - 1} factors"
         check_cost(what, work, SERIES_WORK_CAP, "coefficient updates")
-    memo, key = _memo, f.terms
-    kept = memo.get(key)
-    if kept is not None and len(kept) >= length:
-        memo.hits += 1
-        memo.move_to_end(key)
+    key = f.terms
+    kept = _memo.find(key, lambda kept: len(kept) >= length)
+    if kept is not None:
         return kept[:length]
-    memo.misses += 1
-    memo.bytes -= memo.size(key, memo.pop(key)) if kept is not None else 0  # a shorter list
     c = run(f, length)
-    size = memo.size(key, c)
-    if size <= SERIES_MEMO_BYTES // 4:
-        memo[key], memo.bytes = c, memo.bytes + size
-        while memo.bytes > SERIES_MEMO_BYTES:
-            memo.bytes -= memo.size(*memo.popitem(last=False))
-        c = c[:]
-    return c
+    return c[:] if _memo.keep(key, c, SERIES_MEMO_BYTES) else c
 
 
 def expand(f: FactoredChar) -> "IntPoly | NotPolynomial":

@@ -20,19 +20,32 @@ roots, as prod (h + 1) / h over those with c_i > 0, and its depths are
 carried along the search (s_j lowers mu by mu_j simple roots) and checked
 on every edge.  `build` refuses systems with more than ROOT_CAP positive
 roots, and `weyl_orbit_minuscule` orbits with more than ORBIT_CAP weights.
+
+`build` keeps each type's roots in one `ByteMemo` per process, keyed by
+the LieType, in packed form: one bytes object of the N x l coefficients
+in build order, and the number of roots of each height.  The cap check
+runs before the lookup, so no refusal depends on earlier calls; a hit
+skips the induction, and hit or miss, the Roots are unpacked afresh and
+their number checked against the classical count.  Entries count by
+sys.getsizeof against ROOT_MEMO_BYTES, least recently used out first,
+and an entry above a quarter of it, such as A80's 259 KB, is never kept.
 """
 
 from __future__ import annotations
 
 from collections import Counter, namedtuple
+from itertools import chain, repeat
 from math import prod
+from sys import getsizeof
 
-from . import Record
+from . import ByteMemo, MemoInfo, Record
 from .errors import DomainError, InternalError, check_cost
 
 # Root systems with more positive roots than this are refused before any
 # work (before the l x l Cartan matrix, too); it admits A140 (9870 roots).
 ROOT_CAP = 10_000
+# The budget of build's memo; A60's 110 KB of packed roots fit a quarter of it.
+ROOT_MEMO_BYTES = 1 << 19
 # Minuscule orbits with more weights than this are refused before the
 # search; it admits the middle node of A18 (92378) and refuses A20's (352716).
 ORBIT_CAP = 100_000
@@ -120,8 +133,10 @@ class Root(Record, namedtuple("Root", "coeffs height")):
     __slots__ = ()
 
 
-def _positive_roots(cartan: tuple[tuple[int, ...], ...]) -> list[Root]:
-    """All positive roots of a Cartan matrix, by height induction.
+def _positive_roots(cartan: tuple[tuple[int, ...], ...]) -> tuple[bytes, tuple[int, ...]]:
+    """All positive roots of a Cartan matrix, by height induction, packed:
+    their coefficients as one bytes object, a byte per node and l per root,
+    by height then lexicographically, and the number of roots of each height.
 
     alpha + alpha_j is a root iff p - <alpha, alpha_j^v> > 0 where p is
     the largest k with alpha - k*alpha_j still a root; processing one
@@ -182,11 +197,10 @@ def _positive_roots(cartan: tuple[tuple[int, ...], ...]) -> list[Root]:
                     nxt[cand] = pairs + rows[shift >> 3]
                     nxt_downs[cand] = flag
         layer, downs = nxt, nxt_downs
-    return [
-        Root(tuple(packed), height)
-        for height, layer in enumerate(layers, start=1)
-        for packed in sorted(alpha.to_bytes(l, "little") for alpha in layer)
-    ]
+    blob = b"".join(
+        b"".join(sorted(alpha.to_bytes(l, "little") for alpha in layer)) for layer in layers
+    )
+    return blob, tuple(map(len, layers))
 
 
 class RootSystem(Record, namedtuple("RootSystem", "lie_type cartan positive_roots")):
@@ -197,19 +211,40 @@ class RootSystem(Record, namedtuple("RootSystem", "lie_type cartan positive_root
         return self.lie_type.rank
 
 
+def _root_bytes(t: LieType, packed: tuple[bytes, tuple[int, ...]]) -> int:
+    """A root memo entry's size: the key, the pair, the bytes, the layer
+    sizes and their ints."""
+    blob, sizes = packed
+    return sum(map(getsizeof, (t, packed, blob, sizes))) + sum(map(int.__sizeof__, sizes))
+
+
+_memo = ByteMemo(_root_bytes)  # LieType -> its packed positive roots
+
+
+def root_memo_info() -> MemoInfo:
+    """Counts of this process's root memo, like lru_cache's cache_info."""
+    return _memo.info(ROOT_MEMO_BYTES)
+
+
 def build(t: LieType) -> RootSystem:
     """Enumerate the positive roots of t; deterministic order by height
     then lexicographic coordinates.  Raises ResourceLimitError, before
-    any work, when t has more than ROOT_CAP positive roots."""
+    any work or lookup, when t has more than ROOT_CAP positive roots."""
     expected = _POSITIVE_COUNT[t.family](t.rank)
     check_cost(str(t), expected, ROOT_CAP, "positive roots")
     cartan = cartan_matrix(t)
-    roots = _positive_roots(cartan)
+    packed = _memo.find(t)
+    if packed is None:
+        packed = _positive_roots(cartan)
+        _memo.keep(t, packed, ROOT_MEMO_BYTES)
+    blob, sizes = packed
+    heights = chain.from_iterable(map(repeat, range(1, len(sizes) + 1), sizes))
+    roots = tuple(map(Root, zip(*[iter(blob)] * t.rank), heights))
     if len(roots) != expected:
         raise InternalError(
             f"{t}: found {len(roots)} positive roots, classical count is {expected}"
         )
-    return RootSystem(t, cartan, tuple(roots))
+    return RootSystem(t, cartan, roots)
 
 
 def height_histogram(r: RootSystem) -> dict[int, int]:

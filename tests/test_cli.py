@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from higgsmult import __version__
+from higgsmult import ByteMemo, __version__
 from higgsmult.cli import main, run
 from higgsmult.multgl import mult_type111, mult_type_n
 from higgsmult.chain import chain_from_m, chain_to_json
@@ -332,10 +332,10 @@ class TestWarmSeriesMemo:
         # a zero budget keeps nothing, so every series is computed afresh
         with monkeypatch.context() as mp:
             mp.setattr(polyalg, "SERIES_MEMO_BYTES", 0)
-            mp.setattr(polyalg, "_memo", polyalg._SeriesMemo())
+            mp.setattr(polyalg, "_memo", ByteMemo(polyalg._series_bytes))
             cold = outputs()
             assert polyalg.series_memo_info().entries == 0
-        monkeypatch.setattr(polyalg, "_memo", polyalg._SeriesMemo())
+        monkeypatch.setattr(polyalg, "_memo", ByteMemo(polyalg._series_bytes))
         for _ in range(3):
             assert outputs() == cold
         info = polyalg.series_memo_info()
@@ -406,6 +406,52 @@ class TestWarmSeriesMemo:
         code, out, err = invoke(capsys, argv.split())
         assert code == 3 and out == ""
         assert err == f"ResourceLimitError: {message}\n"
+
+
+class TestWarmRootMemo:
+    """In-process calls after the root memo holds earlier types."""
+
+    def test_repeated_calls_are_byte_identical(self, capsys, monkeypatch):
+        import higgsmult.rootsys as rootsys
+
+        calls = [
+            "rootinfo --type E --rank 8",
+            "rootinfo --type A --rank 60",
+            "rootinfo --type D --rank 5 --format text",
+            "mult simple --type B --rank 4 --m 1,0,2,1",
+            # gross-style: a unit m at a cominuscule node
+            "mult simple --type E --rank 7 --m 0,0,0,0,0,0,1",
+            "mult simple --type A --rank 60 --m " + ",".join(["0"] * 59 + ["1"]),
+            "scan --type C --rank 3 --bound 2",
+            "scan --type G --rank 2 --bound 3",
+        ]
+
+        def outputs():
+            out = []
+            for argv in calls:
+                code, stdout, err = invoke(capsys, argv.split())
+                assert code == 0 and err == ""
+                out.append(TestWarmSeriesMemo.masked(stdout))
+            return out
+
+        # a zero budget keeps nothing, so every type is built afresh
+        with monkeypatch.context() as mp:
+            mp.setattr(rootsys, "ROOT_MEMO_BYTES", 0)
+            mp.setattr(rootsys, "_memo", ByteMemo(rootsys._root_bytes))
+            cold = outputs()
+            assert rootsys.root_memo_info().entries == 0
+        monkeypatch.setattr(rootsys, "_memo", ByteMemo(rootsys._root_bytes))
+        for _ in range(3):
+            assert outputs() == cold
+        info = rootsys.root_memo_info()
+        assert (info.misses, info.entries, info.hits) == (7, 7, 3 * len(calls) - 7)
+
+    def test_refused_rank_exits_3_after_a_warm_up(self, capsys):
+        for warm in ("rootinfo --type A --rank 60", "rootinfo --type A --rank 140"):
+            assert invoke(capsys, warm.split())[0] == 0
+        code, out, err = invoke(capsys, "rootinfo --type A --rank 300".split())
+        assert code == 3 and out == ""
+        assert err == "ResourceLimitError: A300 has 45150 positive roots, above the cap 10000\n"
 
 
 class TestReportEnvelope:

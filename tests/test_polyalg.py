@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import higgsmult.polyalg
+from higgsmult import ByteMemo
 from higgsmult.chain import Divisor, Point, WeightDims, as_point
 from higgsmult.errors import DomainError, ResourceLimitError
 from higgsmult.polyalg import (
@@ -689,7 +690,7 @@ def _recount(memo):
 class TestSeriesMemo:
     @pytest.fixture(autouse=True)
     def empty_memo(self, monkeypatch):
-        monkeypatch.setattr(higgsmult.polyalg, "_memo", higgsmult.polyalg._SeriesMemo())
+        monkeypatch.setattr(higgsmult.polyalg, "_memo", ByteMemo(higgsmult.polyalg._series_bytes))
 
     @given(wide_factors, st.lists(st.integers(1, 120), min_size=1, max_size=6))
     @settings(max_examples=100, deadline=None)
@@ -697,7 +698,7 @@ class TestSeriesMemo:
         polyalg = higgsmult.polyalg
         f = FactoredChar(exps)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(polyalg, "_memo", polyalg._SeriesMemo())
+            mp.setattr(polyalg, "_memo", ByteMemo(polyalg._series_bytes))
             for length in lengths + lengths[::-1]:
                 expected = polyalg._kernel(f, length)
                 assert polyalg._series(f, length) == expected

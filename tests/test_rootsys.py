@@ -1,10 +1,11 @@
 import time
 from fractions import Fraction
 from math import comb, factorial, prod
+from sys import getsizeof
 
 import pytest
 
-from higgsmult import Record
+from higgsmult import ByteMemo, Record, rootsys
 from higgsmult.errors import DomainError, InternalError, ResourceLimitError
 from higgsmult.rootsys import (
     ORBIT_CAP,
@@ -462,3 +463,91 @@ class TestScale:
             weyl_orbit_minuscule(build(LieType("A", 20)), 10)
         assert time.perf_counter() - start < 1.0
         assert comb(19, 9) <= ORBIT_CAP < comb(21, 10)
+
+
+def _recount(memo):
+    """The root memo's bytes by sys.getsizeof, counted afresh: each key, its
+    (bytes, layer sizes) pair, the bytes, the tuple and its ints."""
+    return sum(
+        getsizeof(t) + getsizeof(packed) + sum(map(getsizeof, packed)) + sum(map(getsizeof, packed[1]))
+        for t, packed in memo.items()
+    )
+
+
+class TestRootMemo:
+    @pytest.fixture(autouse=True)
+    def empty_memo(self, monkeypatch):
+        monkeypatch.setattr(rootsys, "_memo", ByteMemo(rootsys._root_bytes))
+
+    @pytest.mark.parametrize("family,rank", GRID + [("A", 60)])
+    def test_cold_warm_and_unkept_builds_agree(self, family, rank, monkeypatch):
+        t = LieType(family, rank)
+        cold, warm = build(t), build(t)
+        assert rootsys.root_memo_info()[:3] == (1, 1, 1)
+        monkeypatch.setattr(rootsys, "ROOT_MEMO_BYTES", 0)
+        monkeypatch.setattr(rootsys, "_memo", ByteMemo(rootsys._root_bytes))
+        unkept = build(t)
+        assert rootsys.root_memo_info()[:3] == (0, 1, 0)
+        assert cold == warm == unkept and cold is not warm
+        assert [root.coeffs for root in warm.positive_roots] == reference_positive_roots(
+            cartan_matrix(t)
+        )
+        assert all(root.height == sum(root.coeffs) for root in warm.positive_roots)
+        assert all(type(root) is Root and type(root.coeffs) is tuple for root in warm.positive_roots)
+
+    def test_refusal_does_not_depend_on_the_memo(self, monkeypatch):
+        t = LieType("A", 20)
+
+        def refusal():
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(rootsys, "ROOT_CAP", 100)
+                with pytest.raises(ResourceLimitError) as exc:
+                    build(t)
+            return str(exc.value)
+
+        cold = refusal()
+        build(t)
+        assert rootsys.root_memo_info().entries == 1
+        assert refusal() == cold == "A20 has 210 positive roots, above the cap 100"
+
+    def test_a_hit_still_checks_the_classical_count(self, monkeypatch):
+        t = LieType("B", 4)
+        build(t)
+        monkeypatch.setitem(rootsys._POSITIVE_COUNT, "B", lambda l: l * l + 1)
+        with pytest.raises(InternalError, match="B4: found 16 positive roots, classical count is 17"):
+            build(t)
+        assert rootsys.root_memo_info().hits == 1
+
+    def test_a_flood_stays_within_the_budget(self):
+        budget = rootsys.ROOT_MEMO_BYTES
+        for l in range(1, 101):
+            build(LieType("A", l))
+            info = rootsys.root_memo_info()
+            assert info.bytes <= budget and info.budget == budget
+            assert info.bytes == _recount(rootsys._memo)
+        # the flood evicted the oldest types and never kept the largest
+        assert info.misses == 100 and 0 < info.entries < 100
+        assert LieType("A", 1) not in rootsys._memo and LieType("A", 100) not in rootsys._memo
+
+    def test_a60_is_kept_and_a80_never(self):
+        budget = rootsys.ROOT_MEMO_BYTES
+        for rank in (60, 80, 80):
+            build(LieType("A", rank))
+        info = rootsys.root_memo_info()
+        assert (info.hits, info.misses, info.entries) == (0, 3, 1)
+        assert _recount(rootsys._memo) == info.bytes <= budget // 4
+        a80 = rootsys._positive_roots(cartan_matrix(LieType("A", 80)))
+        assert _recount({LieType("A", 80): a80}) > budget // 4
+
+    def test_eviction_is_least_recently_used(self, monkeypatch):
+        types = [LieType(*t) for t in (("B", 5), ("C", 5), ("A", 7), ("F", 4), ("D", 6))]
+        for t in types[:4]:
+            build(t)
+        sizes = [_recount({t: rootsys._memo[t]}) for t in types[:4]]
+        # room for four entries only: the fifth evicts one
+        budget = sum(sizes) + min(sizes) // 2
+        monkeypatch.setattr(rootsys, "ROOT_MEMO_BYTES", budget)
+        build(types[0])  # a hit: B5 is now the most recent
+        build(types[4])
+        assert _recount({types[4]: rootsys._memo[types[4]]}) <= budget // 4
+        assert [t in rootsys._memo for t in types] == [True, False, True, True, True]
