@@ -13,6 +13,14 @@ several modules share live here: `Record`; `SparseMap`, the one
 canonical finite formal sum (exponent maps in `polyalg`, weight gradings
 and divisors in `chain`); and `ByteMemo`, the one memo, which keeps
 `polyalg`'s series and `rootsys`'s packed roots within byte budgets.
+
+A sparse map's keys and counts are checked once, where they enter: the
+`SparseMap` constructor is the boundary, and functions that compute
+counts from a caller's numbers (a genus, blocks, n and k of a quantum
+binomial, a power) check those numbers first.  Everything built from
+maps already canonical, or from ints the package computed, goes straight
+to `SparseMap._merge`, the one canonicaliser, with no check that could
+fail.
 """
 
 from collections import OrderedDict, namedtuple
@@ -54,11 +62,16 @@ class Record(tuple):
 class SparseMap:
     """A finite formal sum: distinct keys, each with a nonzero integer count.
 
-    Its constructor is the one that builds the canonical form.  It takes
-    (key, count) pairs from a mapping or an iterable, normalises each key
-    by the class's key rule `_key` (here: an integer >= 1) and each count
-    by operator.index, sums equal keys, drops zero counts and sorts by
-    key.  Anything non-integral is refused with DomainError.  The dict built
+    The constructor is where data enters, and the one place keys and
+    counts are checked.  It takes (key, count) pairs from a mapping or an iterable,
+    normalises each key by the class's key rule `_key` (here: an integer
+    >= 1) and each count by operator.index, and refuses anything
+    non-integral with DomainError.  It then hands the pairs to `_merge`,
+    the one canonicaliser: it sums equal keys, drops zero counts and
+    sorts by key, and checks nothing.  Arithmetic merges without checking
+    again: `+` and `-` merge the terms of two maps of the class, and
+    `scale` their products with one integer it checks once, so every key
+    has passed `_key` and every count is an int already.  The dict built
     on the way is kept, so a lookup is one dict read; an absent key
     reads 0.  Equality and hashing are by class and terms, and no
     attribute can be assigned.
@@ -81,19 +94,34 @@ class SparseMap:
 
     _noun = "key"
 
-    def __init__(self, pairs: "Mapping | Iterable[tuple]" = ()) -> None:
-        key = self._key
-        merged: dict = {}
+    def __new__(cls, pairs: "Mapping | Iterable[tuple]" = ()) -> "SparseMap":
+        key = cls._key
         try:
-            for k, count in pairs.items() if isinstance(pairs, Mapping) else pairs:
-                k = key(k)
-                count = index(count)
-                merged[k] = merged[k] + count if k in merged else count
+            checked = [
+                (key(k), index(count))
+                for k, count in (pairs.items() if isinstance(pairs, Mapping) else pairs)
+            ]
         except TypeError as exc:
-            raise DomainError(f"{type(self).__name__} takes (key, integer) pairs: {exc}") from None
+            raise cls._refusal(exc) from None
+        return cls._merge(checked)
+
+    @classmethod
+    def _merge(cls, pairs: "Iterable[tuple]") -> "SparseMap":
+        """The canonical map of (key, count) pairs whose keys are normal
+        under `_key` and whose counts are ints; none of them is checked."""
+        merged: dict = {}
+        for k, count in pairs:
+            merged[k] = merged[k] + count if k in merged else count
         canon = {k: c for k, c in sorted(merged.items()) if c}
+        self = object.__new__(cls)
         object.__setattr__(self, "terms", tuple(canon.items()))
         object.__setattr__(self, "_dict", canon)
+        return self
+
+    @classmethod
+    def _refusal(cls, exc: TypeError) -> DomainError:
+        """The constructor's refusal of a non-integral key or count."""
+        return DomainError(f"{cls.__name__} takes (key, integer) pairs: {exc}")
 
     def __eq__(self, other: object) -> bool:
         return type(other) is type(self) and self.terms == other.terms
@@ -109,10 +137,11 @@ class SparseMap:
     def __reduce__(self):
         return type(self), (self.terms,)
 
-    def _key(self, k: object) -> int:
+    @classmethod
+    def _key(cls, k: object) -> int:
         k = index(k)
         if k < 1:
-            raise DomainError(f"{self._noun} must be >= 1, got {k}")
+            raise DomainError(f"{cls._noun} must be >= 1, got {k}")
         return k
 
     def __getitem__(self, k: object) -> int:
@@ -131,15 +160,19 @@ class SparseMap:
     def __add__(self, other: "SparseMap") -> "SparseMap":
         if type(other) is not type(self):
             return NotImplemented
-        return type(self)(self.terms + other.terms)
+        return self._merge(self.terms + other.terms)
 
     def __sub__(self, other: "SparseMap") -> "SparseMap":
         if type(other) is not type(self):
             return NotImplemented
-        return type(self)(self.terms + tuple((k, -c) for k, c in other.terms))
+        return self._merge([*self.terms, *((k, -c) for k, c in other.terms)])
 
     def scale(self, m: int) -> "SparseMap":
-        return type(self)((k, m * c) for k, c in self.terms)
+        try:
+            m = index(m)
+        except TypeError as exc:
+            raise self._refusal(exc) from None
+        return self._merge([(k, m * c) for k, c in self.terms])
 
 
 MemoInfo = namedtuple("MemoInfo", "hits misses entries bytes budget")

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable, Mapping, Sequence
+from operator import index
 
 from . import Record, SparseMap
 from .errors import DomainError, check_cost
@@ -67,12 +68,12 @@ class Divisor(SparseMap):
 
     @classmethod
     def zero(cls) -> "Divisor":
-        return cls()
+        return cls._merge(())
 
     @classmethod
     def of_points(cls, *labels: PointLike) -> "Divisor":
         """Sum of the given points, with multiplicity per repetition."""
-        return cls([(p, 1) for p in labels])
+        return cls._merge([(as_point(p), 1) for p in labels])
 
     degree = property(SparseMap.total)
 
@@ -293,6 +294,11 @@ def block_tplus_dims(genus: int, blocks: Sequence[tuple[int, int]]) -> WeightDim
     >>> block_tplus_dims(2, [(1, 0), (2, -1)]).as_dict()  # type (1,2)
     {1: 7, 2: 3}
     """
+    try:
+        genus = index(genus)
+        blocks = [(index(r), index(d)) for r, d in blocks]
+    except TypeError as exc:
+        raise WeightDims._refusal(exc) from None
     g1 = genus - 1
     dims = [0, 1] + [0] * (len(blocks) - 1)  # dims[k] at index k
     for a, (ra, da) in enumerate(blocks):
@@ -301,7 +307,7 @@ def block_tplus_dims(genus: int, blocks: Sequence[tuple[int, int]]) -> WeightDim
             if a > b:
                 dims[a - b] -= chi
             dims[a - b + 1] += chi + 2 * ra * rb * g1  # chi(E_a, E_b (x) K)
-    return WeightDims(enumerate(dims[1:], 1))
+    return WeightDims._merge(enumerate(dims[1:], 1))
 
 
 def tplus_dims(c: ChainHiggsBundle) -> WeightDims:
@@ -320,10 +326,12 @@ def gl_hitchin_base_dims(genus: int, n: int) -> WeightDims:
     if n < 1:
         raise DomainError(f"rank must be >= 1, got {n}")
     check_cost(f"GL_{n}", n, RANK_CAP, "invariant degrees")
-    dims = {1: genus}
-    for k in range(2, n + 1):
-        dims[k] = (2 * k - 1) * (genus - 1)
-    return WeightDims(dims)
+    try:
+        genus = index(genus)
+    except TypeError as exc:
+        raise WeightDims._refusal(exc) from None
+    dims = [(1, genus)] + [(k, (2 * k - 1) * (genus - 1)) for k in range(2, n + 1)]
+    return WeightDims._merge(dims)
 
 
 def twist(c: ChainHiggsBundle, p: PointLike, mult: int = -1) -> ChainHiggsBundle:
@@ -350,7 +358,7 @@ def _divisor_from_json(obj: object, where: str) -> Divisor:
             raise DomainError(f"{where}: point labels must be nonempty strings")
         if not isinstance(m, int) or isinstance(m, bool):
             raise DomainError(f"{where}: multiplicity of {label!r} must be an integer")
-    return Divisor(obj)
+    return Divisor._merge([(Point(label), m) for label, m in obj.items()])
 
 
 def chain_to_json(c: ChainHiggsBundle) -> dict:

@@ -58,9 +58,8 @@ def hecke_remove_zero(c: ChainHiggsBundle, i: int, pt: PointLike) -> ChainHiggsB
     if div[pt] < 1:
         raise DomainError(f"point {pt.label!r} is not a zero of map {i}")
     new_degrees = tuple(l - 1 if j >= i else l for j, l in enumerate(c.degrees))
-    new_zeros = tuple(
-        d - Divisor({pt: 1}) if j == i - 1 else d for j, d in enumerate(c.zero_divisors)
-    )
+    unit = Divisor._merge([(pt, 1)])
+    new_zeros = tuple(d - unit if j == i - 1 else d for j, d in enumerate(c.zero_divisors))
     out = ChainHiggsBundle(c.genus, new_degrees, c.delta0, new_zeros)
     if not is_stable(out):
         raise InternalError("zero removal broke stability; removal is guaranteed to preserve it")
@@ -86,12 +85,9 @@ def hecke_add_zero(c: ChainHiggsBundle, k: int, pt: PointLike) -> ChainHiggsBund
         raise DomainError(f"point {pt.label!r} is already a zero of the Higgs field")
     cut = n - k
     new_degrees = tuple(l - 1 if j < cut else l for j, l in enumerate(c.degrees))
-    new_zeros = tuple(
-        d + Divisor({pt: 1}) if j == cut - 1 else d for j, d in enumerate(c.zero_divisors)
-    )
-    out = ChainHiggsBundle(
-        c.genus, new_degrees, c.delta0 - Divisor({pt: 1}), new_zeros
-    )
+    unit = Divisor._merge([(pt, 1)])
+    new_zeros = tuple(d + unit if j == cut - 1 else d for j, d in enumerate(c.zero_divisors))
+    out = ChainHiggsBundle(c.genus, new_degrees, c.delta0 - unit, new_zeros)
     if not is_stable(out):
         raise UnstableResultError(
             f"adding a zero at {pt.label!r} with k={k} destabilises the chain"

@@ -38,9 +38,11 @@ from .polyalg import (
 
 def virtual_multiplicity(tplus: WeightDims, base: WeightDims) -> MultResult:
     """The ratio of Sym characters in factored form: exponent of
-    (1-t^k) is base[k] - tplus[k], built from both gradings' terms in one
-    constructor call."""
-    return MultResult(FactoredChar([*base, *((k, -d) for k, d in tplus)]))
+    (1-t^k) is base[k] - tplus[k], one merge of both gradings' terms.
+    Gradings other than WeightDims go through the checking constructor."""
+    pairs = [*base, *((k, -d) for k, d in tplus)]
+    canonical = type(base) is WeightDims and type(tplus) is WeightDims
+    return MultResult((FactoredChar._merge if canonical else FactoredChar)(pairs))
 
 
 def _type_n_factored(g: int, n: int) -> FactoredChar:
@@ -125,15 +127,18 @@ def euler_pairing_series(
     The character pairing of the two components' structure sheaves over
     the moduli space; visibly symmetric in its two arguments.  All three
     factors are products of (1-t^k) powers, so the pairing is one factored
-    character, built in one constructor call from the base grading's
-    negated terms and both sides' terms, and expanded as one series.
+    character, `_pairing_factored`, expanded as one series.
     """
     base = gl_hitchin_base_dims(g, n)
     if not (mA.is_polynomial and mB.is_polynomial):
         raise DomainError("the pairing needs polynomial multiplicities")
-    return series_expand(
-        FactoredChar([*((k, -d) for k, d in base), *mA.factored, *mB.factored]), order
-    )
+    return series_expand(_pairing_factored(mA, mB, base), order)
+
+
+def _pairing_factored(mA: MultResult, mB: MultResult, base: WeightDims) -> FactoredChar:
+    """m_A * m_B * chi_T(Sym A*): one merge of the base grading's negated
+    terms and both sides' terms, all of them canonical already."""
+    return FactoredChar._merge([*((k, -d) for k, d in base), *mA.factored, *mB.factored])
 
 
 def cotangent_cross_character(g: int, i: int) -> IntPoly:

@@ -54,7 +54,7 @@ def unit_multiplicity_factored(r: RootSystem, i: int) -> FactoredChar:
         if c:
             h = root.height
             pairs += ((h + 1, c), (h, -c))
-    return FactoredChar(pairs)
+    return FactoredChar._merge(pairs)  # heights and coefficients are ints, h >= 1
 
 
 def mult_simple(r: RootSystem, m: Sequence[int]) -> MultResult:
@@ -80,7 +80,7 @@ def mult_cominuscule(r: RootSystem, i: int) -> MultResult:
     if i not in cominuscule_nodes(r):
         raise DomainError(f"node {i} of {r.lie_type} is not cominuscule")
     result = MultResult(
-        FactoredChar([(d, 1) for d in degrees(r)] + [(n, -1) for n in levi_degrees(r, i)])
+        FactoredChar._merge([(d, 1) for d in degrees(r)] + [(n, -1) for n in levi_degrees(r, i)])
     )
     if not result.is_polynomial:
         raise InternalError(

@@ -13,7 +13,8 @@ Since t^k - 1 = prod_{d|k} Phi_d (cyclotomic polynomials), such a
 character is +-prod_d Phi_d^{c_d} with c_d = sum_{d|k} e_k, and it is a
 polynomial exactly when every c_d >= 0 (`is_polynomial`); divisibility
 of one character by another is the same test on the quotient; each
-`FactoredChar` computes its c_d once.
+`FactoredChar` computes its c_d once (`_cyclotomic`, a dict sorted by d,
+summed straight from the cached divisor tuples of each k).
 
 Two exact paths turn a factored character into its power series through
 a given order.  The kernel works in place on one coefficient list.  The
@@ -66,7 +67,7 @@ from collections.abc import Callable, Iterable
 from functools import cached_property, lru_cache
 from itertools import accumulate, zip_longest
 from math import ceil, isqrt, lgamma, log, log2
-from operator import mul, neg, sub
+from operator import index, mul, neg, sub
 from sys import getsizeof
 
 from . import ByteMemo, MemoInfo, Record, SparseMap
@@ -166,10 +167,13 @@ def qbinom(n: int, k: int) -> IntPoly:
     >>> qbinom(5, 0).coeffs
     (1,)
     """
-    if n < 1:
-        raise DomainError(f"quantum binomial needs n >= 1, got n={n}")
-    if k < 0 or k > n:
-        raise DomainError(f"quantum binomial needs 0 <= k <= n, got k={k}, n={n}")
+    try:
+        if n < 1:
+            raise DomainError(f"quantum binomial needs n >= 1, got n={n}")
+        if k < 0 or k > n:
+            raise DomainError(f"quantum binomial needs 0 <= k <= n, got k={k}, n={n}")
+    except TypeError as exc:  # n or k not a number
+        raise FactoredChar._refusal(exc) from None
     result = expand(qbinom_factored(n, k))
     if not isinstance(result, IntPoly):
         raise InternalError(f"quantum binomial ({n},{k}) did not divide exactly")
@@ -177,10 +181,18 @@ def qbinom(n: int, k: int) -> IntPoly:
 
 
 def qbinom_factored(n: int, k: int) -> "FactoredChar":
-    """Factored form of qbinom(n, k): +1 at n-j+1, -1 at j, for j = 1..k."""
-    if n < 1 or k < 0 or k > n:
-        raise DomainError(f"quantum binomial needs 0 <= k <= n, n >= 1; got k={k}, n={n}")
-    return FactoredChar(
+    """Factored form of qbinom(n, k): +1 at n-j+1, -1 at j, for j = 1..k.
+
+    n and k are refused unless integers, with the constructor's message;
+    then every factor index lies in 1..n, so the terms merge unchecked.
+    """
+    try:
+        if n < 1 or k < 0 or k > n:
+            raise DomainError(f"quantum binomial needs 0 <= k <= n, n >= 1; got k={k}, n={n}")
+        n, k = index(n), index(k)
+    except TypeError as exc:
+        raise FactoredChar._refusal(exc) from None
+    return FactoredChar._merge(
         [(n - j + 1, 1) for j in range(1, k + 1)] + [(j, -1) for j in range(1, k + 1)]
     )
 
@@ -201,21 +213,41 @@ class FactoredChar(SparseMap):
 
     @cached_property
     def _cyclotomic(self) -> dict[int, int]:
-        return SparseMap((d, e) for k, e in self for d in _divisors(k)).as_dict()
+        """c_d = sum_{d|k} e_k, nonzero ones only, sorted by d."""
+        c: dict[int, int] = {}
+        for k, e in self.terms:
+            for d in _divisors(k):
+                c[d] = c[d] + e if d in c else e
+        return {d: e for d, e in sorted(c.items()) if e}
 
 
 def power_product(powers: Iterable[tuple[FactoredChar, int]]) -> FactoredChar:
-    """prod f ** m over the (f, m) pairs, in one constructor call.
+    """prod f ** m over the (f, m) pairs, in one merge.
+
+    Each nonzero m is checked once; an f that is not a FactoredChar is
+    built as one first, so every term merged is canonical.
 
     >>> power_product([(qbinom_factored(4, 2), 3), (FactoredChar({5: 1}), 0)]).factors
     ((1, -3), (2, -3), (3, 3), (4, 3))
     """
-    return FactoredChar((k, m * e) for f, m in powers if m for k, e in f)
+    pairs = []
+    try:
+        for f, m in powers:
+            if m:
+                m = index(m)
+                if type(f) is not FactoredChar:  # read as pairs, never as a mapping
+                    f = FactoredChar(iter(f))
+                pairs += [(k, m * e) for k, e in f.terms]
+    except TypeError as exc:
+        raise FactoredChar._refusal(exc) from None
+    return FactoredChar._merge(pairs)
 
 
-def _divisors(k: int) -> list[int]:
+@lru_cache(maxsize=4096)
+def _divisors(k: int) -> tuple[int, ...]:
+    """The divisors of k, ascending; a tuple, since the value is shared."""
     small = [d for d in range(1, isqrt(k) + 1) if k % d == 0]
-    return small + [k // d for d in small if d * d != k]
+    return (*small, *(k // d for d in reversed(small) if d * d != k))
 
 
 def is_polynomial(f: FactoredChar) -> bool:
@@ -323,7 +355,8 @@ def _coefficient_bits(f: FactoredChar, length: int) -> float:
 @lru_cache(maxsize=4096)
 def _norm_bits(d: int) -> float:
     """log2 of ||Phi_d||_1, the sum of the sizes of its coefficients."""
-    return log2(sum(map(abs, _kernel(FactoredChar(_cyclotomic_factors(d)), _totient(d) + 1))))
+    phi = FactoredChar._merge(_cyclotomic_factors(d))
+    return log2(sum(map(abs, _kernel(phi, _totient(d) + 1))))
 
 
 def _series_plan(f: FactoredChar, length: int) -> "tuple[Callable | None, int]":
@@ -399,7 +432,7 @@ def _recurrence(f: FactoredChar, length: int) -> list[int]:
     small-integer subtractions, then one dot product of the weights with the
     last D coefficients: D big-integer products per coefficient.
     """
-    stencil = FactoredChar(p for d in f._cyclotomic for p in _cyclotomic_factors(d))
+    stencil = FactoredChar._merge(p for d in f._cyclotomic for p in _cyclotomic_factors(d))
     degree = sum(k * e for k, e in stencil)
     q = _kernel(stencil, degree + 1)
     # t f'/f = -sum_k k e_k t^k / (1 - t^k): coefficient n is -sum_{k|n} k e_k

@@ -156,6 +156,12 @@ class TestQuantum:
             qbinom_factored(3, 5)
         assert str(exc.value) == "quantum binomial needs 0 <= k <= n, n >= 1; got k=5, n=3"
 
+    @pytest.mark.parametrize("n,k", [(4, 2.0), (4.0, 2), (4.0, 0), ("4", 2), (4, None)])
+    def test_non_integers_refused(self, n, k):
+        for make in (qbinom, qbinom_factored):
+            with pytest.raises(DomainError, match="FactoredChar takes \\(key, integer\\) pairs"):
+                make(n, k)
+
     def test_qbinom_edges(self):
         assert qbinom(5, 0).coeffs == (1,)
         assert qbinom(5, 5).coeffs == (1,)
