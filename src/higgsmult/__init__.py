@@ -17,10 +17,10 @@ and divisors in `chain`); and `ByteMemo`, the one memo, which keeps
 A sparse map's keys and counts are checked once, where they enter: the
 `SparseMap` constructor is the boundary, and functions that compute
 counts from a caller's numbers (a genus, blocks, n and k of a quantum
-binomial, a power) check those numbers first.  Everything built from
-maps already canonical, or from ints the package computed, goes straight
-to `SparseMap._merge`, the one canonicaliser, with no check that could
-fail.
+binomial) check each of them first with `errors.check_int`.  Everything
+built from maps already canonical, or from ints the package computed,
+goes straight to `SparseMap._merge`, the one canonicaliser, with no
+check that could fail.
 """
 
 from collections import OrderedDict, namedtuple

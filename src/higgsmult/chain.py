@@ -24,10 +24,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable, Mapping, Sequence
-from operator import index
 
 from . import Record, SparseMap
-from .errors import DomainError, check_cost
+from .errors import DomainError, check_cost, check_int
 
 # chain_from_m refuses m-vectors with more zeros than this before building
 # any point (each zero is a labelled Point; 10^5 of them take about 0.6 s).
@@ -107,7 +106,8 @@ class ChainHiggsBundle(
 
     zero_divisors[i-1] is the divisor of b_i for i = 1..n-1 and must be
     effective of degree m_i = l_i - l_{i-1} + 2g - 2; delta0 is a signed
-    divisor of degree l_0 presenting the first line bundle.
+    divisor of degree l_0 presenting the first line bundle.  Plain
+    mappings like {"p": 2} are accepted wherever a Divisor is.
     """
 
     __slots__ = ()
@@ -116,19 +116,19 @@ class ChainHiggsBundle(
         cls,
         genus: int,
         degrees: Iterable[int],
-        delta0: Divisor = Divisor.zero(),
-        zero_divisors: Iterable[Divisor] = (),
+        delta0: "Divisor | Mapping" = Divisor.zero(),
+        zero_divisors: "Iterable[Divisor | Mapping]" = (),
     ) -> "ChainHiggsBundle":
-        if genus < 2:
-            raise DomainError(f"genus must be >= 2, got {genus}")
+        genus = check_int("genus", genus, 2)
         degrees = tuple(int(d) for d in degrees)
         if len(degrees) < 1:
             raise DomainError("a chain needs at least one line bundle degree")
-        zeros = tuple(zero_divisors)
+        zeros = tuple(z if isinstance(z, Divisor) else Divisor(z) for z in zero_divisors)
         if len(zeros) != len(degrees) - 1:
             raise DomainError(
                 f"expected {len(degrees) - 1} zero divisors for rank {len(degrees)}, got {len(zeros)}"
             )
+        delta0 = delta0 if isinstance(delta0, Divisor) else Divisor(delta0)
         if delta0.degree != degrees[0]:
             raise DomainError(
                 f"delta0 has degree {delta0.degree}, the first line bundle needs {degrees[0]}"
@@ -160,26 +160,20 @@ class ChainHiggsBundle(
 
     def zero_divisor(self, i: int) -> Divisor:
         """Divisor of b_i, 1-based."""
-        if not 1 <= i <= self.rank - 1:
-            raise DomainError(f"map index must be in 1..{self.rank - 1}, got {i}")
-        return self.zero_divisors[i - 1]
+        return self.zero_divisors[check_int("map index", i, 1, self.rank - 1) - 1]
 
 
 def make_chain(
     genus: int,
     degrees: Iterable[int],
     zeros: Iterable[Divisor | Mapping] = (),
-    delta0: "Divisor | None" = None,
+    delta0: "Divisor | Mapping | None" = None,
 ) -> ChainHiggsBundle:
-    """Build a chain, defaulting delta0 to a multiple of a base point.
-
-    Plain mappings like {"p": 2} are accepted wherever a Divisor is.
-    """
+    """Build a chain, defaulting delta0 to a multiple of a base point."""
     degrees = tuple(degrees)
     if delta0 is None:
         delta0 = Divisor({Point("o"): degrees[0]}) if degrees and degrees[0] else Divisor.zero()
-    coerced = tuple(z if isinstance(z, Divisor) else Divisor(z) for z in zeros)
-    return ChainHiggsBundle(genus, degrees, delta0, coerced)
+    return ChainHiggsBundle(genus, degrees, delta0, zeros)
 
 
 def chain_from_m(genus: int, m: Iterable[int], top_degree: int = 0) -> ChainHiggsBundle:
@@ -189,11 +183,12 @@ def chain_from_m(genus: int, m: Iterable[int], top_degree: int = 0) -> ChainHigg
     divisor of b_i takes m_i distinct points labelled zi.1, zi.2, ...
     so the result is very stable whenever it is stable.
     """
-    m = tuple(int(x) for x in m)
+    m = tuple(check_int("m-vector entry", x) for x in m)
     if any(x < 0 for x in m):
         raise DomainError(f"m-vector entries must be >= 0, got {m}")
     check_cost("m-vector", sum(m), ZERO_CAP, "zeros")
-    degrees = [int(top_degree)]
+    genus = check_int("genus", genus, 2)
+    degrees = [check_int("top degree", top_degree)]
     for mi in m:
         degrees.append(degrees[-1] + mi - (2 * genus - 2))
     zeros = tuple(
@@ -294,11 +289,8 @@ def block_tplus_dims(genus: int, blocks: Sequence[tuple[int, int]]) -> WeightDim
     >>> block_tplus_dims(2, [(1, 0), (2, -1)]).as_dict()  # type (1,2)
     {1: 7, 2: 3}
     """
-    try:
-        genus = index(genus)
-        blocks = [(index(r), index(d)) for r, d in blocks]
-    except TypeError as exc:
-        raise WeightDims._refusal(exc) from None
+    genus = check_int("genus", genus, 2)
+    blocks = [(check_int("block rank", r, 1), check_int("block degree", d)) for r, d in blocks]
     g1 = genus - 1
     dims = [0, 1] + [0] * (len(blocks) - 1)  # dims[k] at index k
     for a, (ra, da) in enumerate(blocks):
@@ -321,15 +313,8 @@ def tplus_dims(c: ChainHiggsBundle) -> WeightDims:
 def gl_hitchin_base_dims(genus: int, n: int) -> WeightDims:
     """Weights of the rank-n Hitchin base: g at weight 1, then
     (2k-1)(g-1) at each weight 2 <= k <= n."""
-    if genus < 2:
-        raise DomainError(f"genus must be >= 2, got {genus}")
-    if n < 1:
-        raise DomainError(f"rank must be >= 1, got {n}")
+    genus, n = check_int("genus", genus, 2), check_int("rank", n, 1)
     check_cost(f"GL_{n}", n, RANK_CAP, "invariant degrees")
-    try:
-        genus = index(genus)
-    except TypeError as exc:
-        raise WeightDims._refusal(exc) from None
     dims = [(1, genus)] + [(k, (2 * k - 1) * (genus - 1)) for k in range(2, n + 1)]
     return WeightDims._merge(dims)
 
@@ -337,7 +322,7 @@ def gl_hitchin_base_dims(genus: int, n: int) -> WeightDims:
 def twist(c: ChainHiggsBundle, p: PointLike, mult: int = -1) -> ChainHiggsBundle:
     """Tensor the whole chain by O(mult * p): every degree moves by mult,
     delta0 absorbs the twist, all zero divisors stay put."""
-    p = as_point(p)
+    p, mult = as_point(p), check_int("twist multiplicity", mult)
     return ChainHiggsBundle(
         c.genus,
         tuple(l + mult for l in c.degrees),

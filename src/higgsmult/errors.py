@@ -4,12 +4,16 @@ Three kinds of failure are kept apart deliberately: bad input data
 (DomainError), a computation that would exceed a configured cap
 (ResourceLimitError), and a broken internal invariant that callers
 should never be able to trigger (InternalError).  The command line
-maps them to exit codes 2, 3 and 70.  Every cap is enforced by one
-call of `check_cost`, with a cost known before the work it bounds,
-but for the printing limit: `check_digits` runs after the work.
+maps them to exit codes 2, 3 and 70.  Every integer argument a caller
+passes goes through one `check_int` call, which refuses a non-integer,
+a bool or a value out of range with a DomainError naming the argument.
+Every cap is enforced by one call of `check_cost`, with a cost known
+before the work it bounds, but for the printing limit: `check_digits`
+runs after the work.
 """
 
 from math import log10
+from operator import index
 
 # Python's default int-to-str limit: what passes `check_digits` prints.
 DIGITS_CAP = 4300
@@ -21,6 +25,28 @@ class DomainError(ValueError):
 
 class ResourceLimitError(RuntimeError):
     """A configured size or enumeration cap would be exceeded."""
+
+
+def check_int(what: str, value: object, lo: "int | None" = None, hi: "int | None" = None) -> int:
+    """`value` as an int, refused unless an integer (not a bool) >= lo
+    and, when hi is given too, <= hi.
+
+    >>> check_int("genus", 2.5, 2)
+    Traceback (most recent call last):
+    ...
+    higgsmult.errors.DomainError: genus must be an integer, got 2.5
+    """
+    if type(value) is not int:  # the common case costs one type test
+        try:
+            if isinstance(value, bool):
+                raise TypeError
+            value = index(value)
+        except TypeError:
+            raise DomainError(f"{what} must be an integer, got {value!r}") from None
+    if lo is not None and (value < lo or hi is not None and value > hi):
+        span = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+        raise DomainError(f"{what} must be {span}, got {value}")
+    return value
 
 
 def check_cost(what: str, cost: int, cap: int, unit: str) -> None:

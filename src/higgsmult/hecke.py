@@ -35,7 +35,7 @@ from operator import index
 
 from .chain import ChainHiggsBundle, Divisor, PointLike, as_point, is_stable, is_very_stable
 from .errors import DIGITS_CAP, DomainError, InternalError, UnstableResultError
-from .errors import check_cost, check_digits
+from .errors import check_cost, check_digits, check_int
 
 ENUMERATION_CAP = 10 ** 6
 _COUNT = "the intersection count"
@@ -50,8 +50,7 @@ def hecke_remove_zero(c: ChainHiggsBundle, i: int, pt: PointLike) -> ChainHiggsB
     """
     pt = as_point(pt)
     n = c.rank
-    if not 1 <= i <= n - 1:
-        raise DomainError(f"map index must be in 1..{n - 1}, got {i}")
+    i = check_int("map index", i, 1, n - 1)
     if not is_stable(c):
         raise DomainError("hecke removal needs a stable chain")
     div = c.zero_divisor(i)
@@ -76,8 +75,7 @@ def hecke_add_zero(c: ChainHiggsBundle, k: int, pt: PointLike) -> ChainHiggsBund
     """
     pt = as_point(pt)
     n = c.rank
-    if not 1 <= k <= n - 1:
-        raise DomainError(f"invariant subspace dimension must be in 1..{n - 1}, got {k}")
+    k = check_int("invariant subspace dimension", k, 1, n - 1)
     if not is_stable(c):
         raise DomainError("hecke addition needs a stable chain")
     total = sum(d[pt] for d in c.zero_divisors)

@@ -20,14 +20,11 @@ loading this module.
 
 from __future__ import annotations
 
-from math import comb
-
 from .chain import ChainHiggsBundle, WeightDims, block_tplus_dims, gl_hitchin_base_dims
 from .chain import is_stable
-from .errors import DomainError, InternalError
+from .errors import DomainError, InternalError, check_int
 from .polyalg import (
     FactoredChar,
-    IntPoly,
     MultResult,
     TruncatedSeries,
     power_product,
@@ -90,8 +87,8 @@ def mult_type12_rank3(g: int, twol_minus_v: int) -> MultResult:
     a polynomial exactly when 2l - v <= g - 1 (the wobbly threshold);
     past the threshold the (1+t) factors sit in the denominator and do
     not cancel.  T+ is `block_tplus_dims` of the blocks (1, 0), (2, v - 2l)."""
-    w = twol_minus_v
     base = gl_hitchin_base_dims(g, 3)  # refuses a genus below 2 before the window
+    w = check_int("2l-v", twol_minus_v)
     if not 0 < w < 3 * g - 3:
         raise DomainError(
             f"2l-v = {w} outside the stability window 0 < 2l-v < {3 * g - 3} at genus {g}"
@@ -139,15 +136,3 @@ def _pairing_factored(mA: MultResult, mB: MultResult, base: WeightDims) -> Facto
     """m_A * m_B * chi_T(Sym A*): one merge of the base grading's negated
     terms and both sides' terms, all of them canonical already."""
     return FactoredChar._merge([*((k, -d) for k, d in base), *mA.factored, *mB.factored])
-
-
-def cotangent_cross_character(g: int, i: int) -> IntPoly:
-    """Equivariant character pairing a rank-2 chain component with the
-    mirror of a cotangent fibre: 2^(2i) t^i (1+t)^(3g-3-2i), whose
-    coefficient at t^(i+j) is 4^i C(3g-3-2i, j)."""
-    if g < 2:
-        raise DomainError(f"genus must be >= 2, got {g}")
-    if not 0 <= i <= g - 1:
-        raise DomainError(f"component index must satisfy 0 <= i <= g-1, got i={i}, g={g}")
-    a = 3 * g - 3 - 2 * i
-    return IntPoly((0,) * i + tuple(4 ** i * comb(a, j) for j in range(a + 1)))

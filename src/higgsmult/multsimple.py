@@ -22,7 +22,7 @@ from collections import Counter, namedtuple
 from collections.abc import Sequence
 
 from . import Record
-from .errors import DomainError, InternalError, check_cost
+from .errors import DomainError, InternalError, check_cost, check_int
 from . import polyalg
 from .polyalg import FactoredChar, IntPoly, MultResult, power_product
 from .rootsys import RootSystem, cominuscule_nodes, degrees, levi_degrees, weyl_orbit_minuscule
@@ -46,6 +46,7 @@ def _checked_m(r: RootSystem, m: Sequence[int]) -> tuple[int, ...]:
 
 def unit_multiplicity_factored(r: RootSystem, i: int) -> FactoredChar:
     """Factored multiplicity for a single zero of b_i (m = i-th unit vector)."""
+    i = check_int("node", i)
     if not 1 <= i <= r.rank:
         raise DomainError(f"node {i} out of range for {r.lie_type}")
     pairs = []
@@ -77,6 +78,7 @@ def mult_cominuscule(r: RootSystem, i: int) -> MultResult:
     Always a polynomial (the quotient is the Poincare polynomial of G/P);
     a non-polynomial outcome indicates a bug, not bad input.
     """
+    i = check_int("node", i)
     if i not in cominuscule_nodes(r):
         raise DomainError(f"node {i} of {r.lie_type} is not cominuscule")
     result = MultResult(
@@ -139,8 +141,7 @@ def polynomiality_scan(r: RootSystem, bound: int, cap: int = SCAN_CAP) -> ScanRe
     first point that takes it past polyalg.SERIES_WORK_CAP.  Grids of more
     than `cap` points are refused first.
     """
-    if bound < 1:
-        raise DomainError(f"scan bound must be >= 1, got {bound}")
+    bound = check_int("scan bound", bound, 1)
     check_cost("scan grid", (bound + 1) ** r.rank, cap, "points")
     units = [unit_multiplicity_factored(r, i) for i in range(1, r.rank + 1)]
     steps = [bound * (sum(abs(e) for _, e in u) + 1) for u in units]

@@ -71,7 +71,7 @@ from operator import index, mul, neg, sub
 from sys import getsizeof
 
 from . import ByteMemo, MemoInfo, Record, SparseMap
-from .errors import DomainError, InternalError, check_cost
+from .errors import DomainError, InternalError, check_cost, check_int
 
 # A series path whose up-front cost is above this is refused: kernel
 # coefficient updates, or recurrence word operations.  mult_type_n(16, 8)
@@ -133,8 +133,7 @@ class IntPoly(Record, namedtuple("IntPoly", "coeffs")):
         return IntPoly(tuple(out))
 
     def __pow__(self, n: int) -> "IntPoly":
-        if n < 0:
-            raise DomainError(f"polynomial power must be >= 0, got {n}")
+        n = check_int("polynomial power", n, 0)
         result = IntPoly.one()
         base = self
         while n:
@@ -167,13 +166,6 @@ def qbinom(n: int, k: int) -> IntPoly:
     >>> qbinom(5, 0).coeffs
     (1,)
     """
-    try:
-        if n < 1:
-            raise DomainError(f"quantum binomial needs n >= 1, got n={n}")
-        if k < 0 or k > n:
-            raise DomainError(f"quantum binomial needs 0 <= k <= n, got k={k}, n={n}")
-    except TypeError as exc:  # n or k not a number
-        raise FactoredChar._refusal(exc) from None
     result = expand(qbinom_factored(n, k))
     if not isinstance(result, IntPoly):
         raise InternalError(f"quantum binomial ({n},{k}) did not divide exactly")
@@ -183,15 +175,12 @@ def qbinom(n: int, k: int) -> IntPoly:
 def qbinom_factored(n: int, k: int) -> "FactoredChar":
     """Factored form of qbinom(n, k): +1 at n-j+1, -1 at j, for j = 1..k.
 
-    n and k are refused unless integers, with the constructor's message;
-    then every factor index lies in 1..n, so the terms merge unchecked.
+    n and k are refused unless integers with 0 <= k <= n, n >= 1; then
+    every factor index lies in 1..n, so the terms merge unchecked.
     """
-    try:
-        if n < 1 or k < 0 or k > n:
-            raise DomainError(f"quantum binomial needs 0 <= k <= n, n >= 1; got k={k}, n={n}")
-        n, k = index(n), index(k)
-    except TypeError as exc:
-        raise FactoredChar._refusal(exc) from None
+    n, k = check_int("n", n), check_int("k", k)
+    if n < 1 or k < 0 or k > n:
+        raise DomainError(f"quantum binomial needs 0 <= k <= n, n >= 1; got k={k}, n={n}")
     return FactoredChar._merge(
         [(n - j + 1, 1) for j in range(1, k + 1)] + [(j, -1) for j in range(1, k + 1)]
     )
@@ -586,8 +575,7 @@ class TruncatedSeries(Record, namedtuple("TruncatedSeries", "order coeffs")):
     __slots__ = ()
 
     def __new__(cls, order: int, coeffs: "Iterable[int]" = ()) -> "TruncatedSeries":
-        if order < 0:
-            raise DomainError(f"series order must be >= 0, got {order}")
+        order = check_int("series order", order, 0)
         c = tuple(int(a) for a in coeffs)
         if len(c) > order + 1:
             raise DomainError("more coefficients than the order allows")
@@ -602,7 +590,6 @@ def series_expand(f: FactoredChar, order: int) -> TruncatedSeries:
     >>> series_expand(FactoredChar({2: 1, 1: -1}), 3).coeffs
     (1, 1, 0, 0)
     """
-    if order < 1:
-        raise DomainError(f"series order must be >= 1, got {order}")
+    order = check_int("series order", order, 1)
     # exactly order + 1 ints: skip TruncatedSeries.__new__
     return TruncatedSeries._make((order, tuple(_series(f, order + 1))))

@@ -39,7 +39,7 @@ from math import prod
 from sys import getsizeof
 
 from . import ByteMemo, MemoInfo, Record
-from .errors import DomainError, InternalError, check_cost
+from .errors import DomainError, InternalError, check_cost, check_int
 
 # Root systems with more positive roots than this are refused before any
 # work (before the l x l Cartan matrix, too); it admits A140 (9870 roots).
@@ -80,6 +80,7 @@ class LieType(Record, namedtuple("LieType", "family rank")):
         if family not in _RANK_RANGE:
             raise DomainError(f"unknown family {family!r}; expected one of A-G")
         lo, hi = _RANK_RANGE[family]
+        rank = check_int("rank", rank)
         if rank < lo or (hi is not None and rank > hi):
             span = f">= {lo}" if hi is None else f"in {lo}..{hi}"
             raise DomainError(f"family {family} needs rank {span}, got {rank}")
@@ -315,8 +316,7 @@ def levi_degrees(r: RootSystem, i: int) -> DegreeSet:
     entry for the torus rank lost keeps the result at rank many entries.
     """
     l = r.rank
-    if not 1 <= i <= l:
-        raise DomainError(f"node index must be in 1..{l}, got {i}")
+    i = check_int("node index", i, 1, l)
     hist = Counter(root.height for root in r.positive_roots if not root.coeffs[i - 1])
     return DegreeSet(_degrees_from_histogram(hist, l - 1) + (1,))
 
@@ -336,6 +336,7 @@ def weyl_orbit_minuscule(r: RootSystem, i: int) -> list[tuple[tuple[int, ...], i
     = |W/W_P| weights over the positive roots with c_i > 0 (Macdonald's
     formula at t = 1); one above ORBIT_CAP raises ResourceLimitError first.
     """
+    i = check_int("node", i)
     if i not in cominuscule_nodes(r):
         raise DomainError(f"node {i} of {r.lie_type} is not cominuscule")
     heights = [root.height for root in r.positive_roots if root.coeffs[i - 1]]

@@ -12,12 +12,35 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from higgsmult import SparseMap, polyalg
-from higgsmult.chain import Divisor, WeightDims, block_tplus_dims, gl_hitchin_base_dims
+from higgsmult.chain import (
+    ChainHiggsBundle,
+    Divisor,
+    WeightDims,
+    block_tplus_dims,
+    chain_from_m,
+    gl_hitchin_base_dims,
+    twist,
+)
 from higgsmult.errors import DomainError
-from higgsmult.multgl import _pairing_factored, virtual_multiplicity
-from higgsmult.multsimple import mult_simple
-from higgsmult.polyalg import FactoredChar, MultResult, power_product, qbinom, qbinom_factored
-from higgsmult.rootsys import LieType, build
+from higgsmult.hecke import hecke_add_zero, hecke_remove_zero
+from higgsmult.multgl import _pairing_factored, mult_type12_rank3, mult_type_n, virtual_multiplicity
+from higgsmult.multsimple import (
+    mult_cominuscule,
+    mult_simple,
+    polynomiality_scan,
+    unit_multiplicity_factored,
+)
+from higgsmult.polyalg import (
+    FactoredChar,
+    IntPoly,
+    MultResult,
+    TruncatedSeries,
+    power_product,
+    qbinom,
+    qbinom_factored,
+    series_expand,
+)
+from higgsmult.rootsys import LieType, build, levi_degrees, weyl_orbit_minuscule
 
 # pair lists with repeated keys, negative counts and counts that cancel
 pair_lists = st.lists(st.tuples(st.integers(1, 12), st.integers(-4, 4)), max_size=10)
@@ -92,10 +115,12 @@ class TestMergeAgainstRebuild:
         assert polyalg._divisors(12) is polyalg._divisors(12)
 
 
-# malformed input -> (exception class, exact message), each as it was when
-# the constructor checked every term of every sum, scale and product
+# malformed input -> (exception class, exact message): a map's pairs as they
+# were when the constructor checked every term of every sum, scale and
+# product; a scalar argument by errors.check_int, naming the argument
 A2 = LieType("A", 2)
 FLOAT = "'float' object cannot be interpreted as an integer"
+CHAIN = chain_from_m(3, [2])  # degrees (0, -2), zeros z1.1 and z1.2
 REFUSALS = {
     "power_product float exponent": (
         lambda: power_product([(FactoredChar({2: 1}), 1.5)]),
@@ -125,23 +150,159 @@ REFUSALS = {
     ),
     "base float genus": (
         lambda: gl_hitchin_base_dims(2.5, 3),
-        DomainError, f"WeightDims takes (key, integer) pairs: {FLOAT}",
+        DomainError, "genus must be an integer, got 2.5",
     ),
     "base float genus, rank 1": (
         lambda: gl_hitchin_base_dims(2.5, 1),
-        DomainError, f"WeightDims takes (key, integer) pairs: {FLOAT}",
+        DomainError, "genus must be an integer, got 2.5",
+    ),
+    "base str genus": (
+        lambda: gl_hitchin_base_dims("2", 3),
+        DomainError, "genus must be an integer, got '2'",
+    ),
+    "base bool genus": (
+        lambda: gl_hitchin_base_dims(True, 3),
+        DomainError, "genus must be an integer, got True",
+    ),
+    "base float rank": (
+        lambda: gl_hitchin_base_dims(2, 2.5),
+        DomainError, "rank must be an integer, got 2.5",
     ),
     "blocks float genus": (
         lambda: block_tplus_dims(2.5, [(1, 0)]),
-        DomainError, f"WeightDims takes (key, integer) pairs: {FLOAT}",
+        DomainError, "genus must be an integer, got 2.5",
     ),
     "blocks float degree": (
         lambda: block_tplus_dims(2, [(1, 0.5)]),
-        DomainError, f"WeightDims takes (key, integer) pairs: {FLOAT}",
+        DomainError, "block degree must be an integer, got 0.5",
     ),
     "blocks float rank": (
         lambda: block_tplus_dims(2, [(1.0, 0), (2, -1)]),
-        DomainError, f"WeightDims takes (key, integer) pairs: {FLOAT}",
+        DomainError, "block rank must be an integer, got 1.0",
+    ),
+    "blocks bool rank": (
+        lambda: block_tplus_dims(2, [(True, 0)]),
+        DomainError, "block rank must be an integer, got True",
+    ),
+    "blocks zero rank": (
+        lambda: block_tplus_dims(2, [(0, 0)]),
+        DomainError, "block rank must be >= 1, got 0",
+    ),
+    "blocks genus 1": (
+        lambda: block_tplus_dims(1, [(1, 0)]),
+        DomainError, "genus must be >= 2, got 1",
+    ),
+    "mult_type_n float rank": (
+        lambda: mult_type_n(3, 2.0),
+        DomainError, "rank must be an integer, got 2.0",
+    ),
+    "mult_type_n float genus": (
+        lambda: mult_type_n(3.0, 2),
+        DomainError, "genus must be an integer, got 3.0",
+    ),
+    "mult_type_n bool rank": (
+        lambda: mult_type_n(3, True),
+        DomainError, "rank must be an integer, got True",
+    ),
+    "mult_type12_rank3 float 2l-v": (
+        lambda: mult_type12_rank3(3, 2.0),
+        DomainError, "2l-v must be an integer, got 2.0",
+    ),
+    "mult_type12_rank3 bool 2l-v": (
+        lambda: mult_type12_rank3(3, True),
+        DomainError, "2l-v must be an integer, got True",
+    ),
+    "chain float genus": (
+        lambda: ChainHiggsBundle(3.0, (0,)),
+        DomainError, "genus must be an integer, got 3.0",
+    ),
+    "chain_from_m float entry": (
+        lambda: chain_from_m(3, [1.9]),
+        DomainError, "m-vector entry must be an integer, got 1.9",
+    ),
+    "chain_from_m str entry": (
+        lambda: chain_from_m(3, ["1"]),
+        DomainError, "m-vector entry must be an integer, got '1'",
+    ),
+    "chain_from_m bool entry": (
+        lambda: chain_from_m(3, [True]),
+        DomainError, "m-vector entry must be an integer, got True",
+    ),
+    "chain_from_m float top degree": (
+        lambda: chain_from_m(3, [1], top_degree=0.7),
+        DomainError, "top degree must be an integer, got 0.7",
+    ),
+    "chain_from_m str genus": (
+        lambda: chain_from_m("3", [1]),
+        DomainError, "genus must be an integer, got '3'",
+    ),
+    "zero_divisor float index": (
+        lambda: CHAIN.zero_divisor(1.0),
+        DomainError, "map index must be an integer, got 1.0",
+    ),
+    "twist float multiplicity": (
+        lambda: twist(CHAIN, "p", 0.5),
+        DomainError, "twist multiplicity must be an integer, got 0.5",
+    ),
+    "hecke_remove_zero float index": (
+        lambda: hecke_remove_zero(CHAIN, 1.0, "z1.1"),
+        DomainError, "map index must be an integer, got 1.0",
+    ),
+    "hecke_add_zero bool dimension": (
+        lambda: hecke_add_zero(CHAIN, True, "x"),
+        DomainError, "invariant subspace dimension must be an integer, got True",
+    ),
+    "LieType str rank": (
+        lambda: LieType("A", "3"),
+        DomainError, "rank must be an integer, got '3'",
+    ),
+    "LieType float rank": (
+        lambda: LieType("A", 3.0),
+        DomainError, "rank must be an integer, got 3.0",
+    ),
+    "LieType bool rank": (
+        lambda: LieType("A", True),
+        DomainError, "rank must be an integer, got True",
+    ),
+    "levi_degrees float node": (
+        lambda: levi_degrees(build(A2), 1.0),
+        DomainError, "node index must be an integer, got 1.0",
+    ),
+    "mult_cominuscule float node": (
+        lambda: mult_cominuscule(build(A2), 1.0),
+        DomainError, "node must be an integer, got 1.0",
+    ),
+    "weyl_orbit_minuscule bool node": (
+        lambda: weyl_orbit_minuscule(build(A2), True),
+        DomainError, "node must be an integer, got True",
+    ),
+    "unit_multiplicity_factored float node": (
+        lambda: unit_multiplicity_factored(build(A2), 1.0),
+        DomainError, "node must be an integer, got 1.0",
+    ),
+    "polynomiality_scan float bound": (
+        lambda: polynomiality_scan(build(A2), 1.5),
+        DomainError, "scan bound must be an integer, got 1.5",
+    ),
+    "polynomiality_scan str bound": (
+        lambda: polynomiality_scan(build(A2), "2"),
+        DomainError, "scan bound must be an integer, got '2'",
+    ),
+    "series_expand float order": (
+        lambda: series_expand(FactoredChar({1: -1}), 2.5),
+        DomainError, "series order must be an integer, got 2.5",
+    ),
+    "series_expand bool order": (
+        lambda: series_expand(FactoredChar({1: -1}), True),
+        DomainError, "series order must be an integer, got True",
+    ),
+    "TruncatedSeries str order": (
+        lambda: TruncatedSeries("2"),
+        DomainError, "series order must be an integer, got '2'",
+    ),
+    "IntPoly float power": (
+        lambda: IntPoly((1, 1)) ** 2.0,
+        DomainError, "polynomial power must be an integer, got 2.0",
     ),
     "mult_simple float entry": (
         lambda: mult_simple(build(A2), [1.5, 0]),
@@ -169,15 +330,19 @@ REFUSALS = {
     ),
     "qbinom float n": (
         lambda: qbinom(4.0, 2),
-        DomainError, f"FactoredChar takes (key, integer) pairs: {FLOAT}",
+        DomainError, "n must be an integer, got 4.0",
+    ),
+    "qbinom str k": (
+        lambda: qbinom(4, "2"),
+        DomainError, "k must be an integer, got '2'",
     ),
     "qbinom_factored float n": (
         lambda: qbinom_factored(4.0, 2),
-        DomainError, f"FactoredChar takes (key, integer) pairs: {FLOAT}",
+        DomainError, "n must be an integer, got 4.0",
     ),
     "qbinom_factored float n, k out of range": (
         lambda: qbinom_factored(4.0, 5),
-        DomainError, "quantum binomial needs 0 <= k <= n, n >= 1; got k=5, n=4.0",
+        DomainError, "n must be an integer, got 4.0",
     ),
     "of_points non-label": (
         lambda: Divisor.of_points("p", 3),

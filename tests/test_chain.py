@@ -95,6 +95,15 @@ class TestChainValidation:
         with pytest.raises(DomainError, match="zero divisors"):
             ChainHiggsBundle(2, (0, -1), Divisor.zero(), ())
 
+    def test_plain_mappings_accepted(self):
+        c = ChainHiggsBundle(3, [2, 0], {"o": 2}, [{"p": 1, "q": 1}])
+        assert c == make_chain(3, (2, 0), [Divisor.of_points("p", "q")])
+        assert ChainHiggsBundle(3, [0], {"o": 0}).delta0 == Divisor.zero()
+        with pytest.raises(DomainError, match="delta0 has degree 1"):
+            ChainHiggsBundle(3, [0], {"o": 1})
+        with pytest.raises(DomainError, match="Divisor takes"):
+            ChainHiggsBundle(3, [2, 0], {"o": 2}, [{"p": 1.5}])
+
     @pytest.mark.parametrize("i", [0, 3])
     def test_zero_divisor_index_checked(self, i):
         c = chain_from_m(2, (1, 1))

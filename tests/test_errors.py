@@ -4,7 +4,8 @@ from pathlib import Path
 import pytest
 
 import higgsmult
-from higgsmult.errors import DIGITS_CAP, ResourceLimitError, check_cost, check_digits
+from higgsmult.errors import DIGITS_CAP, DomainError, ResourceLimitError
+from higgsmult.errors import check_cost, check_digits, check_int
 from higgsmult.multgl import mult_type_n
 
 
@@ -35,6 +36,36 @@ class TestCheckDigits:
         check_digits("the value at 1", mult_type_n(4762, 2).value_at_1)
         with pytest.raises(ResourceLimitError, match="has 4301 digits"):
             check_digits("the value at 1", mult_type_n(4763, 2).value_at_1)
+
+
+class TestCheckInt:
+    def test_integers_pass_as_ints(self):
+        class Handle:
+            def __index__(self):
+                return 7
+
+        assert check_int("n", Handle(), 1, 7) == 7 and type(check_int("n", Handle())) is int
+        assert check_int("n", -3) == -3 and check_int("n", 2, 2, 2) == 2
+
+    @pytest.mark.parametrize("value", [2.0, 2.5, "2", None, True, False, 1j])
+    def test_non_integers_and_bools_refused(self, value):
+        with pytest.raises(DomainError) as exc:
+            check_int("genus", value, 2)
+        assert str(exc.value) == f"genus must be an integer, got {value!r}"
+
+    @pytest.mark.parametrize(
+        "value, lo, hi, message",
+        [
+            (1, 2, None, "genus must be >= 2, got 1"),
+            (0, 1, 1, "genus must be in 1..1, got 0"),
+            (2, 1, 1, "genus must be in 1..1, got 2"),
+            (1, 1, 0, "genus must be in 1..0, got 1"),
+        ],
+    )
+    def test_out_of_range_refused(self, value, lo, hi, message):
+        with pytest.raises(DomainError) as exc:
+            check_int("genus", value, lo, hi)
+        assert str(exc.value) == message
 
 
 class TestCheckCost:

@@ -10,7 +10,6 @@ from higgsmult.errors import DomainError, ResourceLimitError
 from higgsmult.hecke import intersection_count
 from higgsmult.multgl import (
     MultResult,
-    cotangent_cross_character,
     euler_pairing_series,
     euler_prefactor,
     master_divisibility,
@@ -28,7 +27,7 @@ from higgsmult.polyalg import (
     qbinom,
 )
 
-from oracles import divmod_fractions, factored_series, mul_lists, pow_list
+from oracles import divmod_fractions, factored_series, mul_lists
 
 
 # polynomial multiplicities: products of (1-t^(j*q))^e / (1-t^j)^e, each a
@@ -374,28 +373,6 @@ class TestEulerPairing:
         )
         expected = (expected + [0] * (order + 1))[: order + 1]
         assert list(s.coeffs) == expected
-
-
-class TestCotangentCross:
-    def test_examples(self):
-        assert cotangent_cross_character(2, 0) == IntPoly((1, 3, 3, 1))
-        assert cotangent_cross_character(2, 1) == IntPoly((0, 4, 4))
-        assert cotangent_cross_character(3, 2) == IntPoly((0, 0, 16, 32, 16))
-        for g in range(2, 7):
-            for i in range(g):
-                expected = [0] * i + [4 ** i * x for x in pow_list([1, 1], 3 * g - 3 - 2 * i)]
-                assert list(cotangent_cross_character(g, i).coeffs) == expected
-
-    def test_value_at_one(self):
-        # 2^(2i) * 2^(3g-3-2i) = 2^(3g-3), independent of i
-        for g in range(2, 6):
-            for i in range(0, g):
-                assert cotangent_cross_character(g, i).value_at_one() == 2 ** (3 * g - 3)
-
-    @pytest.mark.parametrize("g,i", [(2, -1), (2, 2), (3, 3), (1, 0)])
-    def test_domain(self, g, i):
-        with pytest.raises(DomainError):
-            cotangent_cross_character(g, i)
 
 
 class TestMultResultInvariants:

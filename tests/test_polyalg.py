@@ -159,7 +159,7 @@ class TestQuantum:
     @pytest.mark.parametrize("n,k", [(4, 2.0), (4.0, 2), (4.0, 0), ("4", 2), (4, None)])
     def test_non_integers_refused(self, n, k):
         for make in (qbinom, qbinom_factored):
-            with pytest.raises(DomainError, match="FactoredChar takes \\(key, integer\\) pairs"):
+            with pytest.raises(DomainError, match="^[nk] must be an integer, got "):
                 make(n, k)
 
     def test_qbinom_edges(self):
