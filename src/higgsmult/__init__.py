@@ -14,20 +14,20 @@ canonical finite formal sum (exponent maps in `polyalg`, weight gradings
 and divisors in `chain`); and `ByteMemo`, the one memo, which keeps
 `polyalg`'s series and `rootsys`'s packed roots within byte budgets.
 
-A sparse map's keys and counts are checked once, where they enter: the
-`SparseMap` constructor is the boundary, and functions that compute
-counts from a caller's numbers (a genus, blocks, n and k of a quantum
-binomial) check each of them first with `errors.check_int`.  Everything
-built from maps already canonical, or from ints the package computed,
-goes straight to `SparseMap._merge`, the one canonicaliser, with no
-check that could fail.
+Every number a caller passes goes through `errors.check_int`, which
+converts it or refuses it: a sparse map's keys (lookups too) and counts
+where they enter, in the `SparseMap` constructor, and the arguments of
+functions that compute counts from a caller's numbers (a genus, blocks,
+n and k of a quantum binomial).  Everything built from maps already
+canonical, or from ints the package computed, goes straight to
+`SparseMap._merge`, the one canonicaliser, with no check that could
+fail.
 """
 
 from collections import OrderedDict, namedtuple
 from collections.abc import Mapping
-from operator import index
 
-from .errors import DomainError
+from .errors import DomainError, check_int
 
 __version__ = "0.1.0"
 
@@ -63,18 +63,18 @@ class SparseMap:
     """A finite formal sum: distinct keys, each with a nonzero integer count.
 
     The constructor is where data enters, and the one place keys and
-    counts are checked.  It takes (key, count) pairs from a mapping or an iterable,
-    normalises each key by the class's key rule `_key` (here: an integer
-    >= 1) and each count by operator.index, and refuses anything
-    non-integral with DomainError.  It then hands the pairs to `_merge`,
-    the one canonicaliser: it sums equal keys, drops zero counts and
-    sorts by key, and checks nothing.  Arithmetic merges without checking
-    again: `+` and `-` merge the terms of two maps of the class, and
-    `scale` their products with one integer it checks once, so every key
-    has passed `_key` and every count is an int already.  The dict built
-    on the way is kept, so a lookup is one dict read; an absent key
-    reads 0.  Equality and hashing are by class and terms, and no
-    attribute can be assigned.
+    counts are checked.  It takes (key, count) pairs from a mapping or an
+    iterable, normalises each key by the class's key rule `_key` (here:
+    `errors.check_int`, >= 1) and each count by `check_int`, and refuses
+    anything that is not a pair with DomainError.  It then hands the
+    pairs to `_merge`, the one canonicaliser: it sums equal keys, drops
+    zero counts and sorts by key, and checks nothing.  Arithmetic merges
+    without checking again: `+` and `-` merge the terms of two maps of
+    the class, and `scale` their products with one integer it checks
+    once, so every key has passed `_key` and every count is an int
+    already.  The dict built on the way is kept, so a lookup is one
+    `_key` call and one dict read; an absent key reads 0.  Equality and
+    hashing are by class and terms, and no attribute can be assigned.
 
     >>> m = SparseMap([(3, 1), (1, 2), (3, -1), (2, 5)])
     >>> m.terms
@@ -85,9 +85,10 @@ class SparseMap:
     {1: 2}
     >>> m.scale(-2) == SparseMap({1: -4, 2: -10})
     True
-    >>> SparseMap({2.5: 1})  # doctest: +IGNORE_EXCEPTION_DETAIL
+    >>> SparseMap({2: 1.5})
     Traceback (most recent call last):
-    DomainError: SparseMap takes (key, integer) pairs
+    ...
+    higgsmult.errors.DomainError: SparseMap count must be an integer, got 1.5
     """
 
     __slots__ = ("terms", "_dict")
@@ -95,14 +96,16 @@ class SparseMap:
     _noun = "key"
 
     def __new__(cls, pairs: "Mapping | Iterable[tuple]" = ()) -> "SparseMap":
-        key = cls._key
+        key, what = cls._key, f"{cls.__name__} count"
         try:
             checked = [
-                (key(k), index(count))
+                (key(k), check_int(what, count))
                 for k, count in (pairs.items() if isinstance(pairs, Mapping) else pairs)
             ]
-        except TypeError as exc:
-            raise cls._refusal(exc) from None
+        except DomainError:
+            raise
+        except (TypeError, ValueError) as exc:  # not (key, count) pairs
+            raise DomainError(f"{cls.__name__} takes (key, integer) pairs: {exc}") from None
         return cls._merge(checked)
 
     @classmethod
@@ -117,11 +120,6 @@ class SparseMap:
         object.__setattr__(self, "terms", tuple(canon.items()))
         object.__setattr__(self, "_dict", canon)
         return self
-
-    @classmethod
-    def _refusal(cls, exc: TypeError) -> DomainError:
-        """The constructor's refusal of a non-integral key or count."""
-        return DomainError(f"{cls.__name__} takes (key, integer) pairs: {exc}")
 
     def __eq__(self, other: object) -> bool:
         return type(other) is type(self) and self.terms == other.terms
@@ -139,10 +137,7 @@ class SparseMap:
 
     @classmethod
     def _key(cls, k: object) -> int:
-        k = index(k)
-        if k < 1:
-            raise DomainError(f"{cls._noun} must be >= 1, got {k}")
-        return k
+        return check_int(cls._noun, k, 1)
 
     def __getitem__(self, k: object) -> int:
         return self._dict.get(self._key(k), 0)
@@ -168,10 +163,7 @@ class SparseMap:
         return self._merge([*self.terms, *((k, -c) for k, c in other.terms)])
 
     def scale(self, m: int) -> "SparseMap":
-        try:
-            m = index(m)
-        except TypeError as exc:
-            raise self._refusal(exc) from None
+        m = check_int("scale factor", m)
         return self._merge([(k, m * c) for k, c in self.terms])
 
 

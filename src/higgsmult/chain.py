@@ -120,7 +120,7 @@ class ChainHiggsBundle(
         zero_divisors: "Iterable[Divisor | Mapping]" = (),
     ) -> "ChainHiggsBundle":
         genus = check_int("genus", genus, 2)
-        degrees = tuple(int(d) for d in degrees)
+        degrees = tuple(check_int("line bundle degree", d) for d in degrees)
         if len(degrees) < 1:
             raise DomainError("a chain needs at least one line bundle degree")
         zeros = tuple(z if isinstance(z, Divisor) else Divisor(z) for z in zero_divisors)
@@ -183,9 +183,7 @@ def chain_from_m(genus: int, m: Iterable[int], top_degree: int = 0) -> ChainHigg
     divisor of b_i takes m_i distinct points labelled zi.1, zi.2, ...
     so the result is very stable whenever it is stable.
     """
-    m = tuple(check_int("m-vector entry", x) for x in m)
-    if any(x < 0 for x in m):
-        raise DomainError(f"m-vector entries must be >= 0, got {m}")
+    m = tuple(check_int("m-vector entry", x, 0) for x in m)
     check_cost("m-vector", sum(m), ZERO_CAP, "zeros")
     genus = check_int("genus", genus, 2)
     degrees = [check_int("top degree", top_degree)]

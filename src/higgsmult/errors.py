@@ -4,12 +4,14 @@ Three kinds of failure are kept apart deliberately: bad input data
 (DomainError), a computation that would exceed a configured cap
 (ResourceLimitError), and a broken internal invariant that callers
 should never be able to trigger (InternalError).  The command line
-maps them to exit codes 2, 3 and 70.  Every integer argument a caller
-passes goes through one `check_int` call, which refuses a non-integer,
-a bool or a value out of range with a DomainError naming the argument.
-Every cap is enforced by one call of `check_cost`, with a cost known
-before the work it bounds, but for the printing limit: `check_digits`
-runs after the work.
+maps them to exit codes 2, 3 and 70.  `check_int` is the only code
+that converts or refuses a number a caller passes: an argument, a cap,
+a record's fields, an m-vector's entries, a sparse map's keys and
+counts.  It refuses a non-integer, a bool or a value out of range with
+a DomainError naming what it checks, and never truncates.  Every cap
+is enforced by one call of `check_cost`, with a cost known before the
+work it bounds, but for the printing limit: `check_digits` runs after
+the work.
 """
 
 from math import log10

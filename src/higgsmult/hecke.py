@@ -182,6 +182,7 @@ def intersection_enumerate(
     built until it is read.  Sizes above the cap, read off the closed-form
     count, are refused before any slot is built.
     """
+    cap = check_int("cap", cap)
     if not is_very_stable(c):
         raise DomainError("intersection enumeration is only defined for very stable chains")
     check_cost("the enumeration", _count(c), cap, "points")

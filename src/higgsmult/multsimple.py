@@ -32,18 +32,6 @@ from .rootsys import RootSystem, cominuscule_nodes, degrees, levi_degrees, weyl_
 SCAN_CAP = 100_000
 
 
-def _checked_m(r: RootSystem, m: Sequence[int]) -> tuple[int, ...]:
-    entries = tuple(m)
-    if len(entries) != r.rank:
-        raise DomainError(
-            f"m has {len(entries)} entries but {r.lie_type} has rank {r.rank}"
-        )
-    for x in entries:
-        if not isinstance(x, int) or isinstance(x, bool) or x < 0:
-            raise DomainError(f"entries of m must be nonnegative integers, got {x!r}")
-    return entries
-
-
 def unit_multiplicity_factored(r: RootSystem, i: int) -> FactoredChar:
     """Factored multiplicity for a single zero of b_i (m = i-th unit vector)."""
     i = check_int("node", i)
@@ -64,7 +52,9 @@ def mult_simple(r: RootSystem, m: Sequence[int]) -> MultResult:
     Multiplicative in m: the factored form for m + m' is the product of the
     factored forms, so the all-zero vector gives the constant 1.
     """
-    entries = _checked_m(r, m)
+    entries = tuple(check_int("m-vector entry", x, 0) for x in m)
+    if len(entries) != r.rank:
+        raise DomainError(f"m has {len(entries)} entries but {r.lie_type} has rank {r.rank}")
     return MultResult(
         power_product(
             (unit_multiplicity_factored(r, i), mi) for i, mi in enumerate(entries, start=1) if mi
@@ -141,7 +131,7 @@ def polynomiality_scan(r: RootSystem, bound: int, cap: int = SCAN_CAP) -> ScanRe
     first point that takes it past polyalg.SERIES_WORK_CAP.  Grids of more
     than `cap` points are refused first.
     """
-    bound = check_int("scan bound", bound, 1)
+    bound, cap = check_int("scan bound", bound, 1), check_int("cap", cap)
     check_cost("scan grid", (bound + 1) ** r.rank, cap, "points")
     units = [unit_multiplicity_factored(r, i) for i in range(1, r.rank + 1)]
     steps = [bound * (sum(abs(e) for _, e in u) + 1) for u in units]

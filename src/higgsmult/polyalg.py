@@ -67,7 +67,7 @@ from collections.abc import Callable, Iterable
 from functools import cached_property, lru_cache
 from itertools import accumulate, zip_longest
 from math import ceil, isqrt, lgamma, log, log2
-from operator import index, mul, neg, sub
+from operator import mul, neg, sub
 from sys import getsizeof
 
 from . import ByteMemo, MemoInfo, Record, SparseMap
@@ -99,7 +99,7 @@ class IntPoly(Record, namedtuple("IntPoly", "coeffs")):
     __slots__ = ()
 
     def __new__(cls, coeffs: "Iterable[int]" = ()) -> "IntPoly":
-        c = tuple(int(a) for a in coeffs)
+        c = tuple(check_int("polynomial coefficient", a) for a in coeffs)
         n = len(c)
         while n and c[n - 1] == 0:
             n -= 1
@@ -213,8 +213,8 @@ class FactoredChar(SparseMap):
 def power_product(powers: Iterable[tuple[FactoredChar, int]]) -> FactoredChar:
     """prod f ** m over the (f, m) pairs, in one merge.
 
-    Each nonzero m is checked once; an f that is not a FactoredChar is
-    built as one first, so every term merged is canonical.
+    Each m is checked once; an f with m != 0 that is not a FactoredChar
+    is built as one first, so every term merged is canonical.
 
     >>> power_product([(qbinom_factored(4, 2), 3), (FactoredChar({5: 1}), 0)]).factors
     ((1, -3), (2, -3), (3, 3), (4, 3))
@@ -222,13 +222,15 @@ def power_product(powers: Iterable[tuple[FactoredChar, int]]) -> FactoredChar:
     pairs = []
     try:
         for f, m in powers:
+            m = check_int("power", m)
             if m:
-                m = index(m)
                 if type(f) is not FactoredChar:  # read as pairs, never as a mapping
                     f = FactoredChar(iter(f))
                 pairs += [(k, m * e) for k, e in f.terms]
-    except TypeError as exc:
-        raise FactoredChar._refusal(exc) from None
+    except DomainError:
+        raise
+    except (TypeError, ValueError) as exc:  # as the constructor refuses what is not pairs
+        raise DomainError(f"FactoredChar takes (key, integer) pairs: {exc}") from None
     return FactoredChar._merge(pairs)
 
 
@@ -576,7 +578,7 @@ class TruncatedSeries(Record, namedtuple("TruncatedSeries", "order coeffs")):
 
     def __new__(cls, order: int, coeffs: "Iterable[int]" = ()) -> "TruncatedSeries":
         order = check_int("series order", order, 0)
-        c = tuple(int(a) for a in coeffs)
+        c = tuple(check_int("series coefficient", a) for a in coeffs)
         if len(c) > order + 1:
             raise DomainError("more coefficients than the order allows")
         return tuple.__new__(cls, (order, c + (0,) * (order + 1 - len(c))))

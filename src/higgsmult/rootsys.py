@@ -77,7 +77,7 @@ class LieType(Record, namedtuple("LieType", "family rank")):
     __slots__ = ()
 
     def __new__(cls, family: str, rank: int) -> "LieType":
-        if family not in _RANK_RANGE:
+        if not isinstance(family, str) or family not in _RANK_RANGE:
             raise DomainError(f"unknown family {family!r}; expected one of A-G")
         lo, hi = _RANK_RANGE[family]
         rank = check_int("rank", rank)
@@ -260,10 +260,7 @@ class DegreeSet(Record):
     __slots__ = ()
 
     def __new__(cls, degrees) -> "DegreeSet":
-        self = tuple.__new__(cls, sorted(int(d) for d in degrees))
-        if any(d < 1 for d in self):
-            raise DomainError("degrees must be positive")
-        return self
+        return tuple.__new__(cls, sorted(check_int("degree", d, 1) for d in degrees))
 
     degrees = property(tuple)
     weyl_order = property(prod)
@@ -276,21 +273,20 @@ def _degrees_from_histogram(hist: dict[int, int], rank: int) -> DegreeSet:
     """Decompose sum_j N_j x^j as sum_i (x + ... + x^(d_i - 1)).
 
     The parts (N_1, N_2, ...) form a partition whose conjugate is the
-    multiset {d_i - 1}; a non-monotone histogram cannot come from a
-    root system and flags a bug.
+    multiset {d_i - 1}, so degree j + 1 occurs N_j - N_(j+1) times; a
+    non-monotone histogram cannot come from a root system and flags a bug.
     """
     if not hist:
         return DegreeSet(())
-    top = max(hist)
-    parts = [hist.get(j, 0) for j in range(1, top + 1)]
-    if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-        raise InternalError(f"height histogram {hist} is not a partition")
+    parts = [hist.get(j, 0) for j in range(1, max(hist) + 1)]
+    degs = []
+    for j, (n, n_next) in enumerate(zip(parts, parts[1:] + [0]), start=1):
+        if n < n_next:
+            raise InternalError(f"height histogram {hist} is not a partition")
+        degs += [j + 1] * (n - n_next)
     if parts[0] != rank:
         raise InternalError(f"histogram has {parts[0]} simple roots, rank is {rank}")
-    degs = []
-    for i in range(1, parts[0] + 1):
-        degs.append(sum(1 for p in parts if p >= i) + 1)
-    return DegreeSet(tuple(degs))
+    return DegreeSet(degs)
 
 
 def degrees(r: RootSystem) -> DegreeSet:

@@ -115,26 +115,41 @@ class TestMergeAgainstRebuild:
         assert polyalg._divisors(12) is polyalg._divisors(12)
 
 
-# malformed input -> (exception class, exact message): a map's pairs as they
-# were when the constructor checked every term of every sum, scale and
-# product; a scalar argument by errors.check_int, naming the argument
+# malformed input -> (exception class, exact message): every number, a
+# map's key or count as much as a scalar argument, by errors.check_int,
+# naming what it checks; a map's entries that are not pairs by the
+# constructor, and power_product's entries with the same message
 A2 = LieType("A", 2)
-FLOAT = "'float' object cannot be interpreted as an integer"
 CHAIN = chain_from_m(3, [2])  # degrees (0, -2), zeros z1.1 and z1.2
 REFUSALS = {
     "power_product float exponent": (
         lambda: power_product([(FactoredChar({2: 1}), 1.5)]),
-        DomainError, f"FactoredChar takes (key, integer) pairs: {FLOAT}",
+        DomainError, "power must be an integer, got 1.5",
     ),
     "power_product str exponent": (
         lambda: power_product([(FactoredChar({2: 1}), "2")]),
-        DomainError,
-        "FactoredChar takes (key, integer) pairs: 'str' object cannot be interpreted as an integer",
+        DomainError, "power must be an integer, got '2'",
     ),
     "power_product mapping factor": (
         lambda: power_product([({2: 1}, 1)]),
         DomainError,
         "FactoredChar takes (key, integer) pairs: cannot unpack non-iterable int object",
+    ),
+    "power_product non-iterable factor": (
+        lambda: power_product([(5, 1)]),
+        DomainError, "FactoredChar takes (key, integer) pairs: 'int' object is not iterable",
+    ),
+    "power_product three-item entry": (
+        lambda: power_product([(FactoredChar({2: 1}), 2, 3)]),
+        DomainError, "FactoredChar takes (key, integer) pairs: too many values to unpack (expected 2)",
+    ),
+    "constructor three-item entry": (
+        lambda: FactoredChar([(1, 2, 3)]),
+        DomainError, "FactoredChar takes (key, integer) pairs: too many values to unpack (expected 2)",
+    ),
+    "lookup by a float": (
+        lambda: FactoredChar({1: 2})[1.5],
+        DomainError, "factor index must be an integer, got 1.5",
     ),
     "power_product bad factor index": (
         lambda: power_product([([(0, 1)], 1)]),
@@ -142,11 +157,11 @@ REFUSALS = {
     ),
     "scale by a float": (
         lambda: FactoredChar({1: 2}).scale(1.5),
-        DomainError, f"FactoredChar takes (key, integer) pairs: {FLOAT}",
+        DomainError, "scale factor must be an integer, got 1.5",
     ),
     "power by a float": (
         lambda: FactoredChar({1: 2}) ** 1.5,
-        DomainError, f"FactoredChar takes (key, integer) pairs: {FLOAT}",
+        DomainError, "scale factor must be an integer, got 1.5",
     ),
     "base float genus": (
         lambda: gl_hitchin_base_dims(2.5, 3),
@@ -306,19 +321,19 @@ REFUSALS = {
     ),
     "mult_simple float entry": (
         lambda: mult_simple(build(A2), [1.5, 0]),
-        DomainError, "entries of m must be nonnegative integers, got 1.5",
+        DomainError, "m-vector entry must be an integer, got 1.5",
     ),
     "mult_simple negative entry": (
         lambda: mult_simple(build(A2), [-1, 0]),
-        DomainError, "entries of m must be nonnegative integers, got -1",
+        DomainError, "m-vector entry must be >= 0, got -1",
     ),
     "mult_simple bool entry": (
         lambda: mult_simple(build(A2), [True, 0]),
-        DomainError, "entries of m must be nonnegative integers, got True",
+        DomainError, "m-vector entry must be an integer, got True",
     ),
     "mult_simple str entry": (
         lambda: mult_simple(build(A2), ["1", 0]),
-        DomainError, "entries of m must be nonnegative integers, got '1'",
+        DomainError, "m-vector entry must be an integer, got '1'",
     ),
     "mult_simple short m": (
         lambda: mult_simple(build(A2), [1]),
@@ -381,4 +396,6 @@ class TestRefusalParity:
             {1: -1, 3: 6}
         )
         assert virtual_multiplicity([(1, 2)], [(2, 1)]).factored == FactoredChar({1: -2, 2: 1})
-        assert power_product([(FactoredChar({2: 1}), 0.0)]) == FactoredChar()
+        assert power_product([(FactoredChar({2: 1}), 0)]) == FactoredChar()
+        with pytest.raises(DomainError, match="^power must be an integer, got 0.0$"):
+            power_product([(FactoredChar({2: 1}), 0.0)])

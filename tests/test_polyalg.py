@@ -326,18 +326,19 @@ class TestSparseMap:
             FactoredChar({1: 2}) + WeightDims({1: 2})
 
     def test_factored_char_rejects_non_integers(self):
-        for bad in ({2.5: 1}, {2: 1.9}, {"2": 1}):
-            with pytest.raises(DomainError, match="FactoredChar"):
+        cases = [({2.5: 1}, "factor index"), ({2: 1.9}, "FactoredChar count"), ({"2": 1}, "factor index")]
+        for bad, what in cases:
+            with pytest.raises(DomainError, match=f"^{what} must be an integer, got "):
                 FactoredChar(bad)
 
     def test_weight_dims_rejects_non_integers(self):
-        for bad in ({"3": True}, {3: 0.5}):
-            with pytest.raises(DomainError, match="WeightDims"):
+        for bad, what in (({"3": True}, "weight"), ({3: 0.5}, "WeightDims count")):
+            with pytest.raises(DomainError, match=f"^{what} must be an integer, got "):
                 WeightDims(bad)
 
     def test_divisor_rejects_non_integers(self):
         for bad in ({"p": 1.5}, {"p": "1"}):
-            with pytest.raises(DomainError, match="Divisor"):
+            with pytest.raises(DomainError, match="^Divisor count must be an integer, got "):
                 Divisor(bad)
 
     def test_power_product(self):

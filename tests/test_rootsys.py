@@ -1,4 +1,5 @@
 import time
+from collections import Counter
 from fractions import Fraction
 from math import comb, factorial, prod
 from sys import getsizeof
@@ -153,6 +154,32 @@ class TestHistogramAndDegrees:
         d = degrees(r)
         assert sum(x - 1 for x in d) == len(r.positive_roots)
         assert d.weyl_order == classical_weyl_order(family, rank)
+
+
+def reference_degrees_from_histogram(hist, rank):
+    """Conjugate partition by counting, for each i, the parts >= i."""
+    if not hist:
+        return DegreeSet(())
+    parts = [hist.get(j, 0) for j in range(1, max(hist) + 1)]
+    return DegreeSet([sum(1 for p in parts if p >= i) + 1 for i in range(1, rank + 1)])
+
+
+class TestDegreesFromHistogram:
+    @pytest.mark.parametrize("family,rank", GRID + [("A", 60), ("A", 140)])
+    def test_matches_the_counting_conjugate(self, family, rank):
+        r = build(LieType(family, rank))
+        hist = height_histogram(r)
+        assert _degrees_from_histogram(hist, rank) == reference_degrees_from_histogram(hist, rank)
+        for i in range(1, rank + 1):
+            levi = Counter(root.height for root in r.positive_roots if not root.coeffs[i - 1])
+            expected = reference_degrees_from_histogram(levi, rank - 1)
+            assert _degrees_from_histogram(levi, rank - 1) == expected
+
+    def test_bad_histograms_are_internal_errors(self):
+        with pytest.raises(InternalError, match="is not a partition"):
+            _degrees_from_histogram({1: 2, 2: 3}, 2)
+        with pytest.raises(InternalError, match="histogram has 2 simple roots, rank is 3"):
+            _degrees_from_histogram({1: 2, 2: 1}, 3)
 
 
 COMINUSCULE = {

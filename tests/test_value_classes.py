@@ -25,7 +25,7 @@ def _chain():
 SAMPLES = {
     "IntPoly": (
         IntPoly((1, 2, 0, 0)),
-        IntPoly([True, 2.0]),
+        IntPoly([1, 2, 0]),
         ((1, 2),),
         "IntPoly(coeffs=(1, 2))",
     ),
@@ -66,7 +66,7 @@ SAMPLES = {
     "ChainHiggsBundle": (
         _chain(),
         ChainHiggsBundle(
-            genus=3, degrees=(2.0, 0), delta0=Divisor({"o": 2}), zero_divisors=(Divisor({"q": 1, "p": 1}),)
+            genus=3, degrees=[2, 0], delta0=Divisor({"o": 2}), zero_divisors=(Divisor({"q": 1, "p": 1}),)
         ),
         (3, (2, 0), Divisor({"o": 2}), (Divisor({"p": 1, "q": 1}),)),
         "ChainHiggsBundle(genus=3, degrees=(2, 0), delta0=Divisor(terms=((Point(label='o'), 2),)), "
@@ -93,7 +93,7 @@ SAMPLES = {
         "RootSystem(lie_type=LieType(family='A', rank=1), cartan=((2,),), "
         "positive_roots=(Root(coeffs=(1,), height=1),))",
     ),
-    "DegreeSet": (DegreeSet((4, 2, 2)), DegreeSet([2, 4.0, 2]), (2, 2, 4), "DegreeSet(degrees=(2, 2, 4))"),
+    "DegreeSet": (DegreeSet((4, 2, 2)), DegreeSet([2, 4, 2]), (2, 2, 4), "DegreeSet(degrees=(2, 2, 4))"),
     "MultResult": (
         MultResult(FactoredChar({2: 3, 1: -3})),
         MultResult(factored=FactoredChar({1: -3, 2: 3})),
@@ -179,7 +179,7 @@ def test_copies_are_equal(name):
 def test_normalisation():
     assert IntPoly((1, 0, 0)).coeffs == (1,)
     assert IntPoly((0, 0)).coeffs == () and IntPoly().is_zero
-    assert IntPoly([3.7, True]).coeffs == (3, 1)
+    assert IntPoly([3, 1, 0]).coeffs == (3, 1)
     assert TruncatedSeries(2).coeffs == (0, 0, 0)
     assert DegreeSet((4, 2, 2)).degrees == (2, 2, 4)
     assert tuple(DegreeSet([3, 1])) == (1, 3) and len(DegreeSet([3, 1])) == 2
@@ -200,8 +200,11 @@ def test_normalisation():
         (lambda: SparseMap({0: 1}), "key must be >= 1, got 0"),
         (lambda: FactoredChar({-2: 1}), "factor index must be >= 1, got -2"),
         (lambda: WeightDims({0: 1}), "weight must be >= 1, got 0"),
-        (lambda: SparseMap({2.5: 1}), "SparseMap takes (key, integer) pairs: "),
-        (lambda: FactoredChar({1: 0.5}), "FactoredChar takes (key, integer) pairs: "),
+        (lambda: SparseMap({2.5: 1}), "key must be an integer, got 2.5"),
+        (lambda: FactoredChar({1: 0.5}), "FactoredChar count must be an integer, got 0.5"),
+        (lambda: SparseMap([(1, 2, 3)]), "SparseMap takes (key, integer) pairs: "),
+        (lambda: FactoredChar([(1,)]), "FactoredChar takes (key, integer) pairs: "),
+        (lambda: IntPoly([3.7, True]), "polynomial coefficient must be an integer, got 3.7"),
         (lambda: Divisor({"": 1}), "point label must be a nonempty string"),
         (lambda: TruncatedSeries(-1), "series order must be >= 0, got -1"),
         (lambda: TruncatedSeries(1, (1, 2, 3)), "more coefficients than the order allows"),
@@ -229,7 +232,12 @@ def test_normalisation():
         (lambda: LieType("H", 2), "unknown family 'H'; expected one of A-G"),
         (lambda: LieType("D", 2), "family D needs rank >= 3, got 2"),
         (lambda: LieType("E", 9), "family E needs rank in 6..8, got 9"),
-        (lambda: DegreeSet((0, 2)), "degrees must be positive"),
+        (
+            lambda: ChainHiggsBundle(3, [2.7, 0.2], {"o": 2}, [{"p": 1, "q": 1}]),
+            "line bundle degree must be an integer, got 2.7",
+        ),
+        (lambda: DegreeSet((0, 2)), "degree must be >= 1, got 0"),
+        (lambda: DegreeSet((2, 4.0)), "degree must be an integer, got 4.0"),
     ],
 )
 def test_validation_messages(make, message):
