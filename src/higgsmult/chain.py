@@ -18,12 +18,17 @@ gives the Hitchin base weights, which double as those of a cotangent
 fibre.  Both feed the virtual multiplicity ratio; `tplus_dims` and the
 base refuse ranks above RANK_CAP, `chain_from_m` m-vectors with more
 than ZERO_CAP zeros, each by an `errors.check_cost` call before any work.
+The base is built once per process for each checked (genus, n): an
+lru_cache of 128 entries, at most about 22 KB each (n = RANK_CAP).  The
+chain-file reader checks every number by `errors.check_int`, naming its
+place in the file.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable, Mapping, Sequence
+from functools import lru_cache
 
 from . import Record, SparseMap
 from .errors import DomainError, check_cost, check_int
@@ -310,9 +315,17 @@ def tplus_dims(c: ChainHiggsBundle) -> WeightDims:
 
 def gl_hitchin_base_dims(genus: int, n: int) -> WeightDims:
     """Weights of the rank-n Hitchin base: g at weight 1, then
-    (2k-1)(g-1) at each weight 2 <= k <= n."""
+    (2k-1)(g-1) at each weight 2 <= k <= n.  Checked on every call, then
+    built once per (genus, n) (see `_hitchin_base`)."""
     genus, n = check_int("genus", genus, 2), check_int("rank", n, 1)
     check_cost(f"GL_{n}", n, RANK_CAP, "invariant degrees")
+    return _hitchin_base(genus, n)
+
+
+@lru_cache(maxsize=128)
+def _hitchin_base(genus: int, n: int) -> WeightDims:
+    """The base grading of checked ints; each entry is at most about 22 KB
+    (n = RANK_CAP, genus below 2^30), so the cache holds at most 2.8 MB."""
     dims = [(1, genus)] + [(k, (2 * k - 1) * (genus - 1)) for k in range(2, n + 1)]
     return WeightDims._merge(dims)
 
@@ -336,12 +349,12 @@ def _divisor_to_json(d: Divisor) -> dict[str, int]:
 def _divisor_from_json(obj: object, where: str) -> Divisor:
     if not isinstance(obj, dict):
         raise DomainError(f"{where}: expected an object mapping labels to multiplicities")
+    pairs = []
     for label, m in obj.items():
         if not isinstance(label, str) or not label:
             raise DomainError(f"{where}: point labels must be nonempty strings")
-        if not isinstance(m, int) or isinstance(m, bool):
-            raise DomainError(f"{where}: multiplicity of {label!r} must be an integer")
-    return Divisor._merge([(Point(label), m) for label, m in obj.items()])
+        pairs.append((Point(label), check_int(f"{where} multiplicity of {label!r}", m)))
+    return Divisor._merge(pairs)
 
 
 def chain_to_json(c: ChainHiggsBundle) -> dict:
@@ -364,14 +377,11 @@ def chain_from_json(obj: object) -> ChainHiggsBundle:
     for key in ("genus", "degrees", "delta0", "zeros"):
         if key not in obj:
             raise DomainError(f"chain: missing field {key!r}")
-    genus = obj["genus"]
-    if not isinstance(genus, int) or isinstance(genus, bool):
-        raise DomainError("chain: genus must be an integer")
+    genus = check_int("chain genus", obj["genus"])
     degrees = obj["degrees"]
-    if not isinstance(degrees, list) or not all(
-        isinstance(d, int) and not isinstance(d, bool) for d in degrees
-    ):
+    if not isinstance(degrees, list):
         raise DomainError("chain: degrees must be a list of integers")
+    degrees = [check_int(f"chain degrees[{i}]", d) for i, d in enumerate(degrees)]
     zeros_json = obj["zeros"]
     if not isinstance(zeros_json, list):
         raise DomainError("chain: zeros must be a list of divisor objects")

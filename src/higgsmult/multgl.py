@@ -12,13 +12,19 @@ section, is the block (n, 0); type (1,...,1), chains of line bundles,
 the blocks (1, l_i); the rank-3 type (1,2) family of the wobbly
 polynomiality threshold, the blocks (1, 0), (2, -w).  Each expands to an
 exact integer polynomial or provably fails to; `value_at_1` of the
-polynomial is the honest multiplicity of the component.  `MultResult`,
+polynomial is the honest multiplicity of the component.  The factored
+forms of type (n) and type (1,2) depend only on small integers, so each
+is built once per process for its checked (g, n) or (g, 2l - v), after
+the argument checks: lru_caches of 128 entries of at most about 30 KB
+(n = RANK_CAP) and of 256 entries under 1.3 KB.  `MultResult`,
 the factored form with its lazy expansion, lives in `polyalg` beside
 the functions it calls, so the simple-group formulas share it without
 loading this module.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from .chain import ChainHiggsBundle, WeightDims, block_tplus_dims, gl_hitchin_base_dims
 from .chain import is_stable
@@ -43,6 +49,19 @@ def virtual_multiplicity(tplus: WeightDims, base: WeightDims) -> MultResult:
 
 
 def _type_n_factored(g: int, n: int) -> FactoredChar:
+    """The type (n) master's factored form, shared by `mult_type_n`,
+    `master_divisibility` and `euler_prefactor`: the genus and rank are
+    checked on every call, as `gl_hitchin_base_dims` checks them, then
+    the form is built once per (g, n) (see `_type_n`)."""
+    return _type_n(check_int("genus", g, 2), check_int("rank", n, 1))
+
+
+@lru_cache(maxsize=128)
+def _type_n(g: int, n: int) -> FactoredChar:
+    """The type (n) form of checked ints.  The base refuses a rank above
+    RANK_CAP, and lru_cache keeps no refusal.  An entry with its cyclotomic
+    exponents is at most about 30 KB (n = RANK_CAP, g below 2^30), so the
+    cache holds at most 3.8 MB."""
     base = gl_hitchin_base_dims(g, n)
     return virtual_multiplicity(block_tplus_dims(g, [(n, 0)]), base).factored
 
@@ -87,13 +106,22 @@ def mult_type12_rank3(g: int, twol_minus_v: int) -> MultResult:
     a polynomial exactly when 2l - v <= g - 1 (the wobbly threshold);
     past the threshold the (1+t) factors sit in the denominator and do
     not cancel.  T+ is `block_tplus_dims` of the blocks (1, 0), (2, v - 2l)."""
-    base = gl_hitchin_base_dims(g, 3)  # refuses a genus below 2 before the window
+    g = check_int("genus", g, 2)  # a genus below 2 is refused before the window
     w = check_int("2l-v", twol_minus_v)
     if not 0 < w < 3 * g - 3:
         raise DomainError(
             f"2l-v = {w} outside the stability window 0 < 2l-v < {3 * g - 3} at genus {g}"
         )
-    return virtual_multiplicity(block_tplus_dims(g, [(1, 0), (2, -w)]), base)
+    return MultResult(_type12(g, w))
+
+
+@lru_cache(maxsize=256)
+def _type12(g: int, w: int) -> FactoredChar:
+    """The type (1,2) form of a checked genus and window: three factors,
+    under 1.3 KB an entry with its cyclotomic exponents for g below 2^30,
+    so the cache holds at most 0.33 MB."""
+    base = gl_hitchin_base_dims(g, 3)
+    return virtual_multiplicity(block_tplus_dims(g, [(1, 0), (2, -w)]), base).factored
 
 
 def master_divisibility(m: MultResult, g: int, n: int) -> bool:

@@ -50,10 +50,15 @@ convert or trim), and the scan of `multsimple` calls it on series it
 builds by multiplying one kernel list in place.  `series_expand` runs a
 series to the requested order.  Both share one `ByteMemo` per process,
 in `_series`: f.terms -> the longest list computed for f, whose prefixes
-serve shorter requests.  The cost check runs
-first, so no refusal depends on earlier calls.  Keys, lists and their
+serve shorter requests.  A kept list long enough is served with no plan
+when `series_work` is within SERIES_WORK_CAP, since no plan refuses what
+the kernel admits; any other request is planned and cost-checked first,
+having only peeked at the memo, so no refusal depends on earlier calls
+and none counts a lookup.  Keys, lists and their
 elements count by sys.getsizeof against SERIES_MEMO_BYTES, least recently
 used out first; a list above a quarter of it is never kept.
+`qbinom_factored` builds each (n, k) once per process, after its checks:
+an lru_cache of 128 entries, at most about 23 KB each (n = 141).
 `value_at_one` reads f(1) off the cyclotomic exponents, with no
 expansion; `MultResult`, a multiplicity held in factored form, answers
 from those exponents and expands on first read.  `divides` is the one
@@ -176,11 +181,20 @@ def qbinom_factored(n: int, k: int) -> "FactoredChar":
     """Factored form of qbinom(n, k): +1 at n-j+1, -1 at j, for j = 1..k.
 
     n and k are refused unless integers with 0 <= k <= n, n >= 1; then
-    every factor index lies in 1..n, so the terms merge unchecked.
+    every factor index lies in 1..n, so the terms merge unchecked.  Checked
+    on every call, then built once per (n, k) (see `_qbinom`).
     """
     n, k = check_int("n", n), check_int("k", k)
     if n < 1 or k < 0 or k > n:
         raise DomainError(f"quantum binomial needs 0 <= k <= n, n >= 1; got k={k}, n={n}")
+    return _qbinom(n, k)
+
+
+@lru_cache(maxsize=128)
+def _qbinom(n: int, k: int) -> "FactoredChar":
+    """qbinom_factored of checked ints; an entry with its cyclotomic
+    exponents is at most about 23 KB (qbinom_factored(141, 70), 141 being
+    chain.RANK_CAP), so the cache holds at most 2.9 MB."""
     return FactoredChar._merge(
         [(n - j + 1, 1) for j in range(1, k + 1)] + [(j, -1) for j in range(1, k + 1)]
     )
@@ -213,8 +227,9 @@ class FactoredChar(SparseMap):
 def power_product(powers: Iterable[tuple[FactoredChar, int]]) -> FactoredChar:
     """prod f ** m over the (f, m) pairs, in one merge.
 
-    Each m is checked once; an f with m != 0 that is not a FactoredChar
-    is built as one first, so every term merged is canonical.
+    Each m is checked once; every f that is not a FactoredChar is built as
+    one first, whatever its power, so every term merged is canonical and a
+    malformed f is refused even at m = 0.
 
     >>> power_product([(qbinom_factored(4, 2), 3), (FactoredChar({5: 1}), 0)]).factors
     ((1, -3), (2, -3), (3, 3), (4, 3))
@@ -223,9 +238,9 @@ def power_product(powers: Iterable[tuple[FactoredChar, int]]) -> FactoredChar:
     try:
         for f, m in powers:
             m = check_int("power", m)
+            if type(f) is not FactoredChar:  # read as pairs, never as a mapping
+                f = FactoredChar(iter(f))
             if m:
-                if type(f) is not FactoredChar:  # read as pairs, never as a mapping
-                    f = FactoredChar(iter(f))
                 pairs += [(k, m * e) for k, e in f.terms]
     except DomainError:
         raise
@@ -462,12 +477,19 @@ def series_memo_info() -> MemoInfo:
 
 def _series(f: FactoredChar, length: int) -> list[int]:
     """The first `length` series coefficients of f by `_series_plan`'s path or
-    as a fresh prefix of a kept list; refused above SERIES_WORK_CAP before either."""
-    run, work = _series_plan(f, length)
-    if run is None:
-        what = f"a series of {length} coefficients through {work // length - 1} factors"
-        check_cost(what, work, SERIES_WORK_CAP, "coefficient updates")
+    as a fresh prefix of a kept list; refused above SERIES_WORK_CAP before either.
+
+    A kept list long enough is served with no plan when the kernel alone
+    would be admitted, since no plan refuses what the kernel admits; any
+    other request is planned first.  The memo is only peeked at before
+    that, so a refusal counts no lookup and moves no entry."""
     key = f.terms
+    kept = _memo.get(key)
+    if kept is None or len(kept) < length or series_work(f, length) > SERIES_WORK_CAP:
+        run, work = _series_plan(f, length)
+        if run is None:
+            what = f"a series of {length} coefficients through {work // length - 1} factors"
+            check_cost(what, work, SERIES_WORK_CAP, "coefficient updates")
     kept = _memo.find(key, lambda kept: len(kept) >= length)
     if kept is not None:
         return kept[:length]

@@ -17,6 +17,7 @@ from higgsmult.chain import (
     Divisor,
     WeightDims,
     block_tplus_dims,
+    chain_from_json,
     chain_from_m,
     gl_hitchin_base_dims,
     twist,
@@ -121,6 +122,7 @@ class TestMergeAgainstRebuild:
 # constructor, and power_product's entries with the same message
 A2 = LieType("A", 2)
 CHAIN = chain_from_m(3, [2])  # degrees (0, -2), zeros z1.1 and z1.2
+JSON_CHAIN = {"genus": 3, "degrees": [2, 0], "delta0": {"o": 2}, "zeros": [{"p": 1, "q": 1}]}
 REFUSALS = {
     "power_product float exponent": (
         lambda: power_product([(FactoredChar({2: 1}), 1.5)]),
@@ -134,6 +136,20 @@ REFUSALS = {
         lambda: power_product([({2: 1}, 1)]),
         DomainError,
         "FactoredChar takes (key, integer) pairs: cannot unpack non-iterable int object",
+    ),
+    "power_product mapping factor at power 0": (
+        lambda: power_product([({3: 1}, 0)]),
+        DomainError,
+        "FactoredChar takes (key, integer) pairs: cannot unpack non-iterable int object",
+    ),
+    "power_product mapping factor at power 1": (
+        lambda: power_product([({3: 1}, 1)]),
+        DomainError,
+        "FactoredChar takes (key, integer) pairs: cannot unpack non-iterable int object",
+    ),
+    "power_product non-iterable factor at power 0": (
+        lambda: power_product([(5, 0)]),
+        DomainError, "FactoredChar takes (key, integer) pairs: 'int' object is not iterable",
     ),
     "power_product non-iterable factor": (
         lambda: power_product([(5, 1)]),
@@ -250,6 +266,22 @@ REFUSALS = {
     "chain_from_m str genus": (
         lambda: chain_from_m("3", [1]),
         DomainError, "genus must be an integer, got '3'",
+    ),
+    "chain_from_json float genus": (
+        lambda: chain_from_json({**JSON_CHAIN, "genus": 3.0}),
+        DomainError, "chain genus must be an integer, got 3.0",
+    ),
+    "chain_from_json bool degree": (
+        lambda: chain_from_json({**JSON_CHAIN, "degrees": [2, True]}),
+        DomainError, "chain degrees[1] must be an integer, got True",
+    ),
+    "chain_from_json float delta0 multiplicity": (
+        lambda: chain_from_json({**JSON_CHAIN, "delta0": {"o": 2.0}}),
+        DomainError, "chain delta0 multiplicity of 'o' must be an integer, got 2.0",
+    ),
+    "chain_from_json str zero multiplicity": (
+        lambda: chain_from_json({**JSON_CHAIN, "zeros": [{"p": 1, "q": "1"}]}),
+        DomainError, "chain zeros[0] multiplicity of 'q' must be an integer, got '1'",
     ),
     "zero_divisor float index": (
         lambda: CHAIN.zero_divisor(1.0),

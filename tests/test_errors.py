@@ -169,8 +169,6 @@ CONVERSIONS = {
     ("errors.py", "check_digits"): "a digit count from a float logarithm",
     ("hecke.py", "_count"): "a digit count from a float logarithm",
     ("hecke.py", "IntersectionPoints.__getitem__"): "sequence indexing, as a tuple's",
-    ("chain.py", "_divisor_from_json"): "file fields, refused by their place in the file",
-    ("chain.py", "chain_from_json"): "file fields, refused by their place in the file",
     ("cli.py", "_m_vector"): "command-line text",
     ("cli.py", "_move"): "command-line text",
     ("cli.py", "run"): "the exit status and the elapsed milliseconds",

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from higgsmult import SparseMap, polyalg
+from higgsmult import SparseMap, chain, multgl, polyalg
 from higgsmult.chain import RANK_CAP, WeightDims, chain_from_m, gl_hitchin_base_dims, tplus_dims
 from higgsmult.errors import DomainError, ResourceLimitError
 from higgsmult.hecke import intersection_count
@@ -275,6 +275,8 @@ class TestLazyExpansion:
         assert m.value_at_1 == sum(m.polynomial.coeffs)
 
     def test_cyclotomic_exponents_computed_once(self, monkeypatch):
+        # the type (n) form is shared per (g, n): build it afresh
+        multgl._type_n.cache_clear()
         calls = []
         divisors = polyalg._divisors
         monkeypatch.setattr(polyalg, "_divisors", lambda k: calls.append(k) or divisors(k))
@@ -283,6 +285,107 @@ class TestLazyExpansion:
         calls.clear()
         assert isinstance(m.polynomial, IntPoly)
         assert calls == []
+
+
+def _closed_type_n(g, n):
+    """prod_{i=2..n} [i]_t^{(2i-1)(g-1)}, [i]_t = (1 - t^i)/(1 - t)."""
+    exps = {i: (2 * i - 1) * (g - 1) for i in range(2, n + 1)}
+    return FactoredChar({**exps, 1: -sum(exps.values())})
+
+
+def _closed_type12(g, w):
+    """(1 + t)^(g-1-w) (1 + t + t^2)^(5g-5)."""
+    return FactoredChar({1: -(g - 1 - w) - (5 * g - 5), 2: g - 1 - w, 3: 5 * g - 5})
+
+
+def _closed_qbinom(n, k):
+    """prod_{j=1..k} (1 - t^(n-j+1)) / (1 - t^j), built by the checking constructor."""
+    out = FactoredChar()
+    for j in range(1, k + 1):
+        out = out * FactoredChar({n - j + 1: 1}) * FactoredChar({j: -1})
+    return out
+
+
+CACHES = {
+    "base": chain._hitchin_base,
+    "qbinom": polyalg._qbinom,
+    "type n": multgl._type_n,
+    "type12": multgl._type12,
+}
+
+
+class TestBuildingBlockCaches:
+    def test_refusals_come_before_the_cache(self):
+        gl_hitchin_base_dims(3, 2)
+        polyalg.qbinom_factored(4, 2)
+        mult_type_n(3, 2)
+        mult_type_n(3, 1)
+        mult_type12_rank3(3, 2)
+        # but for a genus True (1 is refused too), each call equals a key just
+        # cached (3.0 == 3, True == 1): a cache in front of the checks would
+        # answer it
+        refused = [
+            ("genus must be an integer, got 3.0", lambda: gl_hitchin_base_dims(3.0, 2)),
+            ("genus must be an integer, got True", lambda: gl_hitchin_base_dims(True, 2)),
+            ("rank must be an integer, got True", lambda: gl_hitchin_base_dims(3, True)),
+            ("rank must be an integer, got True", lambda: mult_type_n(3, True)),
+            ("n must be an integer, got 4.0", lambda: polyalg.qbinom_factored(4.0, 2)),
+            ("rank must be an integer, got 2.0", lambda: mult_type_n(3, 2.0)),
+            ("genus must be an integer, got 3.0", lambda: mult_type_n(3.0, 2)),
+            ("rank must be an integer, got 2.0", lambda: euler_prefactor(3, 2.0)),
+            ("genus must be an integer, got 3.0", lambda: mult_type12_rank3(3.0, 2)),
+            ("2l-v must be an integer, got 2.0", lambda: mult_type12_rank3(3, 2.0)),
+        ]
+        for message, call in refused:
+            with pytest.raises(DomainError) as exc:
+                call()
+            assert str(exc.value) == message
+
+    def test_a_refused_rank_leaves_no_entry(self):
+        for cache in CACHES.values():
+            cache.cache_clear()
+        for call in (
+            lambda: gl_hitchin_base_dims(2, RANK_CAP + 1),
+            lambda: mult_type_n(2, RANK_CAP + 1),
+            lambda: euler_prefactor(2, RANK_CAP + 1),
+        ):
+            with pytest.raises(ResourceLimitError, match=f"^GL_{RANK_CAP + 1} has "):
+                call()
+        assert [cache.cache_info().currsize for cache in CACHES.values()] == [0, 0, 0, 0]
+        assert chain._hitchin_base.cache_info().misses == 0
+
+    def test_cached_values_equal_fresh_builds(self):
+        for g in range(2, 41):
+            for n in range(1, 11):
+                base = gl_hitchin_base_dims(g, n)
+                assert base == chain._hitchin_base.__wrapped__(g, n)
+                assert base.as_dict() == {1: g, **{k: (2 * k - 1) * (g - 1) for k in range(2, n + 1)}}
+                assert gl_hitchin_base_dims(g, n) is base
+                form = mult_type_n(g, n).factored
+                assert form == multgl._type_n.__wrapped__(g, n) == _closed_type_n(g, n)
+                assert euler_prefactor(g, n) == sum(k * e for k, e in form)
+        for n in range(1, 31):
+            for k in range(n + 1):
+                q = polyalg.qbinom_factored(n, k)
+                assert q == polyalg._qbinom.__wrapped__(n, k)
+                assert q == _closed_qbinom(n, k)
+        for g in range(2, 21):
+            for w in range(1, 3 * g - 3):
+                m = mult_type12_rank3(g, w)
+                assert m.factored == multgl._type12.__wrapped__(g, w) == _closed_type12(g, w)
+                assert m.is_polynomial == (w <= g - 1)
+                if m.is_polynomial:
+                    master = _closed_type_n(g, 3)
+                    assert master_divisibility(m, g, 3) == all(
+                        master._cyclotomic.get(d, 0) >= c for d, c in m.factored._cyclotomic.items()
+                    )
+
+    def test_a_shared_form_keeps_results_apart(self):
+        a, b = mult_type_n(4, 5), mult_type_n(4, 5)
+        assert a.factored is b.factored and a == b
+        assert isinstance(a.polynomial, IntPoly)
+        assert "polynomial" not in vars(b)  # each result expands on its own first read
+        assert b.polynomial == a.polynomial
 
 
 class TestEulerPrefactor:

@@ -601,10 +601,10 @@ class TestRecurrence:
             assert (path, cost) == (None, kernel)
 
     def test_dispatch_on_named_inputs(self):
-        from higgsmult.chain import chain_from_m
+        from higgsmult.chain import chain_from_m, gl_hitchin_base_dims
         from higgsmult.multgl import (
+            _pairing_factored,
             _type_n_factored,
-            euler_pairing_series,
             mult_type111,
             mult_type12_rank3,
             mult_type_n,
@@ -627,24 +627,15 @@ class TestRecurrence:
         # the benchmark's pairings, a type (n) side against chains whose
         # m-vectors keep sum m_i i(n - i) fixed: (1 - t)^{-N} dominates, and
         # the kernel's binomial start makes them nearly one pass
-        real = polyalg._series_plan
-        plans = []
-
-        def spy(f, length):
-            plan = real(f, length)
-            plans.append(plan[0])
-            return plan
-
         cases = [(3, 4, [a, 1, 2 - a], range(60, 141, 20)) for a in range(3)]
         cases += [
             (4, 5, [a, b, 2 - b, 2 - a], range(200, 401, 50)) for a in range(3) for b in range(3)
         ]
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(polyalg, "_series_plan", spy)
-            for g, n, m, orders in cases:
-                sides = mult_type_n(g, n), mult_type111(chain_from_m(g, m))
-                for order in orders:
-                    euler_pairing_series(*sides, g, n, order)
+        plans = []
+        for g, n, m, orders in cases:
+            sides = mult_type_n(g, n), mult_type111(chain_from_m(g, m))
+            f = _pairing_factored(*sides, gl_hitchin_base_dims(g, n))
+            plans += [polyalg._series_plan(f, order + 1)[0] for order in orders]
         assert len(plans) == 3 * 5 + 9 * 5 and set(plans) == {polyalg._kernel}
 
     def test_coefficient_bits_bound_the_coefficients(self):
@@ -764,6 +755,46 @@ class TestSeriesMemo:
         assert polyalg.series_memo_info().entries == 1
         assert refusal() == cold
         assert cold.startswith("a series of 300 coefficients through 20 factors has ")
+
+    def test_a_hit_the_kernel_admits_makes_no_plan(self, monkeypatch):
+        polyalg = higgsmult.polyalg
+        f = FactoredChar({1: -20, 3: 5, 7: -2})
+        long = series_expand(f, 400)
+        plans = []
+        real = polyalg._series_plan
+        monkeypatch.setattr(polyalg, "_series_plan", lambda *a: plans.append(a) or real(*a))
+        assert series_expand(f, 100).coeffs == long.coeffs[:101]
+        assert series_expand(f, 400) == long
+        assert plans == [] and polyalg.series_memo_info()[:3] == (2, 1, 1)
+        # a longer request misses and is planned
+        series_expand(f, 401)
+        assert plans == [(f, 402)]
+
+    def test_a_hit_past_kernel_admission_refuses_as_cold(self):
+        # (1 - t)^(-10^6) (1 - t^50): at 60 coefficients the recurrence
+        # (deg Q = 50) is admitted and its list kept; at 40 the kernel costs
+        # 4e7 updates and the recurrence is no candidate, kept list or not
+        polyalg = higgsmult.polyalg
+        f = FactoredChar({1: -10 ** 6, 50: 1})
+        other = FactoredChar({1: -2, 3: 1})
+
+        def refusal():
+            with pytest.raises(ResourceLimitError) as exc:
+                series_expand(f, 39)
+            return str(exc.value)
+
+        cold = refusal()
+        assert polyalg.series_memo_info()[:3] == (0, 0, 0)
+        series_expand(f, 59)
+        series_expand(other, 20)
+        order, info = list(polyalg._memo), polyalg.series_memo_info()
+        assert len(polyalg._memo[f.terms]) == 60 and polyalg.series_work(f, 40) > 10 ** 7
+        assert refusal() == cold
+        assert polyalg.series_memo_info() == info and list(polyalg._memo) == order
+        assert cold == (
+            "a series of 40 coefficients through 1000000 factors has 40000040 "
+            "coefficient updates, above the cap 10000000"
+        )
 
     def test_a_flood_stays_within_the_budget(self):
         polyalg = higgsmult.polyalg
