@@ -18,10 +18,15 @@ gives the Hitchin base weights, which double as those of a cotangent
 fibre.  Both feed the virtual multiplicity ratio; `tplus_dims` and the
 base refuse ranks above RANK_CAP, `chain_from_m` m-vectors with more
 than ZERO_CAP zeros, each by an `errors.check_cost` call before any work.
-The base is built once per process for each checked (genus, n): an
-lru_cache of 128 entries, at most about 22 KB each (n = RANK_CAP).  The
-chain-file reader checks every number by `errors.check_int`, naming its
-place in the file.
+The base and the fresh-zero chains of `chain_from_m` are built once per
+process for each checked key, after every check: lru_caches of 128 and
+64 entries.  Every genus-keyed cache of the package (these two and
+`multgl`'s type (n), type (1,2) and type (1,...,1) forms) admits a key
+only when `cache_admits` its ints, each strictly within 2^KEY_BITS of
+zero, and a chain only with at most CACHED_ZEROS zeros and as many maps
+b_i; larger keys are built uncached, so no entry grows with the
+caller's numbers.  The chain-file reader checks every number by
+`errors.check_int`, naming its place in the file.
 """
 
 from __future__ import annotations
@@ -39,6 +44,11 @@ ZERO_CAP = 100_000
 # GL ranks above this are refused before any work: GL_141 has 9870
 # positive roots, as A_140, the largest type A under rootsys.ROOT_CAP.
 RANK_CAP = 141
+# A genus-keyed cache keeps only keys whose ints all lie strictly within
+# 2^KEY_BITS of zero, and chains with at most CACHED_ZEROS zeros and maps.
+KEY_BITS = 30
+CACHED_ZEROS = 64
+_KEY_LIMIT = 1 << KEY_BITS
 
 
 class Point(Record, namedtuple("Point", "label")):
@@ -144,11 +154,13 @@ class ChainHiggsBundle(
                 raise DomainError(
                     f"m_{i} = {m} < 0: degrees {degrees} admit no nonzero map at step {i}"
                 )
-            if not div.is_effective:
+            # a divisor's counts are nonzero: it is effective when none is negative
+            counts = div._dict.values()
+            if counts and min(counts) < 0:
                 raise DomainError(f"zero divisor at step {i} is not effective")
-            if div.degree != m:
+            if sum(counts) != m:
                 raise DomainError(
-                    f"zero divisor at step {i} has degree {div.degree}, expected m_{i} = {m}"
+                    f"zero divisor at step {i} has degree {sum(counts)}, expected m_{i} = {m}"
                 )
         return self
 
@@ -174,11 +186,21 @@ def make_chain(
     zeros: Iterable[Divisor | Mapping] = (),
     delta0: "Divisor | Mapping | None" = None,
 ) -> ChainHiggsBundle:
-    """Build a chain, defaulting delta0 to a multiple of a base point."""
-    degrees = tuple(degrees)
+    """Build a chain, defaulting delta0 to a multiple of a base point.
+
+    The default is built from the first degree only after the genus and
+    the degrees pass the checks `ChainHiggsBundle` makes, in its order."""
     if delta0 is None:
-        delta0 = Divisor({Point("o"): degrees[0]}) if degrees and degrees[0] else Divisor.zero()
+        genus = check_int("genus", genus, 2)
+        degrees = tuple(check_int("line bundle degree", d) for d in degrees)
+        delta0 = Divisor._merge([(Point("o"), degrees[0])] if degrees else ())
     return ChainHiggsBundle(genus, degrees, delta0, zeros)
+
+
+def cache_admits(*ints: int) -> bool:
+    """Whether a genus-keyed cache may keep a key of these ints: each of
+    them lies strictly within 2^KEY_BITS of zero."""
+    return max(map(abs, ints)) < _KEY_LIMIT
 
 
 def chain_from_m(genus: int, m: Iterable[int], top_degree: int = 0) -> ChainHiggsBundle:
@@ -186,16 +208,31 @@ def chain_from_m(genus: int, m: Iterable[int], top_degree: int = 0) -> ChainHigg
 
     Degrees start at top_degree and descend by 2g - 2 - m_i; the zero
     divisor of b_i takes m_i distinct points labelled zi.1, zi.2, ...
-    so the result is very stable whenever it is stable.
+    so the result is very stable whenever it is stable.  Checked on every
+    call, then built once per (genus, m, top_degree) (see `_chain_from_m`)
+    when the key is admitted: at most CACHED_ZEROS zeros and entries in m,
+    and `cache_admits` the genus and top degree.
     """
     m = tuple(check_int("m-vector entry", x, 0) for x in m)
-    check_cost("m-vector", sum(m), ZERO_CAP, "zeros")
+    zeros = sum(m)
+    check_cost("m-vector", zeros, ZERO_CAP, "zeros")
     genus = check_int("genus", genus, 2)
-    degrees = [check_int("top degree", top_degree)]
+    top = check_int("top degree", top_degree)
+    kept = zeros <= CACHED_ZEROS and len(m) <= CACHED_ZEROS and cache_admits(genus, top)
+    return (_chain_from_m if kept else _chain_from_m.__wrapped__)(genus, m, top)
+
+
+@lru_cache(maxsize=64)
+def _chain_from_m(genus: int, m: tuple[int, ...], top: int) -> ChainHiggsBundle:
+    """The fresh-zero chain of checked ints, shared by every caller: the
+    chain and its divisors are immutable.  An admitted entry is at most
+    about 35 KB (64 maps with one zero each), so the cache holds at most
+    2.2 MB."""
+    degrees = [top]
     for mi in m:
         degrees.append(degrees[-1] + mi - (2 * genus - 2))
     zeros = tuple(
-        Divisor.of_points(*(f"z{i}.{j}" for j in range(1, mi + 1)))
+        Divisor._merge([(Point(f"z{i}.{j}"), 1) for j in range(1, mi + 1)])
         for i, mi in enumerate(m, start=1)
     )
     return make_chain(genus, degrees, zeros)
@@ -294,6 +331,10 @@ def block_tplus_dims(genus: int, blocks: Sequence[tuple[int, int]]) -> WeightDim
     """
     genus = check_int("genus", genus, 2)
     blocks = [(check_int("block rank", r, 1), check_int("block degree", d)) for r, d in blocks]
+    if not blocks:
+        raise DomainError("a GL_n fixed point needs at least one block")
+    n = sum(r for r, _ in blocks)
+    check_cost(f"GL_{n}", n, RANK_CAP, "invariant degrees")
     g1 = genus - 1
     dims = [0, 1] + [0] * (len(blocks) - 1)  # dims[k] at index k
     for a, (ra, da) in enumerate(blocks):
@@ -319,13 +360,13 @@ def gl_hitchin_base_dims(genus: int, n: int) -> WeightDims:
     built once per (genus, n) (see `_hitchin_base`)."""
     genus, n = check_int("genus", genus, 2), check_int("rank", n, 1)
     check_cost(f"GL_{n}", n, RANK_CAP, "invariant degrees")
-    return _hitchin_base(genus, n)
+    return (_hitchin_base if cache_admits(genus) else _hitchin_base.__wrapped__)(genus, n)
 
 
 @lru_cache(maxsize=128)
 def _hitchin_base(genus: int, n: int) -> WeightDims:
-    """The base grading of checked ints; each entry is at most about 22 KB
-    (n = RANK_CAP, genus below 2^30), so the cache holds at most 2.8 MB."""
+    """The base grading of checked ints; an admitted entry is at most about
+    22 KB (n = RANK_CAP), so the cache holds at most 2.9 MB."""
     dims = [(1, genus)] + [(k, (2 * k - 1) * (genus - 1)) for k in range(2, n + 1)]
     return WeightDims._merge(dims)
 

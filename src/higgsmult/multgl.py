@@ -13,10 +13,13 @@ the blocks (1, l_i); the rank-3 type (1,2) family of the wobbly
 polynomiality threshold, the blocks (1, 0), (2, -w).  Each expands to an
 exact integer polynomial or provably fails to; `value_at_1` of the
 polynomial is the honest multiplicity of the component.  The factored
-forms of type (n) and type (1,2) depend only on small integers, so each
-is built once per process for its checked (g, n) or (g, 2l - v), after
-the argument checks: lru_caches of 128 entries of at most about 30 KB
-(n = RANK_CAP) and of 256 entries under 1.3 KB.  `MultResult`,
+forms of type (n), type (1,2) and type (1,...,1) depend only on small
+integers, so each is built once per process for its checked (g, n),
+(g, 2l - v) or (g, degrees), after the argument checks and, for a chain,
+the stability test: lru_caches of 128 entries of at most about 30 KB
+(n = RANK_CAP), of 256 entries under 1.3 KB, and of 128 entries of at
+most about 35 KB (rank RANK_CAP).  Each admits only keys that
+`chain.cache_admits`; larger ones are built uncached.  `MultResult`,
 the factored form with its lazy expansion, lives in `polyalg` beside
 the functions it calls, so the simple-group formulas share it without
 loading this module.
@@ -26,9 +29,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .chain import ChainHiggsBundle, WeightDims, block_tplus_dims, gl_hitchin_base_dims
-from .chain import is_stable
-from .errors import DomainError, InternalError, check_int
+from .chain import RANK_CAP, ChainHiggsBundle, WeightDims, block_tplus_dims, cache_admits
+from .chain import gl_hitchin_base_dims, is_stable
+from .errors import DomainError, InternalError, check_cost, check_int
 from .polyalg import (
     FactoredChar,
     MultResult,
@@ -53,14 +56,15 @@ def _type_n_factored(g: int, n: int) -> FactoredChar:
     `master_divisibility` and `euler_prefactor`: the genus and rank are
     checked on every call, as `gl_hitchin_base_dims` checks them, then
     the form is built once per (g, n) (see `_type_n`)."""
-    return _type_n(check_int("genus", g, 2), check_int("rank", n, 1))
+    g, n = check_int("genus", g, 2), check_int("rank", n, 1)
+    return (_type_n if cache_admits(g, n) else _type_n.__wrapped__)(g, n)
 
 
 @lru_cache(maxsize=128)
 def _type_n(g: int, n: int) -> FactoredChar:
     """The type (n) form of checked ints.  The base refuses a rank above
-    RANK_CAP, and lru_cache keeps no refusal.  An entry with its cyclotomic
-    exponents is at most about 30 KB (n = RANK_CAP, g below 2^30), so the
+    RANK_CAP, and lru_cache keeps no refusal.  An admitted entry with its
+    cyclotomic exponents is at most about 30 KB (n = RANK_CAP), so the
     cache holds at most 3.8 MB."""
     base = gl_hitchin_base_dims(g, n)
     return virtual_multiplicity(block_tplus_dims(g, [(n, 0)]), base).factored
@@ -78,23 +82,40 @@ def mult_type_n(g: int, n: int) -> MultResult:
 def mult_type111(c: ChainHiggsBundle) -> MultResult:
     """Multiplicity of a chain fixed point's component:
     prod_i qbinom(n, i)^{m_i}, cross-checked against the weight-ratio
-    definition on every call.  Equal canonical factored forms are equal
-    characters, so the check compares factored forms and only the
-    closed form is expanded.  The chain is tested for stability once, and
-    its T+ is `block_tplus_dims` of the blocks (1, l_i)."""
+    definition on every miss.  Every call tests the chain for stability
+    once and refuses a rank above RANK_CAP; then the factored form is
+    built once per (genus, degrees) that `cache_admits` (see `_type111`),
+    and each call gets its own MultResult over it."""
     if not is_stable(c):
         raise DomainError("multiplicity of a chain needs a stable chain")
-    n = c.rank
-    base = gl_hitchin_base_dims(c.genus, n)  # refuses a rank past RANK_CAP first
+    genus, degrees = c.genus, c.degrees
+    n = len(degrees)
+    check_cost(f"GL_{n}", n, RANK_CAP, "invariant degrees")
+    kept = cache_admits(genus, min(degrees), max(degrees))
+    return MultResult((_type111 if kept else _type111.__wrapped__)(genus, degrees))
+
+
+@lru_cache(maxsize=128)
+def _type111(genus: int, degrees: tuple[int, ...]) -> FactoredChar:
+    """The type (1,...,1) form of a stable chain's genus and degrees, the
+    closed form checked against the weight ratio.  Equal canonical
+    factored forms are equal characters, so the check compares factored
+    forms and nothing is expanded; T+ is `block_tplus_dims` of the blocks
+    (1, l_i).  An admitted entry with its cyclotomic exponents is at most
+    about 35 KB (rank RANK_CAP), so the cache holds at most 4.4 MB."""
+    n = len(degrees)
+    base = gl_hitchin_base_dims(genus, n)
+    shift = 2 * genus - 2  # m_i = l_i - l_{i-1} + 2g - 2
     factored = power_product(
-        (qbinom_factored(n, i), m) for i, m in enumerate(c.m_vector, start=1)
+        (qbinom_factored(n, i), l - k + shift)
+        for i, (k, l) in enumerate(zip(degrees, degrees[1:]), start=1)
     )
-    tplus = block_tplus_dims(c.genus, [(1, l) for l in c.degrees])
+    tplus = block_tplus_dims(genus, [(1, l) for l in degrees])
     if factored != virtual_multiplicity(tplus, base).factored:
         raise InternalError(
             "chain multiplicity: quantum binomial closed form disagrees with the weight ratio"
         )
-    return MultResult(factored)
+    return factored
 
 
 def mult_type12_rank3(g: int, twol_minus_v: int) -> MultResult:
@@ -112,14 +133,14 @@ def mult_type12_rank3(g: int, twol_minus_v: int) -> MultResult:
         raise DomainError(
             f"2l-v = {w} outside the stability window 0 < 2l-v < {3 * g - 3} at genus {g}"
         )
-    return MultResult(_type12(g, w))
+    return MultResult((_type12 if cache_admits(g, w) else _type12.__wrapped__)(g, w))
 
 
 @lru_cache(maxsize=256)
 def _type12(g: int, w: int) -> FactoredChar:
     """The type (1,2) form of a checked genus and window: three factors,
-    under 1.3 KB an entry with its cyclotomic exponents for g below 2^30,
-    so the cache holds at most 0.33 MB."""
+    under 1.3 KB an admitted entry with its cyclotomic exponents, so the
+    cache holds at most 0.33 MB."""
     base = gl_hitchin_base_dims(g, 3)
     return virtual_multiplicity(block_tplus_dims(g, [(1, 0), (2, -w)]), base).factored
 

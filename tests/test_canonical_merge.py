@@ -20,9 +20,10 @@ from higgsmult.chain import (
     chain_from_json,
     chain_from_m,
     gl_hitchin_base_dims,
+    make_chain,
     twist,
 )
-from higgsmult.errors import DomainError
+from higgsmult.errors import DomainError, ResourceLimitError
 from higgsmult.hecke import hecke_add_zero, hecke_remove_zero
 from higgsmult.multgl import _pairing_factored, mult_type12_rank3, mult_type_n, virtual_multiplicity
 from higgsmult.multsimple import (
@@ -222,6 +223,34 @@ REFUSALS = {
     "blocks genus 1": (
         lambda: block_tplus_dims(1, [(1, 0)]),
         DomainError, "genus must be >= 2, got 1",
+    ),
+    "blocks empty": (
+        lambda: block_tplus_dims(2, []),
+        DomainError, "a GL_n fixed point needs at least one block",
+    ),
+    "blocks total rank past the cap": (
+        lambda: block_tplus_dims(2, [(1, 0)] * 2000),
+        ResourceLimitError, "GL_2000 has 2000 invariant degrees, above the cap 141",
+    ),
+    "blocks one huge rank": (
+        lambda: block_tplus_dims(2, [(10**6, 0)]),
+        ResourceLimitError, "GL_1000000 has 1000000 invariant degrees, above the cap 141",
+    ),
+    "make_chain float first degree": (
+        lambda: make_chain(3, [1.0, 0]),
+        DomainError, "line bundle degree must be an integer, got 1.0",
+    ),
+    "make_chain bool first degree": (
+        lambda: make_chain(3, [True, 0]),
+        DomainError, "line bundle degree must be an integer, got True",
+    ),
+    "make_chain float zero first degree": (
+        lambda: make_chain(3, [0.0, 0]),
+        DomainError, "line bundle degree must be an integer, got 0.0",
+    ),
+    "make_chain float genus before a float degree": (
+        lambda: make_chain(3.0, [1.0, 0]),
+        DomainError, "genus must be an integer, got 3.0",
     ),
     "mult_type_n float rank": (
         lambda: mult_type_n(3, 2.0),

@@ -91,6 +91,22 @@ class TestChainValidation:
         with pytest.raises(DomainError, match="delta0"):
             ChainHiggsBundle(2, (1, 0), Divisor.zero(), (Divisor({"p": 1}),))
 
+    @pytest.mark.parametrize(
+        "degrees, zeros, message",
+        [
+            ((0, -4), [{"p": 3, "q": -1}], "m_1 = -2 < 0: degrees (0, -4) admit no nonzero map at step 1"),
+            ((0, 0), [{"p": 3, "q": -2}], "zero divisor at step 1 is not effective"),
+            ((0, 0), [{"p": 1}], "zero divisor at step 1 has degree 1, expected m_1 = 2"),
+            ((0, -1, -10), [{"p": 2}, {"q": -1}], "zero divisor at step 1 has degree 2, expected m_1 = 1"),
+            ((0, -1, -10), [{"p": 1}, {"q": -1}], "m_2 = -7 < 0: degrees (0, -1, -10) admit no nonzero map at step 2"),
+        ],
+    )
+    def test_each_step_reports_its_first_failure(self, degrees, zeros, message):
+        # m_i < 0, then effectiveness, then degree; step by step
+        with pytest.raises(DomainError) as info:
+            ChainHiggsBundle(2, degrees, Divisor.zero(), zeros)
+        assert str(info.value) == message
+
     def test_zeros_count_checked(self):
         with pytest.raises(DomainError, match="zero divisors"):
             ChainHiggsBundle(2, (0, -1), Divisor.zero(), ())

@@ -1,3 +1,4 @@
+import tracemalloc
 from math import prod
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 from higgsmult import SparseMap, chain, multgl, polyalg
 from higgsmult.chain import RANK_CAP, WeightDims, chain_from_m, gl_hitchin_base_dims, tplus_dims
-from higgsmult.errors import DomainError, ResourceLimitError
+from higgsmult.errors import DomainError, InternalError, ResourceLimitError
 from higgsmult.hecke import intersection_count
 from higgsmult.multgl import (
     MultResult,
@@ -311,6 +312,8 @@ CACHES = {
     "qbinom": polyalg._qbinom,
     "type n": multgl._type_n,
     "type12": multgl._type12,
+    "chain": chain._chain_from_m,
+    "type111": multgl._type111,
 }
 
 
@@ -351,8 +354,12 @@ class TestBuildingBlockCaches:
         ):
             with pytest.raises(ResourceLimitError, match=f"^GL_{RANK_CAP + 1} has "):
                 call()
-        assert [cache.cache_info().currsize for cache in CACHES.values()] == [0, 0, 0, 0]
+        long = chain_from_m(2, [0] * RANK_CAP)  # rank 142, built uncached
+        with pytest.raises(ResourceLimitError, match=f"^GL_{RANK_CAP + 1} has "):
+            mult_type111(long)
+        assert [cache.cache_info().currsize for cache in CACHES.values()] == [0] * len(CACHES)
         assert chain._hitchin_base.cache_info().misses == 0
+        assert multgl._type111.cache_info().misses == 0
 
     def test_cached_values_equal_fresh_builds(self):
         for g in range(2, 41):
@@ -379,6 +386,117 @@ class TestBuildingBlockCaches:
                     assert master_divisibility(m, g, 3) == all(
                         master._cyclotomic.get(d, 0) >= c for d, c in m.factored._cyclotomic.items()
                     )
+
+    def test_cached_chains_and_type111_equal_fresh_builds(self):
+        grid = [
+            (g, m, top)
+            for g in (2, 3, 5)
+            for m in [(), (0,), (1,), (2, 0), (0, 3), (1, 1, 1), (2, 0, 1, 3), (1, 0, 2, 0, 1)]
+            for top in (-3, 0, 4)
+        ]
+        for _ in range(2):  # first calls fill the caches, repeats hit them
+            for g, m, top in grid:
+                c = chain_from_m(g, m, top_degree=top)
+                fresh = chain._chain_from_m.__wrapped__(g, m, top)
+                assert c == fresh and chain_from_m(g, list(m), top) is c
+                if not chain.is_stable(c):
+                    continue
+                form = mult_type111(c).factored
+                assert form == multgl._type111.__wrapped__(g, c.degrees)
+                closed = FactoredChar()
+                for i, mi in enumerate(m, start=1):
+                    closed = closed * _closed_qbinom(len(m) + 1, i) ** mi
+                assert form == closed
+                assert mult_type111(fresh).factored is form
+
+    def test_chain_refusals_come_before_the_cache(self):
+        mult_type111(chain_from_m(3, [1, 2], 1))
+        unstable = chain_from_m(2, [3])  # degrees (0, 1): L_1 destabilises
+        # each call but the last equals a key just cached (3.0 == 3, True == 1)
+        refused = [
+            (DomainError, "genus must be an integer, got 3.0", lambda: chain_from_m(3.0, [1, 2], 1)),
+            (DomainError, "genus must be an integer, got True", lambda: chain_from_m(True, [1, 2], 1)),
+            (DomainError, "m-vector entry must be an integer, got True", lambda: chain_from_m(3, [True, 2], 1)),
+            (DomainError, "m-vector entry must be an integer, got 2.0", lambda: chain_from_m(3, [1, 2.0], 1)),
+            (DomainError, "top degree must be an integer, got True", lambda: chain_from_m(3, [1, 2], True)),
+            (DomainError, "top degree must be an integer, got 1.0", lambda: chain_from_m(3, [1, 2], 1.0)),
+            (
+                ResourceLimitError,
+                f"m-vector has {chain.ZERO_CAP + 1} zeros, above the cap {chain.ZERO_CAP}",
+                lambda: chain_from_m(3, [1, chain.ZERO_CAP]),
+            ),
+        ]
+        for error, message, call in refused:
+            with pytest.raises(error) as exc:
+                call()
+            assert str(exc.value) == message
+        entries = multgl._type111.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(DomainError, match="needs a stable chain"):
+                mult_type111(unstable)
+        assert multgl._type111.cache_info().currsize == entries
+
+    def test_cross_check_runs_on_every_miss(self, monkeypatch):
+        multgl._type111.cache_clear()
+        c = chain_from_m(3, (2, 0, 3))
+        right = mult_type111(c).factored  # a hit needs no check
+        monkeypatch.setattr(multgl, "block_tplus_dims", lambda g, blocks: WeightDims({1: 1}))
+        assert mult_type111(c).factored is right
+        multgl._type111.cache_clear()
+        for _ in range(2):  # a failed check keeps no entry
+            with pytest.raises(InternalError, match="closed form disagrees with the weight ratio"):
+                mult_type111(c)
+        assert multgl._type111.cache_info().currsize == 0
+        # an unadmitted key runs the check too
+        with pytest.raises(InternalError):
+            mult_type111(chain_from_m(2**30, (1,)))
+
+    def test_only_small_keys_are_kept(self):
+        for cache in CACHES.values():
+            cache.cache_clear()
+        big = 2**30
+        gl_hitchin_base_dims(big, 2)
+        mult_type_n(big, 3)
+        mult_type12_rank3(big, 1)
+        mult_type12_rank3(big, big)
+        c = chain_from_m(big, [1, 1])
+        mult_type111(c)
+        # only the genus-free quantum binomials (3, 1) and (3, 2) are kept
+        assert [cache.cache_info().currsize for cache in CACHES.values()] == [0, 2, 0, 0, 0, 0]
+        assert c == chain._chain_from_m.__wrapped__(big, (1, 1), 0)
+        # a small genus with a huge degree, too many zeros, too long an m-vector
+        mult_type111(chain_from_m(3, [1], top_degree=-big))
+        chain_from_m(3, [1] * 65)
+        chain_from_m(3, [0] * 65)
+        # a quantum binomial past the largest GL rank, whose entry grows with k
+        polyalg._qbinom.cache_clear()
+        assert polyalg.QBINOM_KEPT_N == RANK_CAP
+        assert polyalg.qbinom_factored(RANK_CAP + 1, 70) == _closed_qbinom(RANK_CAP + 1, 70)
+        assert chain._chain_from_m.cache_info().currsize == 0
+        assert multgl._type111.cache_info().currsize == 0
+        assert polyalg._qbinom.cache_info().currsize == 0
+        for cache in CACHES.values():
+            cache.cache_clear()
+        # just inside every bound, each is kept
+        gl_hitchin_base_dims(big - 1, 2)
+        chain_from_m(big - 1, [1] * 64, top_degree=1 - big)
+        chain_from_m(3, [0] * 64)
+        mult_type111(chain_from_m(3, [1], top_degree=big - 1))  # degrees (big - 1, big - 4)
+        assert chain._hitchin_base.cache_info().currsize == 2  # and (3, 2), read by the form
+        assert chain._chain_from_m.cache_info().currsize == 3
+        assert multgl._type111.cache_info().currsize == 1
+
+    def test_huge_genera_keep_no_memory(self):
+        mult_type_n(10**3000, RANK_CAP)  # warm every small-integer cache first
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(128):
+                mult_type_n(10**3000 + i, RANK_CAP)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept < 2 * 2**20, kept
 
     def test_a_shared_form_keeps_results_apart(self):
         a, b = mult_type_n(4, 5), mult_type_n(4, 5)
