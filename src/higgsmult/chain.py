@@ -15,9 +15,10 @@ GL_n fixed point by Riemann-Roch on its blocks' (rank, degree): type
 (1,...,1) is the blocks (1, l_i) (`tplus_dims`), type (n) the block
 (n, 0), type (1,2) the blocks (1, 0), (2, -w).  `gl_hitchin_base_dims`
 gives the Hitchin base weights, which double as those of a cotangent
-fibre.  Both feed the virtual multiplicity ratio; `tplus_dims` and the
-base refuse ranks above RANK_CAP, `chain_from_m` m-vectors with more
-than ZERO_CAP zeros, each by an `errors.check_cost` call before any work.
+fibre.  Both feed the virtual multiplicity ratio; `tplus_dims`, the
+base and `chain_from_m` refuse ranks above RANK_CAP, and `chain_from_m`
+m-vectors with more than ZERO_CAP zeros too, each by an
+`errors.check_cost` call before any work.
 The base and the fresh-zero chains of `chain_from_m` are built once per
 process for each checked key, after every check: lru_caches of 128 and
 64 entries.  Every genus-keyed cache of the package (these two and
@@ -41,8 +42,9 @@ from .errors import DomainError, check_cost, check_int
 # chain_from_m refuses m-vectors with more zeros than this before building
 # any point (each zero is a labelled Point; 10^5 of them take about 0.6 s).
 ZERO_CAP = 100_000
-# GL ranks above this are refused before any work: GL_141 has 9870
-# positive roots, as A_140, the largest type A under rootsys.ROOT_CAP.
+# GL ranks above this, chain_from_m's too, are refused before any work:
+# GL_141 has 9870 positive roots, as A_140, the largest type A under
+# rootsys.ROOT_CAP.
 RANK_CAP = 141
 # A genus-keyed cache keeps only keys whose ints all lie strictly within
 # 2^KEY_BITS of zero, and chains with at most CACHED_ZEROS zeros and maps.
@@ -208,7 +210,9 @@ def chain_from_m(genus: int, m: Iterable[int], top_degree: int = 0) -> ChainHigg
 
     Degrees start at top_degree and descend by 2g - 2 - m_i; the zero
     divisor of b_i takes m_i distinct points labelled zi.1, zi.2, ...
-    so the result is very stable whenever it is stable.  Checked on every
+    so the result is very stable whenever it is stable.  More than
+    ZERO_CAP zeros, or a rank len(m) + 1 above RANK_CAP, is refused with
+    ResourceLimitError before any point is built.  Checked on every
     call, then built once per (genus, m, top_degree) (see `_chain_from_m`)
     when the key is admitted: at most CACHED_ZEROS zeros and entries in m,
     and `cache_admits` the genus and top degree.
@@ -216,6 +220,7 @@ def chain_from_m(genus: int, m: Iterable[int], top_degree: int = 0) -> ChainHigg
     m = tuple(check_int("m-vector entry", x, 0) for x in m)
     zeros = sum(m)
     check_cost("m-vector", zeros, ZERO_CAP, "zeros")
+    check_cost(f"GL_{len(m) + 1}", len(m) + 1, RANK_CAP, "invariant degrees")
     genus = check_int("genus", genus, 2)
     top = check_int("top degree", top_degree)
     kept = zeros <= CACHED_ZEROS and len(m) <= CACHED_ZEROS and cache_admits(genus, top)

@@ -33,16 +33,23 @@ SCAN_CAP = 100_000
 
 
 def unit_multiplicity_factored(r: RootSystem, i: int) -> FactoredChar:
-    """Factored multiplicity for a single zero of b_i (m = i-th unit vector)."""
+    """Factored multiplicity for a single zero of b_i (m = i-th unit vector).
+
+    A root of height h with c_i = c contributes (1 - t^(h+1))^c (1 - t^h)^-c,
+    so the roots of height h give +s_h at h + 1 and -s_h at h, s_h the sum
+    of their c_i.  s_h counts a root once for each k < c_i: one count of
+    the system's height bytes picked by c_i > k for each k below the
+    largest c_i (a single pass at a node with every c_i <= 1), with no
+    Root made.
+    """
     i = check_int("node", i)
     if not 1 <= i <= r.rank:
         raise DomainError(f"node {i} out of range for {r.lie_type}")
-    pairs = []
-    for root in r.positive_roots:
-        c = root.coeffs[i - 1]
-        if c:
-            h = root.height
-            pairs += ((h + 1, c), (h, -c))
+    heights, column = r.positive_roots.heights, r.column(i)
+    sums = Counter(itertools.compress(heights, column))
+    for k in range(1, max(column, default=0)):
+        sums.update(itertools.compress(heights, map(k.__lt__, column)))
+    pairs = [(h + 1, s) for h, s in sums.items()] + [(h, -s) for h, s in sums.items()]
     return FactoredChar._merge(pairs)  # heights and coefficients are ints, h >= 1
 
 

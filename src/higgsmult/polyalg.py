@@ -57,9 +57,10 @@ having only peeked at the memo, so no refusal depends on earlier calls
 and none counts a lookup.  Keys, lists and their
 elements count by sys.getsizeof against SERIES_MEMO_BYTES, least recently
 used out first; a list above a quarter of it is never kept.
-`qbinom_factored` builds each (n, k) once per process, after its checks:
-an lru_cache of 128 entries, at most about 23 KB each, since it keeps
-only n <= 141 (`chain.RANK_CAP`, the largest rank a GL multiplicity asks).
+`qbinom_factored` refuses k above 141 (`chain.RANK_CAP`, the largest
+rank a GL multiplicity asks) and builds each (n, k) once per process,
+after its checks: an lru_cache of 128 entries, at most about 23 KB each,
+since it keeps only n <= 141.
 `value_at_one` reads f(1) off the cyclotomic exponents, with no
 expansion; `MultResult`, a multiplicity held in factored form, answers
 from those exponents and expands on first read.  `divides` is the one
@@ -85,7 +86,8 @@ from .errors import DomainError, InternalError, check_cost, check_int
 SERIES_WORK_CAP = 10 ** 7
 SERIES_MEMO_BYTES = 3 << 17  # the budget of the series memo (see _series)
 # qbinom_factored keeps (n, k) only for n up to this, chain.RANK_CAP (not
-# imported: the simple-group formulas load no chain module).
+# imported: the simple-group formulas load no chain module), and refuses
+# any k above it.
 QBINOM_KEPT_N = 141
 
 # Predicted recurrence time in kernel coefficient updates:
@@ -185,13 +187,16 @@ def qbinom_factored(n: int, k: int) -> "FactoredChar":
     """Factored form of qbinom(n, k): +1 at n-j+1, -1 at j, for j = 1..k.
 
     n and k are refused unless integers with 0 <= k <= n, n >= 1; then
-    every factor index lies in 1..n, so the terms merge unchecked.  Checked
-    on every call, then built once per (n, k) with n <= QBINOM_KEPT_N (see
-    `_qbinom`); a larger n is built uncached, as its entry grows with k.
+    every factor index lies in 1..n, so the terms merge unchecked.  A k
+    above QBINOM_KEPT_N, the largest any GL formula asks for, is refused
+    with ResourceLimitError before anything is built, as the form has 2k
+    factors.  Checked on every call, then built once per (n, k) with
+    n <= QBINOM_KEPT_N (see `_qbinom`); a larger n is built uncached.
     """
     n, k = check_int("n", n), check_int("k", k)
     if n < 1 or k < 0 or k > n:
         raise DomainError(f"quantum binomial needs 0 <= k <= n, n >= 1; got k={k}, n={n}")
+    check_cost(f"quantum binomial ({n},{k})", k, QBINOM_KEPT_N, "factor pairs")
     return (_qbinom if n <= QBINOM_KEPT_N else _qbinom.__wrapped__)(n, k)
 
 

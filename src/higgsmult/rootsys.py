@@ -11,31 +11,36 @@ consulted at runtime; the classical tables live in the tests as oracles.
 The induction packs each root and its Cartan pairings into one int, a
 byte per node, and visits only the nodes whose pairing or down-edges
 admit a root, so a build costs a few whole-vector operations per root
-plus one step per edge of the root poset.  Each root keeps the height
-of the layer that found it, and the histogram queries read it.  Levi
-degrees come from the roots already built: those with c_i = 0 are the
-Levi's roots, and the conjugate of their summed height histogram is the
-union of its components' degrees.  A minuscule orbit is sized from the
-roots, as prod (h + 1) / h over those with c_i > 0, and its depths are
-carried along the search (s_j lowers mu by mu_j simple roots) and checked
-on every edge.  `build` refuses systems with more than ROOT_CAP positive
-roots, and `weyl_orbit_minuscule` orbits with more than ORBIT_CAP weights.
+plus one step per edge of the root poset.  A system keeps its roots
+packed, as a `PositiveRoots` view over two bytes objects: the N x l
+coefficients in build order, a byte per node, and the N heights.  The
+queries read these bytes, with no Root made: the degrees conjugate the
+histogram of the heights; the Levi of node i has the roots with c_i = 0,
+whose height histogram (the heights picked by the column c_i) is the sum
+of its components' histograms, so its conjugate is the union of their
+degrees; a minuscule orbit is sized as prod (h + 1) / h over the heights
+with c_i > 0, and its depths are carried along the search (s_j lowers mu
+by mu_j simple roots) and checked on every edge.  Roots are unpacked
+only for a caller that iterates the view, once per view, or indexes it.
+`build` refuses systems with more than ROOT_CAP positive roots, and
+`weyl_orbit_minuscule` orbits with more than ORBIT_CAP weights.
 
-`build` keeps each type's roots in one `ByteMemo` per process, keyed by
-the LieType, in packed form: one bytes object of the N x l coefficients
-in build order, and the number of roots of each height.  The cap check
-runs before the lookup, so no refusal depends on earlier calls; a hit
-skips the induction, and hit or miss, the Roots are unpacked afresh and
-their number checked against the classical count.  Entries count by
-sys.getsizeof against ROOT_MEMO_BYTES, least recently used out first,
-and an entry above a quarter of it, such as A80's 259 KB, is never kept.
+`build` keeps each type's two bytes objects in one `ByteMemo` per
+process, keyed by the LieType.  The cap check runs before the lookup, so
+no refusal depends on earlier calls; a hit skips the induction and wraps
+the kept bytes in a new view, and hit or miss, the number of heights is
+checked against the classical count.  Entries count by sys.getsizeof
+against ROOT_MEMO_BYTES, least recently used out first, and an entry
+above a quarter of it, such as A80's 262 KB, is never kept.
 """
 
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from itertools import chain, repeat
+from collections.abc import Iterator, Sequence
+from itertools import chain, compress, repeat
 from math import prod
+from operator import add, index, not_
 from sys import getsizeof
 
 from . import ByteMemo, MemoInfo, Record
@@ -44,7 +49,7 @@ from .errors import DomainError, InternalError, check_cost, check_int
 # Root systems with more positive roots than this are refused before any
 # work (before the l x l Cartan matrix, too); it admits A140 (9870 roots).
 ROOT_CAP = 10_000
-# The budget of build's memo; A60's 110 KB of packed roots fit a quarter of it.
+# The budget of build's memo; A60's 112 KB of packed roots fit a quarter of it.
 ROOT_MEMO_BYTES = 1 << 19
 # Minuscule orbits with more weights than this are refused before the
 # search; it admits the middle node of A18 (92378) and refuses A20's (352716).
@@ -134,10 +139,10 @@ class Root(Record, namedtuple("Root", "coeffs height")):
     __slots__ = ()
 
 
-def _positive_roots(cartan: tuple[tuple[int, ...], ...]) -> tuple[bytes, tuple[int, ...]]:
+def _positive_roots(cartan: tuple[tuple[int, ...], ...]) -> tuple[bytes, bytes]:
     """All positive roots of a Cartan matrix, by height induction, packed:
     their coefficients as one bytes object, a byte per node and l per root,
-    by height then lexicographically, and the number of roots of each height.
+    by height then lexicographically, and their heights, a byte per root.
 
     alpha + alpha_j is a root iff p - <alpha, alpha_j^v> > 0 where p is
     the largest k with alpha - k*alpha_j still a root; processing one
@@ -201,25 +206,120 @@ def _positive_roots(cartan: tuple[tuple[int, ...], ...]) -> tuple[bytes, tuple[i
     blob = b"".join(
         b"".join(sorted(alpha.to_bytes(l, "little") for alpha in layer)) for layer in layers
     )
-    return blob, tuple(map(len, layers))
+    heights = chain.from_iterable(repeat(h, len(layer)) for h, layer in enumerate(layers, start=1))
+    return blob, bytes(heights)
+
+
+class PositiveRoots(Sequence):
+    """The positive roots of a system, a read-only view of two bytes
+    objects: `coeffs`, the coefficients c_1..c_l of every root in build
+    order, a byte per node, and `heights`, a byte per root.
+
+    It reads as the tuple of its Roots: `len`, indices (negative ones
+    count from the end; slices are not supported), iteration, hash and
+    repr are the tuple's, and it equals another view with the same bytes
+    or a tuple of the same Roots.  Roots are made only when read:
+    iteration unpacks them all, once per view, and keeps them in it; an
+    index makes the one root it reads.  It pickles by its bytes.
+
+    >>> roots = build(LieType("A", 2)).positive_roots
+    >>> len(roots), roots[-1], roots.heights
+    (3, Root(coeffs=(1, 1), height=2), b'\\x01\\x01\\x02')
+    >>> roots == (Root((0, 1), 1), Root((1, 0), 1), Root((1, 1), 2))
+    True
+    """
+
+    __slots__ = ("coeffs", "heights", "_roots")
+
+    def __init__(self, coeffs: bytes, heights: bytes) -> None:
+        self.coeffs, self.heights, self._roots = coeffs, heights, None
+
+    def _unpack(self) -> tuple[Root, ...]:
+        if self._roots is None:
+            l = len(self.coeffs) // max(len(self.heights), 1)
+            self._roots = tuple(map(Root, zip(*[iter(self.coeffs)] * l), self.heights))
+        return self._roots
+
+    def __len__(self) -> int:
+        return len(self.heights)
+
+    def __iter__(self) -> Iterator[Root]:
+        return iter(self._unpack())
+
+    def __getitem__(self, k: int) -> Root:
+        n = len(self.heights)
+        k = index(k)
+        if k < 0:
+            k += n
+        if not 0 <= k < n:
+            raise IndexError(f"positive root index out of range for {n} roots")
+        l = len(self.coeffs) // n
+        return Root(tuple(self.coeffs[k * l : k * l + l]), self.heights[k])
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is PositiveRoots:
+            return self.heights == other.heights and self.coeffs == other.coeffs
+        if isinstance(other, tuple):
+            return self._unpack() == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._unpack())
+
+    def __repr__(self) -> str:
+        return repr(self._unpack())
+
+    def __reduce__(self):
+        return PositiveRoots, (self.coeffs, self.heights)
 
 
 class RootSystem(Record, namedtuple("RootSystem", "lie_type cartan positive_roots")):
+    """A simple type, its Cartan matrix and its positive roots, kept as a
+    `PositiveRoots` view: a view is kept as it is, and any other iterable
+    of Roots, or of (coeffs, height) pairs, is packed into one, so a
+    hand-made system reads as a built one.  DomainError unless each root
+    has lie_type.rank coefficients, and (when packed) every coefficient
+    and height is an integer in 0..255."""
+
     __slots__ = ()
+
+    def __new__(cls, lie_type: LieType, cartan, positive_roots) -> RootSystem:
+        l = lie_type.rank
+        if type(positive_roots) is not PositiveRoots:
+            coeffs, heights = bytearray(), bytearray()
+            for c, h in positive_roots:
+                if len(c) != l:
+                    raise DomainError(f"root {tuple(c)} has {len(c)} coefficients, rank is {l}")
+                coeffs += bytes(check_int("root coefficient", x, 0, 255) for x in c)
+                heights.append(check_int("root height", h, 0, 255))
+            positive_roots = PositiveRoots(bytes(coeffs), bytes(heights))
+        if len(positive_roots.coeffs) != l * len(positive_roots):
+            raise DomainError(
+                f"{len(positive_roots)} roots of {lie_type} need {l} coefficients each, "
+                f"got {len(positive_roots.coeffs)} in all"
+            )
+        return tuple.__new__(cls, (lie_type, cartan, positive_roots))
+
+    @classmethod
+    def _make(cls, fields) -> RootSystem:
+        # namedtuple's _make and _replace would skip the packing above
+        return cls(*fields)
 
     @property
     def rank(self) -> int:
         return self.lie_type.rank
 
-
-def _root_bytes(t: LieType, packed: tuple[bytes, tuple[int, ...]]) -> int:
-    """A root memo entry's size: the key, the pair, the bytes, the layer
-    sizes and their ints."""
-    blob, sizes = packed
-    return sum(map(getsizeof, (t, packed, blob, sizes))) + sum(map(int.__sizeof__, sizes))
+    def column(self, i: int) -> bytes:
+        """c_i (node i, 1-based) of every positive root, in build order."""
+        return self.positive_roots.coeffs[i - 1 :: self.rank]
 
 
-_memo = ByteMemo(_root_bytes)  # LieType -> its packed positive roots
+def _root_bytes(t: LieType, packed: tuple[bytes, bytes]) -> int:
+    """A root memo entry's size: the key, the pair and its two bytes."""
+    return sum(map(getsizeof, (t, packed, *packed)))
+
+
+_memo = ByteMemo(_root_bytes)  # LieType -> (coefficient bytes, height bytes)
 
 
 def root_memo_info() -> MemoInfo:
@@ -238,9 +338,7 @@ def build(t: LieType) -> RootSystem:
     if packed is None:
         packed = _positive_roots(cartan)
         _memo.keep(t, packed, ROOT_MEMO_BYTES)
-    blob, sizes = packed
-    heights = chain.from_iterable(map(repeat, range(1, len(sizes) + 1), sizes))
-    roots = tuple(map(Root, zip(*[iter(blob)] * t.rank), heights))
+    roots = PositiveRoots(*packed)
     if len(roots) != expected:
         raise InternalError(
             f"{t}: found {len(roots)} positive roots, classical count is {expected}"
@@ -250,7 +348,7 @@ def build(t: LieType) -> RootSystem:
 
 def height_histogram(r: RootSystem) -> dict[int, int]:
     """N_j = number of positive roots of height j."""
-    return dict(sorted(Counter(root.height for root in r.positive_roots).items()))
+    return dict(sorted(Counter(r.positive_roots.heights).items()))
 
 
 class DegreeSet(Record):
@@ -298,7 +396,7 @@ def cominuscule_nodes(r: RootSystem) -> frozenset[int]:
     """Nodes i (1-based) whose coefficient never exceeds 1 in any
     positive root: those with coefficient 1 in the highest root (the
     last one built), which bounds every coefficient of every root."""
-    top = r.positive_roots[-1].coeffs
+    top = r.positive_roots.coeffs[-r.rank :]
     return frozenset(i for i, c in enumerate(top, start=1) if c == 1)
 
 
@@ -313,7 +411,7 @@ def levi_degrees(r: RootSystem, i: int) -> DegreeSet:
     """
     l = r.rank
     i = check_int("node index", i, 1, l)
-    hist = Counter(root.height for root in r.positive_roots if not root.coeffs[i - 1])
+    hist = Counter(compress(r.positive_roots.heights, map(not_, r.column(i))))
     return DegreeSet(_degrees_from_histogram(hist, l - 1) + (1,))
 
 
@@ -335,8 +433,8 @@ def weyl_orbit_minuscule(r: RootSystem, i: int) -> list[tuple[tuple[int, ...], i
     i = check_int("node", i)
     if i not in cominuscule_nodes(r):
         raise DomainError(f"node {i} of {r.lie_type} is not cominuscule")
-    heights = [root.height for root in r.positive_roots if root.coeffs[i - 1]]
-    size = prod(h + 1 for h in heights) // prod(heights)
+    heights = bytes(compress(r.positive_roots.heights, r.column(i)))
+    size = prod(map(add, heights, repeat(1))) // prod(heights)
     check_cost(f"orbit of node {i} of {r.lie_type}", size, ORBIT_CAP, "weights")
     l = r.rank
     dual = tuple(tuple(r.cartan[b][a] for b in range(l)) for a in range(l))

@@ -169,6 +169,7 @@ CONVERSIONS = {
     ("errors.py", "check_digits"): "a digit count from a float logarithm",
     ("hecke.py", "_count"): "a digit count from a float logarithm",
     ("hecke.py", "IntersectionPoints.__getitem__"): "sequence indexing, as a tuple's",
+    ("rootsys.py", "PositiveRoots.__getitem__"): "sequence indexing, as a tuple's",
     ("cli.py", "_m_vector"): "command-line text",
     ("cli.py", "_move"): "command-line text",
     ("cli.py", "run"): "the exit status and the elapsed milliseconds",

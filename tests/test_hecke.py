@@ -156,8 +156,10 @@ class TestIntersectionCount:
         assert str(info.value) == "the intersection count has 4301 digits, above the cap 4300"
 
     def test_digit_cap_refuses_before_the_powers(self):
-        # rank 20000, one zero per map: the full count has about 3 * 10**8 bits
-        c = chain_from_m(2, (1,) * 19_999)
+        # rank 20000, one zero per map: the full count has about 3 * 10**8 bits;
+        # built by make_chain, as chain_from_m refuses ranks above RANK_CAP
+        zeros = [Divisor({f"z{i}.1": 1}) for i in range(1, 20_000)]
+        c = make_chain(2, range(0, -20_000, -1), zeros)
         start = time.perf_counter()
         with pytest.raises(ResourceLimitError, match="digits or more, above the cap 4300"):
             intersection_count(c)

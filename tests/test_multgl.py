@@ -6,7 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from higgsmult import SparseMap, chain, multgl, polyalg
-from higgsmult.chain import RANK_CAP, WeightDims, chain_from_m, gl_hitchin_base_dims, tplus_dims
+from higgsmult.chain import (
+    RANK_CAP,
+    WeightDims,
+    chain_from_m,
+    gl_hitchin_base_dims,
+    make_chain,
+    tplus_dims,
+)
 from higgsmult.errors import DomainError, InternalError, ResourceLimitError
 from higgsmult.hecke import intersection_count
 from higgsmult.multgl import (
@@ -354,12 +361,43 @@ class TestBuildingBlockCaches:
         ):
             with pytest.raises(ResourceLimitError, match=f"^GL_{RANK_CAP + 1} has "):
                 call()
-        long = chain_from_m(2, [0] * RANK_CAP)  # rank 142, built uncached
+        with pytest.raises(ResourceLimitError, match=f"^GL_{RANK_CAP + 1} has "):
+            chain_from_m(2, [0] * RANK_CAP)  # rank 142, refused before it is built
+        # the same chain built by make_chain reaches mult_type111's own check
+        long = make_chain(2, range(0, -2 * RANK_CAP - 1, -2), [{}] * RANK_CAP)
         with pytest.raises(ResourceLimitError, match=f"^GL_{RANK_CAP + 1} has "):
             mult_type111(long)
         assert [cache.cache_info().currsize for cache in CACHES.values()] == [0] * len(CACHES)
         assert chain._hitchin_base.cache_info().misses == 0
         assert multgl._type111.cache_info().misses == 0
+
+    def test_long_inputs_are_refused_before_any_build(self, monkeypatch):
+        for cache in CACHES.values():
+            cache.cache_clear()
+        kept = polyalg.QBINOM_KEPT_N
+        # k up to QBINOM_KEPT_N, the largest any GL formula asks, is admitted
+        assert polyalg.qbinom_factored(kept, kept) == FactoredChar({})
+        assert polyalg.qbinom_factored(10**6, kept) == _closed_qbinom(10**6, kept)
+        # one above it is refused, for n kept or not: qbinom_factored(10**6,
+        # 5 * 10**5) took 0.85 s and 288 MB when built
+        polyalg._qbinom.cache_clear()
+        for n, k in [(kept + 1, kept + 1), (10**6, 5 * 10**5)]:
+            with pytest.raises(ResourceLimitError) as exc:
+                polyalg.qbinom_factored(n, k)
+            assert str(exc.value) == f"quantum binomial ({n},{k}) has {k} factor pairs, above the cap {kept}"
+        info = polyalg._qbinom.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+        # a chain of rank RANK_CAP is built; one more line bundle is refused
+        # before anything is built: chain_from_m(2, [0] * 10**5) built a
+        # rank-100001 chain
+        assert chain_from_m(2, [0] * (RANK_CAP - 1)).rank == RANK_CAP
+        built = []
+        monkeypatch.setattr(chain, "make_chain", lambda *args: built.append(args))
+        for m in ([0] * RANK_CAP, [0] * 10**5, [1] * 9999):
+            with pytest.raises(ResourceLimitError) as exc:
+                chain_from_m(2, m)
+            assert str(exc.value) == f"GL_{len(m) + 1} has {len(m) + 1} invariant degrees, above the cap 141"
+        assert built == [] and chain._chain_from_m.cache_info().currsize == 0
 
     def test_cached_values_equal_fresh_builds(self):
         for g in range(2, 41):

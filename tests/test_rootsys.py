@@ -1,3 +1,5 @@
+import copy
+import pickle
 import time
 from collections import Counter
 from fractions import Fraction
@@ -8,11 +10,14 @@ import pytest
 
 from higgsmult import ByteMemo, Record, rootsys
 from higgsmult.errors import DomainError, InternalError, ResourceLimitError
+from higgsmult.multsimple import unit_multiplicity_factored
+from higgsmult.polyalg import FactoredChar
 from higgsmult.rootsys import (
     ORBIT_CAP,
     ROOT_CAP,
     DegreeSet,
     LieType,
+    PositiveRoots,
     Root,
     RootSystem,
     _degrees_from_histogram,
@@ -494,11 +499,8 @@ class TestScale:
 
 def _recount(memo):
     """The root memo's bytes by sys.getsizeof, counted afresh: each key, its
-    (bytes, layer sizes) pair, the bytes, the tuple and its ints."""
-    return sum(
-        getsizeof(t) + getsizeof(packed) + sum(map(getsizeof, packed)) + sum(map(getsizeof, packed[1]))
-        for t, packed in memo.items()
-    )
+    (coefficient bytes, height bytes) pair and the two bytes objects."""
+    return sum(getsizeof(t) + getsizeof(packed) + sum(map(getsizeof, packed)) for t, packed in memo.items())
 
 
 class TestRootMemo:
@@ -567,7 +569,7 @@ class TestRootMemo:
         assert _recount({LieType("A", 80): a80}) > budget // 4
 
     def test_eviction_is_least_recently_used(self, monkeypatch):
-        types = [LieType(*t) for t in (("B", 5), ("C", 5), ("A", 7), ("F", 4), ("D", 6))]
+        types = [LieType(*t) for t in (("B", 5), ("C", 5), ("A", 7), ("F", 4), ("D", 5))]
         for t in types[:4]:
             build(t)
         sizes = [_recount({t: rootsys._memo[t]}) for t in types[:4]]
@@ -578,3 +580,149 @@ class TestRootMemo:
         build(types[4])
         assert _recount({types[4]: rootsys._memo[types[4]]}) <= budget // 4
         assert [t in rootsys._memo for t in types] == [True, False, True, True, True]
+
+
+# The per-Root loops the queries ran before they read the packed bytes,
+# over the unpacked roots: the references for the byte passes.
+
+
+def loop_degrees(roots, rank):
+    return _degrees_from_histogram(dict(sorted(Counter(root.height for root in roots).items())), rank)
+
+
+def loop_levi_degrees(roots, rank, i):
+    hist = Counter(root.height for root in roots if not root.coeffs[i - 1])
+    return DegreeSet(_degrees_from_histogram(hist, rank - 1) + (1,))
+
+
+def loop_orbit_size(roots, i):
+    heights = [root.height for root in roots if root.coeffs[i - 1]]
+    return prod(h + 1 for h in heights) // prod(heights)
+
+
+def loop_unit_multiplicity(roots, i):
+    pairs = []
+    for root in roots:
+        c = root.coeffs[i - 1]
+        if c:
+            h = root.height
+            pairs += ((h + 1, c), (h, -c))
+    return FactoredChar._merge(pairs)
+
+
+def loop_cominuscule_nodes(roots):
+    return frozenset(i for i, c in enumerate(roots[-1].coeffs, start=1) if c == 1)
+
+
+class TestBytePassesMatchRootLoops:
+    @pytest.mark.parametrize("family,rank", GRID + [("A", 60), ("A", 140)])
+    def test_every_query_on_every_node(self, family, rank, monkeypatch):
+        r = build(LieType(family, rank))
+        roots = tuple(r.positive_roots)
+        assert degrees(r) == loop_degrees(roots, rank)
+        nodes = cominuscule_nodes(r)
+        assert nodes == loop_cominuscule_nodes(roots)
+        # with no room for any orbit, the search refuses right after sizing it
+        monkeypatch.setattr(rootsys, "ORBIT_CAP", 0)
+        for i in range(1, rank + 1):
+            assert levi_degrees(r, i) == loop_levi_degrees(roots, rank, i)
+            assert unit_multiplicity_factored(r, i) == loop_unit_multiplicity(roots, i)
+            if i in nodes:
+                with pytest.raises(ResourceLimitError) as exc:
+                    weyl_orbit_minuscule(r, i)
+                size = loop_orbit_size(roots, i)
+                assert str(exc.value) == f"orbit of node {i} of {r.lie_type} has {size} weights, above the cap 0"
+
+
+class TestPositiveRoots:
+    def test_length_and_indices(self):
+        r = build(LieType("B", 3))
+        roots = r.positive_roots
+        unpacked = tuple(roots)
+        assert type(roots) is PositiveRoots and len(roots) == len(unpacked) == 9
+        for k in range(-9, 9):
+            assert roots[k] == unpacked[k] and type(roots[k].coeffs) is tuple
+        for k in (9, -10, 10**30):
+            with pytest.raises(IndexError):
+                roots[k]
+        with pytest.raises(TypeError):
+            roots[1:3]
+        assert roots[-1] == Root((1, 2, 2), 5)
+
+    def test_iteration_and_equality(self):
+        roots = build(LieType("C", 3)).positive_roots
+        unpacked = tuple(roots)
+        assert all(type(root) is Root and type(root.coeffs) is tuple for root in roots)
+        assert list(roots) == list(unpacked) and list(reversed(roots)) == list(reversed(unpacked))
+        assert roots == build(LieType("C", 3)).positive_roots == unpacked
+        assert unpacked == roots and not roots != unpacked
+        assert roots != build(LieType("B", 3)).positive_roots
+        assert roots != unpacked[:-1] and unpacked[1:] != roots
+        assert roots != list(unpacked) and roots != roots.coeffs
+
+    def test_hash_repr_and_copies(self):
+        r = build(LieType("G", 2))
+        roots = r.positive_roots
+        unpacked = tuple(roots)
+        assert hash(roots) == hash(unpacked) and repr(roots) == repr(unpacked)
+        assert hash(r) == hash((r.lie_type, r.cartan, unpacked))
+        for copied in (copy.copy(roots), copy.deepcopy(roots), pickle.loads(pickle.dumps(roots))):
+            assert type(copied) is PositiveRoots and copied == roots
+            assert (copied.coeffs, copied.heights) == (roots.coeffs, roots.heights)
+        for copied in (copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
+            assert type(copied.positive_roots) is PositiveRoots and copied == r
+
+    @pytest.mark.parametrize("family,rank", GRID)
+    def test_a_hand_made_system_equals_the_built_one(self, family, rank):
+        t = LieType(family, rank)
+        built = build(t)
+        made = RootSystem(t, cartan_matrix(t), tuple(built.positive_roots))
+        assert made == built and hash(made) == hash(built)
+        assert made.positive_roots.coeffs == built.positive_roots.coeffs
+        assert made.positive_roots.heights == built.positive_roots.heights
+        # lists and plain pairs pack the same way, and so does _replace
+        pairs = [(list(root.coeffs), root.height) for root in built.positive_roots]
+        assert RootSystem(t, built.cartan, pairs) == built
+        replaced = built._replace(positive_roots=pairs)
+        assert type(replaced.positive_roots) is PositiveRoots and replaced == built
+
+    @pytest.mark.parametrize(
+        "roots, message",
+        [
+            ((Root((256,), 1),), "root coefficient must be in 0..255, got 256"),
+            ((Root((-1,), 1),), "root coefficient must be in 0..255, got -1"),
+            ((Root((1,), 256),), "root height must be in 0..255, got 256"),
+            ((Root((1,), -1),), "root height must be in 0..255, got -1"),
+            ((Root((1.0,), 1),), "root coefficient must be an integer, got 1.0"),
+            ((Root((1, 0), 1),), "root (1, 0) has 2 coefficients, rank is 1"),
+            ((Root((), 1),), "root () has 0 coefficients, rank is 1"),
+            (PositiveRoots(b"\x01\x00", b"\x01"), "1 roots of A1 need 1 coefficients each, got 2 in all"),
+        ],
+    )
+    def test_out_of_range_roots_are_refused(self, roots, message):
+        with pytest.raises(DomainError) as exc:
+            RootSystem(LieType("A", 1), ((2,),), roots)
+        assert str(exc.value) == message
+
+    def test_warm_queries_make_no_root(self, monkeypatch):
+        t = LieType("E", 7)
+        build(t)
+        made = []
+        unpack, root = PositiveRoots._unpack, rootsys.Root
+        monkeypatch.setattr(PositiveRoots, "_unpack", lambda self: made.append("unpack") or unpack(self))
+        monkeypatch.setattr(rootsys, "Root", lambda *fields: made.append("root") or root(*fields))
+        hits = rootsys.root_memo_info().hits
+        r = build(t)
+        assert rootsys.root_memo_info().hits == hits + 1
+        degrees(r)
+        cominuscule_nodes(r)
+        for i in range(1, t.rank + 1):
+            levi_degrees(r, i)
+            unit_multiplicity_factored(r, i)
+        assert made == []
+        # the spies do see the roots a caller reads: one, then all 63 once
+        r.positive_roots[5]
+        assert made == ["root"]
+        list(r.positive_roots)
+        list(r.positive_roots)
+        assert made == ["root", "unpack"] + ["root"] * 63 + ["unpack"]
