@@ -12,7 +12,8 @@ subcommand's modules only when that subcommand runs.  The bases that
 several modules share live here: `Record`; `SparseMap`, the one
 canonical finite formal sum (exponent maps in `polyalg`, weight gradings
 and divisors in `chain`); and `ByteMemo`, the one memo, which keeps
-`polyalg`'s series and `rootsys`'s packed roots within byte budgets.
+`polyalg`'s series and expansions and `rootsys`'s packed roots within
+byte budgets.
 
 Every number a caller passes goes through `errors.check_int`, which
 converts it or refuses it: a sparse map's keys (lookups too) and counts
@@ -170,7 +171,7 @@ class SparseMap:
 MemoInfo = namedtuple("MemoInfo", "hits misses entries bytes budget")
 
 
-class ByteMemo(OrderedDict):
+class ByteMemo(Mapping):
     """A memo kept within a byte budget, least recently used first.
 
     `size(key, value)` prices an entry in bytes.  `find` counts a hit or
@@ -178,7 +179,10 @@ class ByteMemo(OrderedDict):
     unless it costs more than a quarter of the budget, and then drops
     the least recently used entries until the total is within it.  The
     budget comes with each call, so a caller passes its module constant
-    as it reads at that moment.
+    as it reads at that moment.  It reads as a mapping (`in`, `[]`,
+    `get`, `len`, iteration, `items`), but is written only by `keep` and
+    emptied only by `clear`, which resets every count, so its byte count
+    is always the sum of its entries' prices.
 
     >>> memo = ByteMemo(lambda key, value: len(value))
     >>> memo.keep("a", "xx", 8), memo.keep("b", "xxx", 8)
@@ -187,37 +191,58 @@ class ByteMemo(OrderedDict):
     ('xx', None, None)
     >>> memo.info(8)
     MemoInfo(hits=1, misses=2, entries=1, bytes=2, budget=8)
+    >>> memo.clear(); memo.info(8)
+    MemoInfo(hits=0, misses=0, entries=0, bytes=0, budget=8)
     """
 
-    hits = misses = bytes = 0
-
     def __init__(self, size: "Callable[[object, object], int]") -> None:
-        super().__init__()
         self.size = size
+        self._kept: OrderedDict = OrderedDict()
+        self.hits = self.misses = self.bytes = 0
+
+    def __getitem__(self, key):
+        return self._kept[key]
+
+    def __iter__(self):
+        return iter(self._kept)
+
+    def __len__(self) -> int:
+        return len(self._kept)
+
+    def get(self, key, default=None):
+        """The value kept for key, or default: a peek, neither counted
+        nor moved."""
+        return self._kept.get(key, default)
 
     def find(self, key, fits=None):
         """The value kept for key, now the most recent, if `fits` (when
         given) accepts it; else None.  Counted as a hit or a miss."""
-        kept = self.get(key)
+        kept = self._kept.get(key)
         if kept is None or fits is not None and not fits(kept):
             self.misses += 1
             return None
         self.hits += 1
-        self.move_to_end(key)
+        self._kept.move_to_end(key)
         return kept
 
     def keep(self, key, value, budget: int) -> bool:
         """Offer value for key; True when it is kept."""
-        if key in self:
-            self.bytes -= self.size(key, self.pop(key))
+        kept = self._kept
+        if key in kept:
+            self.bytes -= self.size(key, kept.pop(key))
         size = self.size(key, value)
         if size > budget // 4:
             return False
-        self[key], self.bytes = value, self.bytes + size
+        kept[key], self.bytes = value, self.bytes + size
         while self.bytes > budget:
-            self.bytes -= self.size(*self.popitem(last=False))
+            self.bytes -= self.size(*kept.popitem(last=False))
         return True
+
+    def clear(self) -> None:
+        """Drop every entry and reset the byte count, hits and misses."""
+        self._kept.clear()
+        self.hits = self.misses = self.bytes = 0
 
     def info(self, budget: int) -> MemoInfo:
         """Counts like lru_cache's cache_info, with the caller's budget."""
-        return MemoInfo(self.hits, self.misses, len(self), self.bytes, budget)
+        return MemoInfo(self.hits, self.misses, len(self._kept), self.bytes, budget)

@@ -142,7 +142,6 @@ def polynomiality_scan(r: RootSystem, bound: int, cap: int = SCAN_CAP) -> ScanRe
     check_cost("scan grid", (bound + 1) ** r.rank, cap, "points")
     units = [unit_multiplicity_factored(r, i) for i in range(1, r.rank + 1)]
     steps = [bound * (sum(abs(e) for _, e in u) + 1) for u in units]
-    scope = f"scan of {r.lie_type} to bound {bound}"
     points = []
     lengths: dict[tuple[int, ...], int] = {}  # prefix of m -> its series length
     work = 0
@@ -154,8 +153,9 @@ def polynomiality_scan(r: RootSystem, bound: int, cap: int = SCAN_CAP) -> ScanRe
             if grown > 0:
                 work += grown * step
                 lengths[m[:i]] = length
-        what = f"{scope} at m = {list(m)}"
-        check_cost(what, work, polyalg.SERIES_WORK_CAP, "units of series work")
+        if work > polyalg.SERIES_WORK_CAP:  # the message is built only to refuse
+            what = f"scan of {r.lie_type} to bound {bound} at m = {list(m)}"
+            check_cost(what, work, polyalg.SERIES_WORK_CAP, "units of series work")
         points.append((m, f, length))
     leaves = iter(points)
     entries = []

@@ -48,15 +48,23 @@ the answer, building the IntPoly directly (an expanded polynomial's
 coefficients are ints with top coefficient +-1, so there is nothing to
 convert or trim), and the scan of `multsimple` calls it on series it
 builds by multiplying one kernel list in place.  `series_expand` runs a
-series to the requested order.  Both share one `ByteMemo` per process,
-in `_series`: f.terms -> the longest list computed for f, whose prefixes
-serve shorter requests.  A kept list long enough is served with no plan
-when `series_work` is within SERIES_WORK_CAP, since no plan refuses what
-the kernel admits; any other request is planned and cost-checked first,
-having only peeked at the memo, so no refusal depends on earlier calls
-and none counts a lookup.  Keys, lists and their
-elements count by sys.getsizeof against SERIES_MEMO_BYTES, least recently
-used out first; a list above a quarter of it is never kept.
+series to the requested order.  Both keep their results in one
+`ByteMemo` per process, `_memo`, keyed apart: `series_expand` (in
+`_series`) keeps f.terms -> the longest list computed for f, whose
+prefixes serve shorter requests; `expand` keeps (f.terms,) -> its
+finished IntPoly or NotPolynomial and the kernel's admission cost of its
+series, so a repeat returns the same object from one lookup.  A kept list
+long enough, or a kept answer, is served with no plan when `series_work`
+is within SERIES_WORK_CAP, since no plan refuses what the kernel admits;
+any other request is planned and cost-checked first, as a cold one, and
+a kept answer is then served without being run again.  The memo is only
+peeked at before that, so no refusal depends on earlier calls and none
+counts a lookup.  An entry counts by sys.getsizeof of what it holds (the
+key and its pairs; a list and its ints, or the answer Record, an
+IntPoly's coefficient tuple and each distinct int object once, so a
+palindrome's mirrored half is free unless negated) against
+SERIES_MEMO_BYTES, least recently used out first; an entry above a
+quarter of it is never kept.
 `qbinom_factored` refuses k above 141 (`chain.RANK_CAP`, the largest
 rank a GL multiplicity asks) and builds each (n, k) once per process,
 after its checks: an lru_cache of 128 entries, at most about 23 KB each,
@@ -470,14 +478,31 @@ def _recurrence(f: FactoredChar, length: int) -> list[int]:
     return out
 
 
-def _series_bytes(key: tuple, kept: list[int]) -> int:
-    """A series memo entry's size: the key tuple, its (k, e) pairs, the list
-    and its ints (for an int, int.__sizeof__ is sys.getsizeof without its
-    slower lookup)."""
-    return sum(map(getsizeof, (key, *key, kept))) + sum(map(int.__sizeof__, kept))
+def _series_bytes(key: tuple, kept: "list[int] | tuple") -> int:
+    """A series memo entry's size, by sys.getsizeof of what it holds (for
+    an int, int.__sizeof__ is the same without its slower lookup).
+
+    A series list, under f.terms: the key tuple, its (k, e) pairs, the
+    list and its ints.  An expansion, under (f.terms,): the key, f.terms
+    and its pairs, the (answer, work) pair, the answer Record, an IntPoly's
+    coefficient tuple, and each distinct int object once: the work, a
+    NotPolynomial's degree or the coefficients, where a palindrome's upper
+    half holds its lower half's ints unless it is negated."""
+    if type(kept) is list:
+        return sum(map(getsizeof, (key, *key, kept))) + sum(map(int.__sizeof__, kept))
+    (terms,), (answer, work) = key, kept
+    size = sum(map(getsizeof, (key, terms, *terms, kept, answer)))
+    if type(answer) is IntPoly:
+        size += getsizeof(answer.coeffs)
+        ints = answer.coeffs
+    else:
+        ints = answer  # the witness's one int
+    return size + sum(map(int.__sizeof__, {id(a): a for a in (work, *ints)}.values()))
 
 
-_memo = ByteMemo(_series_bytes)  # f.terms -> the longest series list computed for f
+# f.terms -> the longest series list computed for f by series_expand;
+# (f.terms,) -> expand(f) and the kernel's admission cost of its series
+_memo = ByteMemo(_series_bytes)
 
 
 def series_memo_info() -> MemoInfo:
@@ -485,9 +510,20 @@ def series_memo_info() -> MemoInfo:
     return _memo.info(SERIES_MEMO_BYTES)
 
 
+def _admit(f: FactoredChar, length: int) -> Callable:
+    """`_series_plan`'s path for `length` coefficients of f, refused with
+    ResourceLimitError when no path fits SERIES_WORK_CAP."""
+    run, work = _series_plan(f, length)
+    if run is None:
+        what = f"a series of {length} coefficients through {work // length - 1} factors"
+        check_cost(what, work, SERIES_WORK_CAP, "coefficient updates")
+    return run
+
+
 def _series(f: FactoredChar, length: int) -> list[int]:
-    """The first `length` series coefficients of f by `_series_plan`'s path or
-    as a fresh prefix of a kept list; refused above SERIES_WORK_CAP before either.
+    """The first `length` series coefficients of f, for `series_expand`, by
+    `_series_plan`'s path or as a fresh prefix of a kept list; refused above
+    SERIES_WORK_CAP before either.
 
     A kept list long enough is served with no plan when the kernel alone
     would be admitted, since no plan refuses what the kernel admits; any
@@ -496,10 +532,7 @@ def _series(f: FactoredChar, length: int) -> list[int]:
     key = f.terms
     kept = _memo.get(key)
     if kept is None or len(kept) < length or series_work(f, length) > SERIES_WORK_CAP:
-        run, work = _series_plan(f, length)
-        if run is None:
-            what = f"a series of {length} coefficients through {work // length - 1} factors"
-            check_cost(what, work, SERIES_WORK_CAP, "coefficient updates")
+        run = _admit(f, length)
     kept = _memo.find(key, lambda kept: len(kept) >= length)
     if kept is not None:
         return kept[:length]
@@ -522,12 +555,27 @@ def expand(f: FactoredChar) -> "IntPoly | NotPolynomial":
     t^{N' - deg r} times its own reversal, so r/Q' first has a nonzero
     coefficient at j = N' - deg r <= N'.
 
+    The answer is kept in the series memo under (f.terms,), with the
+    kernel's admission cost of its series: while that cost is within
+    SERIES_WORK_CAP a repeat is one lookup; otherwise the repeat is
+    planned and cost-checked as a cold call first, then served.
+
     >>> expand(FactoredChar({2: 3, 1: -3})).coeffs
     (1, 3, 3, 1)
     >>> expand(FactoredChar({3: 5, 1: -6}))
     NotPolynomial(remainder_degree=5)
     """
-    return _read_off(f, _series(f, _expand_length(f)))
+    key = (f.terms,)
+    kept = _memo.get(key)
+    if kept is None or kept[1] > SERIES_WORK_CAP:
+        length = _expand_length(f)
+        run = _admit(f, length)
+    kept = _memo.find(key)
+    if kept is not None:
+        return kept[0]
+    answer = _read_off(f, run(f, length))
+    _memo.keep(key, (answer, series_work(f, length)), SERIES_MEMO_BYTES)
+    return answer
 
 
 def _read_off(f: FactoredChar, c: list[int]) -> "IntPoly | NotPolynomial":
@@ -555,7 +603,10 @@ class MultResult(Record, namedtuple("MultResult", "factored")):
     cyclotomic exponents that the factored form computes once.
     polynomial is either the exact IntPoly or the NotPolynomial witness;
     value_at_1 is defined only in the polynomial case.  No __slots__: the
-    cached expansion lives in the instance __dict__.
+    cached expansion lives in the instance __dict__.  Its first read calls
+    `expand`, which keeps that answer in the series memo, so a new
+    MultResult of the same factored form reads the same object with one
+    lookup, under the same admission as a cold call.
     """
 
     @cached_property

@@ -216,15 +216,17 @@ class PositiveRoots(Sequence):
     order, a byte per node, and `heights`, a byte per root.
 
     It reads as the tuple of its Roots: `len`, indices (negative ones
-    count from the end; slices are not supported), iteration, hash and
+    count from the end), slices (a tuple of Roots), iteration, hash and
     repr are the tuple's, and it equals another view with the same bytes
     or a tuple of the same Roots.  Roots are made only when read:
-    iteration unpacks them all, once per view, and keeps them in it; an
-    index makes the one root it reads.  It pickles by its bytes.
+    iteration and slices unpack them all, once per view, and keep them in
+    it; an index makes the one root it reads.  It pickles by its bytes.
 
     >>> roots = build(LieType("A", 2)).positive_roots
     >>> len(roots), roots[-1], roots.heights
     (3, Root(coeffs=(1, 1), height=2), b'\\x01\\x01\\x02')
+    >>> roots[:2]
+    (Root(coeffs=(0, 1), height=1), Root(coeffs=(1, 0), height=1))
     >>> roots == (Root((0, 1), 1), Root((1, 0), 1), Root((1, 1), 2))
     True
     """
@@ -246,7 +248,9 @@ class PositiveRoots(Sequence):
     def __iter__(self) -> Iterator[Root]:
         return iter(self._unpack())
 
-    def __getitem__(self, k: int) -> Root:
+    def __getitem__(self, k: "int | slice") -> "Root | tuple[Root, ...]":
+        if type(k) is slice:
+            return self._unpack()[k]
         n = len(self.heights)
         k = index(k)
         if k < 0:

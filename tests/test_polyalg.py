@@ -677,12 +677,66 @@ class TestValueAtOne:
 
 
 def _recount(memo):
-    """The memo's bytes by sys.getsizeof, counted afresh: each key tuple and
-    its (k, e) pairs, each list and its coefficients."""
-    return sum(
-        getsizeof(key) + sum(map(getsizeof, key)) + getsizeof(kept) + sum(map(getsizeof, kept))
-        for key, kept in memo.items()
-    )
+    """The memo's bytes by sys.getsizeof, counted afresh.  A series list:
+    its key tuple and (k, e) pairs, the list and its coefficients.  An
+    expansion: its 1-tuple key, the terms and their pairs, the (answer,
+    work) pair, the answer, an IntPoly's coefficient tuple, and each
+    distinct int object once."""
+    total = 0
+    for key, kept in memo.items():
+        if type(kept) is list:
+            total += getsizeof(key) + sum(map(getsizeof, key)) + getsizeof(kept) + sum(map(getsizeof, kept))
+            continue
+        (terms,), (answer, work) = key, kept
+        total += getsizeof(key) + getsizeof(terms) + sum(map(getsizeof, terms))
+        total += getsizeof(kept) + getsizeof(answer)
+        if isinstance(answer, IntPoly):
+            total += getsizeof(answer.coeffs)
+            ints = [work, *answer.coeffs]
+        else:
+            ints = [work, answer.remainder_degree]
+        total += sum(getsizeof(a) for a in {id(a): a for a in ints}.values())
+    return total
+
+
+def _key_bytes(f):
+    """The price of an expansion's key: the 1-tuple, f.terms and its pairs."""
+    return getsizeof((f.terms,)) + getsizeof(f.terms) + sum(map(getsizeof, f.terms))
+
+
+class TestByteMemo:
+    def test_clear_resets_every_count(self):
+        memo = ByteMemo(lambda key, value: len(value))
+        assert memo.keep("a", "xxxx", 16) and memo.find("a") == "xxxx" and memo.find("b") is None
+        memo.clear()
+        assert memo.info(16) == (0, 0, 0, 0, 16) and len(memo) == 0 and "a" not in memo
+        # no phantom bytes shrink the memo: a smaller budget still keeps a fitting entry
+        assert memo.keep("c", "yy", 8) and memo.info(8) == (0, 0, 1, 2, 8)
+
+    def test_every_write_goes_through_keep(self):
+        memo = ByteMemo(lambda key, value: len(value))
+        memo.keep("a", "xx", 16)
+        with pytest.raises(TypeError):
+            memo["b"] = "yyyyyyyy"
+        with pytest.raises(TypeError):
+            del memo["a"]
+        for name in ("pop", "popitem", "setdefault", "update", "move_to_end"):
+            assert not hasattr(memo, name), name
+        assert memo.info(16) == (0, 0, 1, 2, 16)
+
+    def test_reads_are_a_mappings(self):
+        memo = ByteMemo(lambda key, value: len(value))
+        for key, value in (("a", "x"), ("b", "yy"), ("c", "zzz")):
+            memo.keep(key, value, 64)
+        memo.find("a")  # now the most recent
+        assert list(memo) == ["b", "c", "a"] and len(memo) == 3
+        assert dict(memo.items()) == {"a": "x", "b": "yy", "c": "zzz"}
+        assert memo["b"] == "yy" and "c" in memo and "d" not in memo
+        assert memo.get("d") is None and memo.get("d", 0) == 0
+        with pytest.raises(KeyError):
+            memo["d"]
+        # get and [] peek: no count, no move
+        assert memo.info(64)[:2] == (1, 0) and list(memo) == ["b", "c", "a"]
 
 
 class TestSeriesMemo:
@@ -838,3 +892,109 @@ class TestSeriesMemo:
             monkeypatch.setattr(polyalg, "SERIES_MEMO_BYTES", budget)
             series_expand(f, 499)
             assert polyalg.series_memo_info().entries == entries
+
+    def test_a_repeated_expansion_is_the_kept_answer(self, monkeypatch):
+        from higgsmult.multgl import _type_n_factored
+
+        polyalg = higgsmult.polyalg
+        # the kernel, the recurrence and a witness
+        chars = [FactoredChar({2: 3, 1: -3}), _type_n_factored(10, 6), FactoredChar({3: 5, 1: -6})]
+        first = [expand(f) for f in chars]
+        calls = []
+        for name in ("_kernel", "_recurrence", "_read_off", "_series_plan"):
+            real = getattr(polyalg, name)
+            monkeypatch.setattr(polyalg, name, lambda *a, real=real: calls.append(a) or real(*a))
+        for f, answer in zip(chars, first):
+            assert expand(f) is answer and expand(FactoredChar(f.terms)) is answer
+        assert calls == [] and polyalg.series_memo_info()[:3] == (6, 3, 3)
+        assert isinstance(first[2], NotPolynomial) and first[0].coeffs == (1, 3, 3, 1)
+
+    def test_an_expansion_is_kept_apart_from_the_series_list(self):
+        polyalg = higgsmult.polyalg
+        f = FactoredChar({2: 3, 1: -3})
+        s = series_expand(f, 10)
+        p = expand(f)
+        assert s.coeffs == (1, 3, 3, 1) + (0,) * 7 and p.coeffs == (1, 3, 3, 1)
+        assert f.terms in polyalg._memo and (f.terms,) in polyalg._memo
+        assert type(polyalg._memo[f.terms]) is list and polyalg._memo[(f.terms,)][0] is p
+        assert series_expand(f, 10) == s and expand(f) is p
+        assert polyalg.series_memo_info()[:3] == (2, 2, 2)
+
+    def test_an_answer_is_priced_by_what_it_holds(self):
+        from higgsmult.multgl import _type_n_factored
+        from higgsmult.multsimple import mult_simple
+        from higgsmult.rootsys import LieType, build
+
+        polyalg = higgsmult.polyalg
+        small = getsizeof((0, 0)) + getsizeof(NotPolynomial(0)) + 2 * getsizeof(0)
+        e8 = mult_simple(build(LieType("E", 8)), [1] + [0] * 7).factored
+        for f in (FactoredChar({3: 5, 1: -6}), FactoredChar({1: -20, 2: 7, 9: 3}), e8):
+            assert isinstance(expand(f), NotPolynomial)
+            key = (f.terms,)
+            # a witness costs its key plus its pair, Record and two small ints
+            assert polyalg._series_bytes(key, polyalg._memo[key]) - _key_bytes(f) == small < 200
+        # a palindrome's upper half reuses the lower half's ints
+        f = _type_n_factored(10, 6)
+        p = expand(f)
+        assert sum(e for _, e in f) % 2 == 0
+        assert len({id(a) for a in p.coeffs}) <= len(p.coeffs) // 2 + 1
+        size = polyalg._series_bytes((f.terms,), polyalg._memo[(f.terms,)])
+        assert 60_000 < size < 64_000 and size < polyalg.SERIES_MEMO_BYTES // 4
+        assert polyalg.series_memo_info().bytes == _recount(polyalg._memo)
+
+    def test_a_mixed_flood_counts_every_byte(self):
+        polyalg = higgsmult.polyalg
+        budget = polyalg.SERIES_MEMO_BYTES
+        for k in range(1, 41):
+            f = FactoredChar({1: -k, 2: 3, 3: -(k % 5)})
+            for call in (lambda: series_expand(f, 300), lambda: expand(f * FactoredChar({k + 4: k + 3}))):
+                call()
+                info = polyalg.series_memo_info()
+                assert info.bytes <= budget and info.bytes == _recount(polyalg._memo)
+        kinds = {type(kept) for kept in polyalg._memo.values()}
+        assert kinds == {list, tuple} and 0 < info.entries < 80 and info.misses == 80
+
+    def test_a_kept_answer_past_the_cap_refuses_as_cold(self, monkeypatch):
+        from higgsmult.multgl import _type_n_factored
+
+        polyalg = higgsmult.polyalg
+        f = _type_n_factored(6, 5)  # kernel admission 42416, recurrence 7040
+
+        def refusal():
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(polyalg, "SERIES_WORK_CAP", 7000)
+                with pytest.raises(ResourceLimitError) as exc:
+                    expand(f)
+            return str(exc.value)
+
+        cold = refusal()
+        assert polyalg.series_memo_info()[:3] == (0, 0, 0)
+        answer = expand(f)
+        expand(FactoredChar({2: 3, 1: -3}))
+        order, info = list(polyalg._memo), polyalg.series_memo_info()
+        assert refusal() == cold
+        assert polyalg.series_memo_info() == info and list(polyalg._memo) == order
+        assert cold == (
+            "a series of 176 coefficients through 240 factors has 42416 "
+            "coefficient updates, above the cap 7000"
+        )
+        assert expand(f) is answer
+
+    def test_a_kept_answer_the_recurrence_admits_is_served_after_its_plan(self, monkeypatch):
+        from higgsmult.multgl import _type_n_factored
+
+        polyalg = higgsmult.polyalg
+        f = _type_n_factored(6, 5)
+        answer = expand(f)
+        assert polyalg._memo[(f.terms,)][1] == polyalg.series_work(f, 176) == 42416
+        monkeypatch.setattr(polyalg, "SERIES_WORK_CAP", 10_000)
+        assert polyalg._series_plan(f, 176) == (polyalg._recurrence, 7040)
+        plans, calls = [], []
+        real = polyalg._series_plan
+        monkeypatch.setattr(polyalg, "_series_plan", lambda *a: plans.append(a) or real(*a))
+        for name in ("_kernel", "_recurrence", "_read_off"):
+            run = getattr(polyalg, name)
+            monkeypatch.setattr(polyalg, name, lambda *a, run=run: calls.append(a) or run(*a))
+        assert expand(f) is answer
+        assert plans == [(f, 176)] and calls == []
+        assert polyalg.series_memo_info()[:3] == (1, 1, 1)

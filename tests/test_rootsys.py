@@ -646,8 +646,18 @@ class TestPositiveRoots:
             with pytest.raises(IndexError):
                 roots[k]
         with pytest.raises(TypeError):
-            roots[1:3]
+            roots["1"]
         assert roots[-1] == Root((1, 2, 2), 5)
+
+    def test_slices_are_the_tuples_slices(self):
+        roots = build(LieType("A", 3)).positive_roots
+        unpacked = tuple(roots)
+        for k in (slice(0, 2), slice(1, 3), slice(None, None, -1), slice(-2, None), slice(5, 1), slice(0, 99, 2)):
+            assert roots[k] == unpacked[k] and type(roots[k]) is tuple
+        assert roots[0:2] == (Root((0, 0, 1), 1), Root((0, 1, 0), 1))
+        # a slice of a fresh view unpacks it once, as iteration does
+        fresh = build(LieType("A", 3)).positive_roots
+        assert fresh[:1] == unpacked[:1] and fresh._roots == unpacked
 
     def test_iteration_and_equality(self):
         roots = build(LieType("C", 3)).positive_roots
