@@ -22,12 +22,12 @@ m-vectors with more than ZERO_CAP zeros too, each by an
 The base and the fresh-zero chains of `chain_from_m` are built once per
 process for each checked key, after every check: lru_caches of 128 and
 64 entries.  Every genus-keyed cache of the package (these two and
-`multgl`'s type (n), type (1,2) and type (1,...,1) forms) admits a key
-only when `cache_admits` its ints, each strictly within 2^KEY_BITS of
-zero, and a chain only with at most CACHED_ZEROS zeros and as many maps
-b_i; larger keys are built uncached, so no entry grows with the
-caller's numbers.  The chain-file reader checks every number by
-`errors.check_int`, naming its place in the file.
+`multgl`'s GL forms, keyed by genus and blocks) admits a key only when
+`cache_admits` its ints, each strictly within 2^KEY_BITS of zero, and a
+chain only with at most CACHED_ZEROS zeros and as many maps b_i; larger
+keys are built uncached, so no entry grows with the caller's numbers.
+The chain-file reader checks every number by `errors.check_int`, naming
+its place in the file.
 """
 
 from __future__ import annotations

@@ -13,33 +13,25 @@ the blocks (1, l_i); the rank-3 type (1,2) family of the wobbly
 polynomiality threshold, the blocks (1, 0), (2, -w).  Each expands to an
 exact integer polynomial or provably fails to; `value_at_1` of the
 polynomial is the honest multiplicity of the component.  The factored
-forms of type (n), type (1,2) and type (1,...,1) depend only on small
-integers, so each is built once per process for its checked (g, n),
-(g, 2l - v) or (g, degrees), after the argument checks and, for a chain,
-the stability test: lru_caches of 128 entries of at most about 30 KB
-(n = RANK_CAP), of 256 entries under 1.3 KB, and of 128 entries of at
-most about 35 KB (rank RANK_CAP).  Each admits only keys that
-`chain.cache_admits`; larger ones are built uncached.  `MultResult`,
-the factored form with its lazy expansion, lives in `polyalg` beside
-the functions it calls, so the simple-group formulas share it without
-loading this module.
+form depends only on the genus and the blocks, so `_gl_form` builds it
+once per process for each checked (genus, blocks), after the caller's
+argument checks and, for a chain, the stability test: one lru_cache of
+256 entries, each at most about 41 KB (rank RANK_CAP).  A caller admits
+only keys whose ints `chain.cache_admits`; larger ones are built
+uncached.  `MultResult`, the factored form with its lazy expansion,
+lives in `polyalg` beside the functions it calls, so the simple-group
+formulas share it without loading this module.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
 
 from .chain import RANK_CAP, ChainHiggsBundle, WeightDims, block_tplus_dims, cache_admits
 from .chain import gl_hitchin_base_dims, is_stable
 from .errors import DomainError, InternalError, check_cost, check_int
-from .polyalg import (
-    FactoredChar,
-    MultResult,
-    TruncatedSeries,
-    power_product,
-    qbinom_factored,
-    series_expand,
-)
+from .polyalg import FactoredChar, MultResult, TruncatedSeries, series_expand
 
 
 def virtual_multiplicity(tplus: WeightDims, base: WeightDims) -> MultResult:
@@ -55,19 +47,9 @@ def _type_n_factored(g: int, n: int) -> FactoredChar:
     """The type (n) master's factored form, shared by `mult_type_n`,
     `master_divisibility` and `euler_prefactor`: the genus and rank are
     checked on every call, as `gl_hitchin_base_dims` checks them, then
-    the form is built once per (g, n) (see `_type_n`)."""
+    the form of the block (n, 0) is built once per (g, n) (see `_gl_form`)."""
     g, n = check_int("genus", g, 2), check_int("rank", n, 1)
-    return (_type_n if cache_admits(g, n) else _type_n.__wrapped__)(g, n)
-
-
-@lru_cache(maxsize=128)
-def _type_n(g: int, n: int) -> FactoredChar:
-    """The type (n) form of checked ints.  The base refuses a rank above
-    RANK_CAP, and lru_cache keeps no refusal.  An admitted entry with its
-    cyclotomic exponents is at most about 30 KB (n = RANK_CAP), so the
-    cache holds at most 3.8 MB."""
-    base = gl_hitchin_base_dims(g, n)
-    return virtual_multiplicity(block_tplus_dims(g, [(n, 0)]), base).factored
+    return (_gl_form if cache_admits(g, n) else _gl_form.__wrapped__)(g, ((n, 0),))
 
 
 def mult_type_n(g: int, n: int) -> MultResult:
@@ -83,39 +65,17 @@ def mult_type111(c: ChainHiggsBundle) -> MultResult:
     """Multiplicity of a chain fixed point's component:
     prod_i qbinom(n, i)^{m_i}, cross-checked against the weight-ratio
     definition on every miss.  Every call tests the chain for stability
-    once and refuses a rank above RANK_CAP; then the factored form is
-    built once per (genus, degrees) that `cache_admits` (see `_type111`),
-    and each call gets its own MultResult over it."""
+    once and refuses a rank above RANK_CAP; then the form of the blocks
+    (1, l_i) is built once per (genus, degrees) that `cache_admits` (see
+    `_gl_form`), and each call gets its own MultResult over it."""
     if not is_stable(c):
         raise DomainError("multiplicity of a chain needs a stable chain")
     genus, degrees = c.genus, c.degrees
     n = len(degrees)
     check_cost(f"GL_{n}", n, RANK_CAP, "invariant degrees")
     kept = cache_admits(genus, min(degrees), max(degrees))
-    return MultResult((_type111 if kept else _type111.__wrapped__)(genus, degrees))
-
-
-@lru_cache(maxsize=128)
-def _type111(genus: int, degrees: tuple[int, ...]) -> FactoredChar:
-    """The type (1,...,1) form of a stable chain's genus and degrees, the
-    closed form checked against the weight ratio.  Equal canonical
-    factored forms are equal characters, so the check compares factored
-    forms and nothing is expanded; T+ is `block_tplus_dims` of the blocks
-    (1, l_i).  An admitted entry with its cyclotomic exponents is at most
-    about 35 KB (rank RANK_CAP), so the cache holds at most 4.4 MB."""
-    n = len(degrees)
-    base = gl_hitchin_base_dims(genus, n)
-    shift = 2 * genus - 2  # m_i = l_i - l_{i-1} + 2g - 2
-    factored = power_product(
-        (qbinom_factored(n, i), l - k + shift)
-        for i, (k, l) in enumerate(zip(degrees, degrees[1:]), start=1)
-    )
-    tplus = block_tplus_dims(genus, [(1, l) for l in degrees])
-    if factored != virtual_multiplicity(tplus, base).factored:
-        raise InternalError(
-            "chain multiplicity: quantum binomial closed form disagrees with the weight ratio"
-        )
-    return factored
+    blocks = tuple([(1, l) for l in degrees])
+    return MultResult((_gl_form if kept else _gl_form.__wrapped__)(genus, blocks))
 
 
 def mult_type12_rank3(g: int, twol_minus_v: int) -> MultResult:
@@ -133,16 +93,36 @@ def mult_type12_rank3(g: int, twol_minus_v: int) -> MultResult:
         raise DomainError(
             f"2l-v = {w} outside the stability window 0 < 2l-v < {3 * g - 3} at genus {g}"
         )
-    return MultResult((_type12 if cache_admits(g, w) else _type12.__wrapped__)(g, w))
+    blocks = ((1, 0), (2, -w))
+    return MultResult((_gl_form if cache_admits(g, w) else _gl_form.__wrapped__)(g, blocks))
 
 
 @lru_cache(maxsize=256)
-def _type12(g: int, w: int) -> FactoredChar:
-    """The type (1,2) form of a checked genus and window: three factors,
-    under 1.3 KB an admitted entry with its cyclotomic exponents, so the
-    cache holds at most 0.33 MB."""
-    base = gl_hitchin_base_dims(g, 3)
-    return virtual_multiplicity(block_tplus_dims(g, [(1, 0), (2, -w)]), base).factored
+def _gl_form(genus: int, blocks: tuple[tuple[int, int], ...]) -> FactoredChar:
+    """The factored multiplicity of the fixed point with these (rank,
+    degree) blocks, of checked ints: the ratio of Sym characters of T+ and
+    the rank-n Hitchin base.  The base refuses a rank above RANK_CAP, and
+    lru_cache keeps no refusal.  When every block is a line bundle, a
+    stable chain's, the form is checked against the closed form
+    prod_i qbinom(n, i)^{m_i}; equal canonical factored forms are equal
+    characters, so nothing is expanded, and a failed check keeps no entry.
+    That product's exponent of (1 - t^k) is S(n-k+1) - S(k), where
+    S(a) = sum_{i>=a} m_i.  An admitted entry with its key and its
+    cyclotomic exponents is at most about 41 KB (rank RANK_CAP), so the
+    cache holds at most 10.5 MB."""
+    n = sum(r for r, _ in blocks)
+    base = gl_hitchin_base_dims(genus, n)
+    form = virtual_multiplicity(block_tplus_dims(genus, blocks), base).factored
+    if n == len(blocks):  # every block, each of rank >= 1, is a line bundle
+        shift = 2 * genus - 2  # m_i = l_i - l_{i-1} + 2g - 2
+        m = [l - k + shift for (_, k), (_, l) in zip(blocks, blocks[1:])]
+        s = [*accumulate(reversed(m), initial=0)][::-1]  # s[a - 1] = S(a), a = 1..n
+        closed = FactoredChar._merge([(k, s[n - k] - s[k - 1]) for k in range(1, n + 1)])
+        if closed != form:
+            raise InternalError(
+                "chain multiplicity: quantum binomial closed form disagrees with the weight ratio"
+            )
+    return form
 
 
 def master_divisibility(m: MultResult, g: int, n: int) -> bool:

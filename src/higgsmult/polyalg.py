@@ -66,9 +66,7 @@ palindrome's mirrored half is free unless negated) against
 SERIES_MEMO_BYTES, least recently used out first; an entry above a
 quarter of it is never kept.
 `qbinom_factored` refuses k above 141 (`chain.RANK_CAP`, the largest
-rank a GL multiplicity asks) and builds each (n, k) once per process,
-after its checks: an lru_cache of 128 entries, at most about 23 KB each,
-since it keeps only n <= 141.
+rank a GL multiplicity asks).
 `value_at_one` reads f(1) off the cyclotomic exponents, with no
 expansion; `MultResult`, a multiplicity held in factored form, answers
 from those exponents and expands on first read.  `divides` is the one
@@ -93,10 +91,9 @@ from .errors import DomainError, InternalError, check_cost, check_int
 # costs 4.4e6 on the kernel and 3.0e6 on the recurrence.
 SERIES_WORK_CAP = 10 ** 7
 SERIES_MEMO_BYTES = 3 << 17  # the budget of the series memo (see _series)
-# qbinom_factored keeps (n, k) only for n up to this, chain.RANK_CAP (not
-# imported: the simple-group formulas load no chain module), and refuses
-# any k above it.
-QBINOM_KEPT_N = 141
+# qbinom_factored refuses any k above this, chain.RANK_CAP (not imported:
+# the simple-group formulas load no chain module).
+QBINOM_CAP = 141
 
 # Predicted recurrence time in kernel coefficient updates:
 # _RATIO * length * (deg Q + 1) + _SETUP, fitted on timings of both paths
@@ -196,23 +193,14 @@ def qbinom_factored(n: int, k: int) -> "FactoredChar":
 
     n and k are refused unless integers with 0 <= k <= n, n >= 1; then
     every factor index lies in 1..n, so the terms merge unchecked.  A k
-    above QBINOM_KEPT_N, the largest any GL formula asks for, is refused
-    with ResourceLimitError before anything is built, as the form has 2k
-    factors.  Checked on every call, then built once per (n, k) with
-    n <= QBINOM_KEPT_N (see `_qbinom`); a larger n is built uncached.
+    above QBINOM_CAP, the largest GL rank, is refused with
+    ResourceLimitError before anything is built, as the form has 2k
+    factors.
     """
     n, k = check_int("n", n), check_int("k", k)
     if n < 1 or k < 0 or k > n:
         raise DomainError(f"quantum binomial needs 0 <= k <= n, n >= 1; got k={k}, n={n}")
-    check_cost(f"quantum binomial ({n},{k})", k, QBINOM_KEPT_N, "factor pairs")
-    return (_qbinom if n <= QBINOM_KEPT_N else _qbinom.__wrapped__)(n, k)
-
-
-@lru_cache(maxsize=128)
-def _qbinom(n: int, k: int) -> "FactoredChar":
-    """qbinom_factored of checked ints; an entry with its cyclotomic
-    exponents is at most about 23 KB (qbinom_factored(141, 70)), so the
-    cache holds at most 2.9 MB."""
+    check_cost(f"quantum binomial ({n},{k})", k, QBINOM_CAP, "factor pairs")
     return FactoredChar._merge(
         [(n - j + 1, 1) for j in range(1, k + 1)] + [(j, -1) for j in range(1, k + 1)]
     )

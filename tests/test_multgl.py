@@ -1,5 +1,7 @@
 import tracemalloc
+from itertools import product
 from math import prod
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -35,7 +37,7 @@ from higgsmult.polyalg import (
     qbinom,
 )
 
-from oracles import divmod_fractions, factored_series, mul_lists
+from oracles import divmod_fractions, factored_series, gaussian_binomial, mul_lists, pow_list
 
 
 # polynomial multiplicities: products of (1-t^(j*q))^e / (1-t^j)^e, each a
@@ -157,6 +159,29 @@ class TestMultType111:
         for g, m in [(2, (1, 1)), (3, (2, 1)), (3, (3,))]:
             c = chain_from_m(g, m)
             assert mult_type111(c).value_at_1 == intersection_count(c)
+
+    def test_matches_the_gaussian_binomial_oracle(self):
+        # every m-vector with m_i <= 3 up to rank 4, then 12 drawn per rank
+        # from 5 to 7; rank 1 is the empty product, still cross-checked
+        rng = Random(7)
+        vectors = [m for r in range(4) for m in product(range(4), repeat=r)]
+        vectors += [
+            tuple(rng.randrange(4) for _ in range(r)) for r in range(4, 7) for _ in range(12)
+        ]
+        multgl._gl_form.cache_clear()  # each new key runs the cross-check
+        checked = set()
+        for m in vectors:
+            n = len(m) + 1
+            expected = [1]
+            for i, mi in enumerate(m, start=1):
+                expected = mul_lists(expected, pow_list(gaussian_binomial(n, i), mi))
+            for g in range(2, 5):
+                for top in range(-3, 4):
+                    c = chain_from_m(g, m, top)
+                    if chain.is_stable(c):
+                        assert list(mult_type111(c).polynomial.coeffs) == expected, (g, m, top)
+                        checked.add(n)
+        assert checked == set(range(1, 8))
 
 
 class TestMultType12:
@@ -284,7 +309,7 @@ class TestLazyExpansion:
 
     def test_cyclotomic_exponents_computed_once(self, monkeypatch):
         # the type (n) form is shared per (g, n): build it afresh
-        multgl._type_n.cache_clear()
+        multgl._gl_form.cache_clear()
         calls = []
         divisors = polyalg._divisors
         monkeypatch.setattr(polyalg, "_divisors", lambda k: calls.append(k) or divisors(k))
@@ -295,18 +320,18 @@ class TestLazyExpansion:
         assert calls == []
 
 
-def _closed_type_n(g, n):
+def _closed_master(g, n):
     """prod_{i=2..n} [i]_t^{(2i-1)(g-1)}, [i]_t = (1 - t^i)/(1 - t)."""
     exps = {i: (2 * i - 1) * (g - 1) for i in range(2, n + 1)}
     return FactoredChar({**exps, 1: -sum(exps.values())})
 
 
-def _closed_type12(g, w):
+def _closed_wobbly(g, w):
     """(1 + t)^(g-1-w) (1 + t + t^2)^(5g-5)."""
     return FactoredChar({1: -(g - 1 - w) - (5 * g - 5), 2: g - 1 - w, 3: 5 * g - 5})
 
 
-def _closed_qbinom(n, k):
+def _closed_gaussian(n, k):
     """prod_{j=1..k} (1 - t^(n-j+1)) / (1 - t^j), built by the checking constructor."""
     out = FactoredChar()
     for j in range(1, k + 1):
@@ -316,11 +341,8 @@ def _closed_qbinom(n, k):
 
 CACHES = {
     "base": chain._hitchin_base,
-    "qbinom": polyalg._qbinom,
-    "type n": multgl._type_n,
-    "type12": multgl._type12,
+    "form": multgl._gl_form,
     "chain": chain._chain_from_m,
-    "type111": multgl._type111,
 }
 
 
@@ -363,30 +385,31 @@ class TestBuildingBlockCaches:
                 call()
         with pytest.raises(ResourceLimitError, match=f"^GL_{RANK_CAP + 1} has "):
             chain_from_m(2, [0] * RANK_CAP)  # rank 142, refused before it is built
-        # the same chain built by make_chain reaches mult_type111's own check
+        # the same chain built by make_chain reaches mult_type111's own check,
+        # made before any lookup
         long = make_chain(2, range(0, -2 * RANK_CAP - 1, -2), [{}] * RANK_CAP)
+        misses = multgl._gl_form.cache_info().misses
         with pytest.raises(ResourceLimitError, match=f"^GL_{RANK_CAP + 1} has "):
             mult_type111(long)
+        assert multgl._gl_form.cache_info().misses == misses
         assert [cache.cache_info().currsize for cache in CACHES.values()] == [0] * len(CACHES)
         assert chain._hitchin_base.cache_info().misses == 0
-        assert multgl._type111.cache_info().misses == 0
 
     def test_long_inputs_are_refused_before_any_build(self, monkeypatch):
         for cache in CACHES.values():
             cache.cache_clear()
-        kept = polyalg.QBINOM_KEPT_N
-        # k up to QBINOM_KEPT_N, the largest any GL formula asks, is admitted
-        assert polyalg.qbinom_factored(kept, kept) == FactoredChar({})
-        assert polyalg.qbinom_factored(10**6, kept) == _closed_qbinom(10**6, kept)
-        # one above it is refused, for n kept or not: qbinom_factored(10**6,
+        cap = polyalg.QBINOM_CAP
+        # k up to QBINOM_CAP, the largest GL rank, is admitted
+        assert polyalg.qbinom_factored(cap, cap) == FactoredChar({})
+        assert polyalg.qbinom_factored(10**6, cap) == _closed_gaussian(10**6, cap)
+        # one above it is refused, for any n: qbinom_factored(10**6,
         # 5 * 10**5) took 0.85 s and 288 MB when built
-        polyalg._qbinom.cache_clear()
-        for n, k in [(kept + 1, kept + 1), (10**6, 5 * 10**5)]:
+        for n, k in [(cap + 1, cap + 1), (10**6, 5 * 10**5)]:
             with pytest.raises(ResourceLimitError) as exc:
                 polyalg.qbinom_factored(n, k)
-            assert str(exc.value) == f"quantum binomial ({n},{k}) has {k} factor pairs, above the cap {kept}"
-        info = polyalg._qbinom.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+            assert str(exc.value) == (
+                f"quantum binomial ({n},{k}) has {k} factor pairs, above the cap 141"
+            )
         # a chain of rank RANK_CAP is built; one more line bundle is refused
         # before anything is built: chain_from_m(2, [0] * 10**5) built a
         # rank-100001 chain
@@ -407,20 +430,21 @@ class TestBuildingBlockCaches:
                 assert base.as_dict() == {1: g, **{k: (2 * k - 1) * (g - 1) for k in range(2, n + 1)}}
                 assert gl_hitchin_base_dims(g, n) is base
                 form = mult_type_n(g, n).factored
-                assert form == multgl._type_n.__wrapped__(g, n) == _closed_type_n(g, n)
+                assert form == multgl._gl_form.__wrapped__(g, ((n, 0),)) == _closed_master(g, n)
+                assert mult_type_n(g, n).factored is form
                 assert euler_prefactor(g, n) == sum(k * e for k, e in form)
         for n in range(1, 31):
             for k in range(n + 1):
-                q = polyalg.qbinom_factored(n, k)
-                assert q == polyalg._qbinom.__wrapped__(n, k)
-                assert q == _closed_qbinom(n, k)
+                assert polyalg.qbinom_factored(n, k) == _closed_gaussian(n, k)
         for g in range(2, 21):
             for w in range(1, 3 * g - 3):
                 m = mult_type12_rank3(g, w)
-                assert m.factored == multgl._type12.__wrapped__(g, w) == _closed_type12(g, w)
+                fresh = multgl._gl_form.__wrapped__(g, ((1, 0), (2, -w)))
+                assert m.factored == fresh == _closed_wobbly(g, w)
+                assert mult_type12_rank3(g, w).factored is m.factored
                 assert m.is_polynomial == (w <= g - 1)
                 if m.is_polynomial:
-                    master = _closed_type_n(g, 3)
+                    master = _closed_master(g, 3)
                     assert master_divisibility(m, g, 3) == all(
                         master._cyclotomic.get(d, 0) >= c for d, c in m.factored._cyclotomic.items()
                     )
@@ -440,10 +464,10 @@ class TestBuildingBlockCaches:
                 if not chain.is_stable(c):
                     continue
                 form = mult_type111(c).factored
-                assert form == multgl._type111.__wrapped__(g, c.degrees)
+                assert form == multgl._gl_form.__wrapped__(g, tuple((1, l) for l in c.degrees))
                 closed = FactoredChar()
                 for i, mi in enumerate(m, start=1):
-                    closed = closed * _closed_qbinom(len(m) + 1, i) ** mi
+                    closed = closed * _closed_gaussian(len(m) + 1, i) ** mi
                 assert form == closed
                 assert mult_type111(fresh).factored is form
 
@@ -468,23 +492,30 @@ class TestBuildingBlockCaches:
             with pytest.raises(error) as exc:
                 call()
             assert str(exc.value) == message
-        entries = multgl._type111.cache_info().currsize
+        info = multgl._gl_form.cache_info()
         for _ in range(2):
             with pytest.raises(DomainError, match="needs a stable chain"):
                 mult_type111(unstable)
-        assert multgl._type111.cache_info().currsize == entries
+        assert multgl._gl_form.cache_info() == info
 
     def test_cross_check_runs_on_every_miss(self, monkeypatch):
-        multgl._type111.cache_clear()
+        multgl._gl_form.cache_clear()
         c = chain_from_m(3, (2, 0, 3))
         right = mult_type111(c).factored  # a hit needs no check
         monkeypatch.setattr(multgl, "block_tplus_dims", lambda g, blocks: WeightDims({1: 1}))
         assert mult_type111(c).factored is right
-        multgl._type111.cache_clear()
+        multgl._gl_form.cache_clear()
         for _ in range(2):  # a failed check keeps no entry
-            with pytest.raises(InternalError, match="closed form disagrees with the weight ratio"):
+            with pytest.raises(InternalError) as exc:
                 mult_type111(c)
-        assert multgl._type111.cache_info().currsize == 0
+            assert str(exc.value) == (
+                "chain multiplicity: quantum binomial closed form disagrees with the weight ratio"
+            )
+        info = multgl._gl_form.cache_info()
+        assert (info.misses, info.currsize) == (2, 0)
+        # a rank-one chain, whose closed form is the empty product, is checked too
+        with pytest.raises(InternalError):
+            mult_type111(chain_from_m(3, ()))
         # an unadmitted key runs the check too
         with pytest.raises(InternalError):
             mult_type111(chain_from_m(2**30, (1,)))
@@ -499,20 +530,14 @@ class TestBuildingBlockCaches:
         mult_type12_rank3(big, big)
         c = chain_from_m(big, [1, 1])
         mult_type111(c)
-        # only the genus-free quantum binomials (3, 1) and (3, 2) are kept
-        assert [cache.cache_info().currsize for cache in CACHES.values()] == [0, 2, 0, 0, 0, 0]
+        assert [cache.cache_info().currsize for cache in CACHES.values()] == [0, 0, 0]
         assert c == chain._chain_from_m.__wrapped__(big, (1, 1), 0)
         # a small genus with a huge degree, too many zeros, too long an m-vector
         mult_type111(chain_from_m(3, [1], top_degree=-big))
         chain_from_m(3, [1] * 65)
         chain_from_m(3, [0] * 65)
-        # a quantum binomial past the largest GL rank, whose entry grows with k
-        polyalg._qbinom.cache_clear()
-        assert polyalg.QBINOM_KEPT_N == RANK_CAP
-        assert polyalg.qbinom_factored(RANK_CAP + 1, 70) == _closed_qbinom(RANK_CAP + 1, 70)
         assert chain._chain_from_m.cache_info().currsize == 0
-        assert multgl._type111.cache_info().currsize == 0
-        assert polyalg._qbinom.cache_info().currsize == 0
+        assert multgl._gl_form.cache_info().currsize == 0
         for cache in CACHES.values():
             cache.cache_clear()
         # just inside every bound, each is kept
@@ -522,7 +547,7 @@ class TestBuildingBlockCaches:
         mult_type111(chain_from_m(3, [1], top_degree=big - 1))  # degrees (big - 1, big - 4)
         assert chain._hitchin_base.cache_info().currsize == 2  # and (3, 2), read by the form
         assert chain._chain_from_m.cache_info().currsize == 3
-        assert multgl._type111.cache_info().currsize == 1
+        assert multgl._gl_form.cache_info().currsize == 1
 
     def test_huge_genera_keep_no_memory(self):
         mult_type_n(10**3000, RANK_CAP)  # warm every small-integer cache first
