@@ -16,13 +16,13 @@ GL_n fixed point by Riemann-Roch on its blocks' (rank, degree): type
 (n, 0), type (1,2) the blocks (1, 0), (2, -w).  `gl_hitchin_base_dims`
 gives the Hitchin base weights, which double as those of a cotangent
 fibre.  Both feed the virtual multiplicity ratio; `tplus_dims`, the
-base and `chain_from_m` refuse ranks above RANK_CAP, and `chain_from_m`
-m-vectors with more than ZERO_CAP zeros too, each by an
-`errors.check_cost` call before any work.
-The base and the fresh-zero chains of `chain_from_m` are built once per
-process for each checked key, after every check: lru_caches of 128 and
-64 entries.  Every genus-keyed cache of the package (these two and
-`multgl`'s GL forms, keyed by genus and blocks) admits a key only when
+base and `chain_from_m` refuse ranks above RANK_CAP (`errors.RANK_CAP`),
+and `chain_from_m` m-vectors with more than ZERO_CAP zeros too, each by
+an `errors.check_cost` call before any work.
+The fresh-zero chains of `chain_from_m` are built once per process for
+each checked key, after every check: an lru_cache of 64 entries.  Every
+genus-keyed cache of the package (this one and `multgl`'s GL forms,
+keyed by genus, degrees and ranks) admits a key only when
 `cache_admits` its ints, each strictly within 2^KEY_BITS of zero, and a
 chain only with at most CACHED_ZEROS zeros and as many maps b_i; larger
 keys are built uncached, so no entry grows with the caller's numbers.
@@ -37,15 +37,11 @@ from collections.abc import Iterable, Mapping, Sequence
 from functools import lru_cache
 
 from . import Record, SparseMap
-from .errors import DomainError, check_cost, check_int
+from .errors import RANK_CAP, DomainError, check_cost, check_int
 
 # chain_from_m refuses m-vectors with more zeros than this before building
 # any point (each zero is a labelled Point; 10^5 of them take about 0.6 s).
 ZERO_CAP = 100_000
-# GL ranks above this, chain_from_m's too, are refused before any work:
-# GL_141 has 9870 positive roots, as A_140, the largest type A under
-# rootsys.ROOT_CAP.
-RANK_CAP = 141
 # A genus-keyed cache keeps only keys whose ints all lie strictly within
 # 2^KEY_BITS of zero, and chains with at most CACHED_ZEROS zeros and maps.
 KEY_BITS = 30
@@ -361,19 +357,15 @@ def tplus_dims(c: ChainHiggsBundle) -> WeightDims:
 
 def gl_hitchin_base_dims(genus: int, n: int) -> WeightDims:
     """Weights of the rank-n Hitchin base: g at weight 1, then
-    (2k-1)(g-1) at each weight 2 <= k <= n.  Checked on every call, then
-    built once per (genus, n) (see `_hitchin_base`)."""
+    (2k-1)(g-1) at each weight 2 <= k <= n, built on every call."""
     genus, n = check_int("genus", genus, 2), check_int("rank", n, 1)
     check_cost(f"GL_{n}", n, RANK_CAP, "invariant degrees")
-    return (_hitchin_base if cache_admits(genus) else _hitchin_base.__wrapped__)(genus, n)
+    return WeightDims._merge(_base_terms(genus, n))
 
 
-@lru_cache(maxsize=128)
-def _hitchin_base(genus: int, n: int) -> WeightDims:
-    """The base grading of checked ints; an admitted entry is at most about
-    22 KB (n = RANK_CAP), so the cache holds at most 2.9 MB."""
-    dims = [(1, genus)] + [(k, (2 * k - 1) * (genus - 1)) for k in range(2, n + 1)]
-    return WeightDims._merge(dims)
+def _base_terms(genus: int, n: int) -> list[tuple[int, int]]:
+    """The base grading's terms, of checked ints: sorted and nonzero."""
+    return [(1, genus)] + [(k, (2 * k - 1) * (genus - 1)) for k in range(2, n + 1)]
 
 
 def twist(c: ChainHiggsBundle, p: PointLike, mult: int = -1) -> ChainHiggsBundle:

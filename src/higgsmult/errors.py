@@ -19,6 +19,10 @@ from operator import index
 
 # Python's default int-to-str limit: what passes `check_digits` prints.
 DIGITS_CAP = 4300
+# GL ranks above this are refused before any work, as are quantum binomials
+# (n, k) with k above it: GL_141 has 9870 positive roots, as A_140, the
+# largest type A under rootsys.ROOT_CAP.
+RANK_CAP = 141
 
 
 class DomainError(ValueError):

@@ -14,13 +14,15 @@ polynomiality threshold, the blocks (1, 0), (2, -w).  Each expands to an
 exact integer polynomial or provably fails to; `value_at_1` of the
 polynomial is the honest multiplicity of the component.  The factored
 form depends only on the genus and the blocks, so `_gl_form` builds it
-once per process for each checked (genus, blocks), after the caller's
-argument checks and, for a chain, the stability test: one lru_cache of
-256 entries, each at most about 41 KB (rank RANK_CAP).  A caller admits
-only keys whose ints `chain.cache_admits`; larger ones are built
-uncached.  `MultResult`, the factored form with its lazy expansion,
-lives in `polyalg` beside the functions it calls, so the simple-group
-formulas share it without loading this module.
+once per process for each checked genus, block degrees and block ranks
+(left out for a chain), after the caller's argument checks and, for a
+chain, the stability test: one lru_cache of 256 entries, each at most
+about 34 KB (rank RANK_CAP).  A caller admits only keys whose ints
+`chain.cache_admits`; larger ones are built uncached.  The Euler pairing
+reads the Hitchin base through the cached type (n) form.  `MultResult`,
+the factored form with its lazy expansion, lives in `polyalg` beside the
+functions it calls, so the simple-group formulas share it without
+loading this module.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import accumulate
 
-from .chain import RANK_CAP, ChainHiggsBundle, WeightDims, block_tplus_dims, cache_admits
-from .chain import gl_hitchin_base_dims, is_stable
+from .chain import RANK_CAP, ChainHiggsBundle, WeightDims, _base_terms, block_tplus_dims
+from .chain import cache_admits, is_stable
 from .errors import DomainError, InternalError, check_cost, check_int
 from .polyalg import FactoredChar, MultResult, TruncatedSeries, series_expand
 
@@ -49,7 +51,7 @@ def _type_n_factored(g: int, n: int) -> FactoredChar:
     checked on every call, as `gl_hitchin_base_dims` checks them, then
     the form of the block (n, 0) is built once per (g, n) (see `_gl_form`)."""
     g, n = check_int("genus", g, 2), check_int("rank", n, 1)
-    return (_gl_form if cache_admits(g, n) else _gl_form.__wrapped__)(g, ((n, 0),))
+    return (_gl_form if cache_admits(g, n) else _gl_form.__wrapped__)(g, (0,), (n,))
 
 
 def mult_type_n(g: int, n: int) -> MultResult:
@@ -74,8 +76,7 @@ def mult_type111(c: ChainHiggsBundle) -> MultResult:
     n = len(degrees)
     check_cost(f"GL_{n}", n, RANK_CAP, "invariant degrees")
     kept = cache_admits(genus, min(degrees), max(degrees))
-    blocks = tuple([(1, l) for l in degrees])
-    return MultResult((_gl_form if kept else _gl_form.__wrapped__)(genus, blocks))
+    return MultResult((_gl_form if kept else _gl_form.__wrapped__)(genus, degrees))
 
 
 def mult_type12_rank3(g: int, twol_minus_v: int) -> MultResult:
@@ -93,29 +94,31 @@ def mult_type12_rank3(g: int, twol_minus_v: int) -> MultResult:
         raise DomainError(
             f"2l-v = {w} outside the stability window 0 < 2l-v < {3 * g - 3} at genus {g}"
         )
-    blocks = ((1, 0), (2, -w))
-    return MultResult((_gl_form if cache_admits(g, w) else _gl_form.__wrapped__)(g, blocks))
+    form = (_gl_form if cache_admits(g, w) else _gl_form.__wrapped__)(g, (0, -w), (1, 2))
+    return MultResult(form)
 
 
 @lru_cache(maxsize=256)
-def _gl_form(genus: int, blocks: tuple[tuple[int, int], ...]) -> FactoredChar:
-    """The factored multiplicity of the fixed point with these (rank,
-    degree) blocks, of checked ints: the ratio of Sym characters of T+ and
-    the rank-n Hitchin base.  The base refuses a rank above RANK_CAP, and
-    lru_cache keeps no refusal.  When every block is a line bundle, a
-    stable chain's, the form is checked against the closed form
+def _gl_form(genus: int, degrees: tuple[int, ...], ranks: tuple | None = None) -> FactoredChar:
+    """The factored multiplicity of the fixed point whose blocks have
+    these degrees and ranks, of checked ints; a stable chain's, every
+    rank 1, when `ranks` is left out.  It is the ratio of Sym characters
+    of T+ and the rank-n Hitchin base, one merge of the base terms and the
+    negated `block_tplus_dims` terms; that call comes first, so a rank
+    above RANK_CAP is refused before any work, and lru_cache keeps no
+    refusal.  A chain's form is checked against the closed form
     prod_i qbinom(n, i)^{m_i}; equal canonical factored forms are equal
     characters, so nothing is expanded, and a failed check keeps no entry.
     That product's exponent of (1 - t^k) is S(n-k+1) - S(k), where
     S(a) = sum_{i>=a} m_i.  An admitted entry with its key and its
-    cyclotomic exponents is at most about 41 KB (rank RANK_CAP), so the
-    cache holds at most 10.5 MB."""
-    n = sum(r for r, _ in blocks)
-    base = gl_hitchin_base_dims(genus, n)
-    form = virtual_multiplicity(block_tplus_dims(genus, blocks), base).factored
-    if n == len(blocks):  # every block, each of rank >= 1, is a line bundle
+    cyclotomic exponents is at most about 34 KB (a chain of rank
+    RANK_CAP), so the cache holds at most 8.7 MB."""
+    n = len(degrees) if ranks is None else sum(ranks)
+    tplus = block_tplus_dims(genus, [*zip(ranks or [1] * n, degrees)])
+    form = FactoredChar._merge([*_base_terms(genus, n), *((k, -d) for k, d in tplus)])
+    if ranks is None:
         shift = 2 * genus - 2  # m_i = l_i - l_{i-1} + 2g - 2
-        m = [l - k + shift for (_, k), (_, l) in zip(blocks, blocks[1:])]
+        m = [l - k + shift for k, l in zip(degrees, degrees[1:])]
         s = [*accumulate(reversed(m), initial=0)][::-1]  # s[a - 1] = S(a), a = 1..n
         closed = FactoredChar._merge([(k, s[n - k] - s[k - 1]) for k in range(1, n + 1)])
         if closed != form:
@@ -153,15 +156,20 @@ def euler_pairing_series(
     The character pairing of the two components' structure sheaves over
     the moduli space; visibly symmetric in its two arguments.  All three
     factors are products of (1-t^k) powers, so the pairing is one factored
-    character, `_pairing_factored`, expanded as one series.
+    character, `_pairing_factored`, expanded as one series.  The genus
+    and rank are checked first, as `gl_hitchin_base_dims` checks them.
     """
-    base = gl_hitchin_base_dims(g, n)
+    g, n = check_int("genus", g, 2), check_int("rank", n, 1)
+    pairing = _pairing_factored(mA, mB, g, n)
     if not (mA.is_polynomial and mB.is_polynomial):
         raise DomainError("the pairing needs polynomial multiplicities")
-    return series_expand(_pairing_factored(mA, mB, base), order)
+    return series_expand(pairing, order)
 
 
-def _pairing_factored(mA: MultResult, mB: MultResult, base: WeightDims) -> FactoredChar:
-    """m_A * m_B * chi_T(Sym A*): one merge of the base grading's negated
-    terms and both sides' terms, all of them canonical already."""
-    return FactoredChar._merge([*((k, -d) for k, d in base), *mA.factored, *mB.factored])
+def _pairing_factored(mA: MultResult, mB: MultResult, g: int, n: int) -> FactoredChar:
+    """m_A * m_B * chi_T(Sym A*), of checked g and n.  T+ at type (n) is
+    dim A = n^2 (g-1) + 1 copies of weight 1, so chi_T(Sym A*) is (1-t)^-dim A
+    over the master: one merge of the cached master's negated terms, that
+    term and both sides' terms, all of them canonical already."""
+    master = [(k, -e) for k, e in _type_n_factored(g, n)]
+    return FactoredChar._merge([*master, (1, -n * n * (g - 1) - 1), *mA.factored, *mB.factored])

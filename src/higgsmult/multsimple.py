@@ -37,18 +37,16 @@ def unit_multiplicity_factored(r: RootSystem, i: int) -> FactoredChar:
 
     A root of height h with c_i = c contributes (1 - t^(h+1))^c (1 - t^h)^-c,
     so the roots of height h give +s_h at h + 1 and -s_h at h, s_h the sum
-    of their c_i.  s_h counts a root once for each k < c_i: one count of
-    the system's height bytes picked by c_i > k for each k below the
-    largest c_i (a single pass at a node with every c_i <= 1), with no
-    Root made.
+    of their c_i: one pass over the system's height and c_i bytes, with
+    no Root made.
     """
     i = check_int("node", i)
     if not 1 <= i <= r.rank:
         raise DomainError(f"node {i} out of range for {r.lie_type}")
-    heights, column = r.positive_roots.heights, r.column(i)
-    sums = Counter(itertools.compress(heights, column))
-    for k in range(1, max(column, default=0)):
-        sums.update(itertools.compress(heights, map(k.__lt__, column)))
+    sums: dict[int, int] = {}
+    for h, c in zip(r.positive_roots.heights, r.column(i)):
+        if c:
+            sums[h] = sums.get(h, 0) + c
     pairs = [(h + 1, s) for h, s in sums.items()] + [(h, -s) for h, s in sums.items()]
     return FactoredChar._merge(pairs)  # heights and coefficients are ints, h >= 1
 

@@ -65,7 +65,7 @@ IntPoly's coefficient tuple and each distinct int object once, so a
 palindrome's mirrored half is free unless negated) against
 SERIES_MEMO_BYTES, least recently used out first; an entry above a
 quarter of it is never kept.
-`qbinom_factored` refuses k above 141 (`chain.RANK_CAP`, the largest
+`qbinom_factored` refuses k above `errors.RANK_CAP` (141, the largest
 rank a GL multiplicity asks).
 `value_at_one` reads f(1) off the cyclotomic exponents, with no
 expansion; `MultResult`, a multiplicity held in factored form, answers
@@ -84,16 +84,13 @@ from operator import mul, neg, sub
 from sys import getsizeof
 
 from . import ByteMemo, MemoInfo, Record, SparseMap
-from .errors import DomainError, InternalError, check_cost, check_int
+from .errors import RANK_CAP, DomainError, InternalError, check_cost, check_int
 
 # A series path whose up-front cost is above this is refused: kernel
 # coefficient updates, or recurrence word operations.  mult_type_n(16, 8)
 # costs 4.4e6 on the kernel and 3.0e6 on the recurrence.
 SERIES_WORK_CAP = 10 ** 7
 SERIES_MEMO_BYTES = 3 << 17  # the budget of the series memo (see _series)
-# qbinom_factored refuses any k above this, chain.RANK_CAP (not imported:
-# the simple-group formulas load no chain module).
-QBINOM_CAP = 141
 
 # Predicted recurrence time in kernel coefficient updates:
 # _RATIO * length * (deg Q + 1) + _SETUP, fitted on timings of both paths
@@ -193,14 +190,14 @@ def qbinom_factored(n: int, k: int) -> "FactoredChar":
 
     n and k are refused unless integers with 0 <= k <= n, n >= 1; then
     every factor index lies in 1..n, so the terms merge unchecked.  A k
-    above QBINOM_CAP, the largest GL rank, is refused with
+    above RANK_CAP, the largest GL rank, is refused with
     ResourceLimitError before anything is built, as the form has 2k
     factors.
     """
     n, k = check_int("n", n), check_int("k", k)
     if n < 1 or k < 0 or k > n:
         raise DomainError(f"quantum binomial needs 0 <= k <= n, n >= 1; got k={k}, n={n}")
-    check_cost(f"quantum binomial ({n},{k})", k, QBINOM_CAP, "factor pairs")
+    check_cost(f"quantum binomial ({n},{k})", k, RANK_CAP, "factor pairs")
     return FactoredChar._merge(
         [(n - j + 1, 1) for j in range(1, k + 1)] + [(j, -1) for j in range(1, k + 1)]
     )

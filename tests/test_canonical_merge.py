@@ -88,12 +88,12 @@ class TestMergeAgainstRebuild:
         assert_canonical(out)
         assert out == FactoredChar(base) - FactoredChar(tplus)
 
-    @given(factored, factored, pair_lists)
+    @given(factored, factored, st.integers(2, 40), st.integers(1, 12))
     @settings(max_examples=150, deadline=None)
-    def test_pairing_character(self, a, b, base):
-        out = _pairing_factored(MultResult(a), MultResult(b), WeightDims(base))
+    def test_pairing_character(self, a, b, g, n):
+        out = _pairing_factored(MultResult(a), MultResult(b), g, n)
         assert_canonical(out)
-        assert out == a * b * FactoredChar(base).scale(-1)
+        assert out == a * b * FactoredChar(gl_hitchin_base_dims(g, n)).scale(-1)
 
     @given(st.lists(st.tuples(labels, st.integers(-3, 3)), max_size=8), labels)
     @settings(max_examples=100, deadline=None)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from higgsmult import SparseMap, chain, multgl, polyalg
+from higgsmult import SparseMap, chain, errors, multgl, polyalg
 from higgsmult.chain import (
     RANK_CAP,
     WeightDims,
@@ -339,8 +339,9 @@ def _closed_gaussian(n, k):
     return out
 
 
+ONE = MultResult(FactoredChar())
+
 CACHES = {
-    "base": chain._hitchin_base,
     "form": multgl._gl_form,
     "chain": chain._chain_from_m,
 }
@@ -380,6 +381,7 @@ class TestBuildingBlockCaches:
             lambda: gl_hitchin_base_dims(2, RANK_CAP + 1),
             lambda: mult_type_n(2, RANK_CAP + 1),
             lambda: euler_prefactor(2, RANK_CAP + 1),
+            lambda: euler_pairing_series(ONE, ONE, 2, RANK_CAP + 1, 5),
         ):
             with pytest.raises(ResourceLimitError, match=f"^GL_{RANK_CAP + 1} has "):
                 call()
@@ -393,13 +395,13 @@ class TestBuildingBlockCaches:
             mult_type111(long)
         assert multgl._gl_form.cache_info().misses == misses
         assert [cache.cache_info().currsize for cache in CACHES.values()] == [0] * len(CACHES)
-        assert chain._hitchin_base.cache_info().misses == 0
 
     def test_long_inputs_are_refused_before_any_build(self, monkeypatch):
         for cache in CACHES.values():
             cache.cache_clear()
-        cap = polyalg.QBINOM_CAP
-        # k up to QBINOM_CAP, the largest GL rank, is admitted
+        cap = RANK_CAP
+        assert chain.RANK_CAP is errors.RANK_CAP == 141
+        # k up to RANK_CAP, the largest GL rank, is admitted
         assert polyalg.qbinom_factored(cap, cap) == FactoredChar({})
         assert polyalg.qbinom_factored(10**6, cap) == _closed_gaussian(10**6, cap)
         # one above it is refused, for any n: qbinom_factored(10**6,
@@ -426,11 +428,12 @@ class TestBuildingBlockCaches:
         for g in range(2, 41):
             for n in range(1, 11):
                 base = gl_hitchin_base_dims(g, n)
-                assert base == chain._hitchin_base.__wrapped__(g, n)
+                assert base == WeightDims(chain._base_terms(g, n))
                 assert base.as_dict() == {1: g, **{k: (2 * k - 1) * (g - 1) for k in range(2, n + 1)}}
-                assert gl_hitchin_base_dims(g, n) is base
+                assert gl_hitchin_base_dims(g, n) == base
                 form = mult_type_n(g, n).factored
-                assert form == multgl._gl_form.__wrapped__(g, ((n, 0),)) == _closed_master(g, n)
+                assert form == multgl._gl_form.__wrapped__(g, (0,), (n,)) == _closed_master(g, n)
+                assert form == virtual_multiplicity(WeightDims({1: n * n * (g - 1) + 1}), base).factored
                 assert mult_type_n(g, n).factored is form
                 assert euler_prefactor(g, n) == sum(k * e for k, e in form)
         for n in range(1, 31):
@@ -439,7 +442,7 @@ class TestBuildingBlockCaches:
         for g in range(2, 21):
             for w in range(1, 3 * g - 3):
                 m = mult_type12_rank3(g, w)
-                fresh = multgl._gl_form.__wrapped__(g, ((1, 0), (2, -w)))
+                fresh = multgl._gl_form.__wrapped__(g, (0, -w), (1, 2))
                 assert m.factored == fresh == _closed_wobbly(g, w)
                 assert mult_type12_rank3(g, w).factored is m.factored
                 assert m.is_polynomial == (w <= g - 1)
@@ -464,7 +467,7 @@ class TestBuildingBlockCaches:
                 if not chain.is_stable(c):
                     continue
                 form = mult_type111(c).factored
-                assert form == multgl._gl_form.__wrapped__(g, tuple((1, l) for l in c.degrees))
+                assert form == multgl._gl_form.__wrapped__(g, c.degrees)
                 closed = FactoredChar()
                 for i, mi in enumerate(m, start=1):
                     closed = closed * _closed_gaussian(len(m) + 1, i) ** mi
@@ -530,7 +533,7 @@ class TestBuildingBlockCaches:
         mult_type12_rank3(big, big)
         c = chain_from_m(big, [1, 1])
         mult_type111(c)
-        assert [cache.cache_info().currsize for cache in CACHES.values()] == [0, 0, 0]
+        assert [cache.cache_info().currsize for cache in CACHES.values()] == [0, 0]
         assert c == chain._chain_from_m.__wrapped__(big, (1, 1), 0)
         # a small genus with a huge degree, too many zeros, too long an m-vector
         mult_type111(chain_from_m(3, [1], top_degree=-big))
@@ -540,14 +543,15 @@ class TestBuildingBlockCaches:
         assert multgl._gl_form.cache_info().currsize == 0
         for cache in CACHES.values():
             cache.cache_clear()
-        # just inside every bound, each is kept
+        # just inside every bound, each is kept; the base never is
         gl_hitchin_base_dims(big - 1, 2)
+        assert multgl._gl_form.cache_info().currsize == 0
+        mult_type_n(big - 1, 2)
         chain_from_m(big - 1, [1] * 64, top_degree=1 - big)
         chain_from_m(3, [0] * 64)
         mult_type111(chain_from_m(3, [1], top_degree=big - 1))  # degrees (big - 1, big - 4)
-        assert chain._hitchin_base.cache_info().currsize == 2  # and (3, 2), read by the form
         assert chain._chain_from_m.cache_info().currsize == 3
-        assert multgl._gl_form.cache_info().currsize == 1
+        assert multgl._gl_form.cache_info().currsize == 2
 
     def test_huge_genera_keep_no_memory(self):
         mult_type_n(10**3000, RANK_CAP)  # warm every small-integer cache first
@@ -609,8 +613,9 @@ class TestEulerPairing:
         assert euler_pairing_series(a, b, 2, 3, 12) == euler_pairing_series(b, a, 2, 3, 12)
 
     def test_builds_one_factored_character(self, monkeypatch):
-        # the base grading, the pairing character and the recurrence's
-        # stencil, counted at the merge every map goes through
+        # the pairing character and the recurrence's stencil, counted at
+        # the merge every map goes through: the base is read through the
+        # cached master form, so no base grading is built
         a, b = mult_type_n(4, 5), mult_type_n(4, 5)
         built = []
         merge = SparseMap._merge.__func__
@@ -618,7 +623,7 @@ class TestEulerPairing:
             SparseMap, "_merge", classmethod(lambda cls, pairs: built.append(cls) or merge(cls, pairs))
         )
         s = euler_pairing_series(a, b, 4, 5, 400)
-        assert len(built) <= 3, [m.__name__ for m in built]
+        assert len(built) <= 2 and WeightDims not in built, [m.__name__ for m in built]
         monkeypatch.undo()
         sym = FactoredChar(gl_hitchin_base_dims(4, 5)).scale(-1)
         assert s == polyalg.series_expand(sym * a.factored * b.factored, 400)
@@ -628,6 +633,52 @@ class TestEulerPairing:
         one = MultResult(FactoredChar())
         with pytest.raises(DomainError, match="polynomial"):
             euler_pairing_series(bad, one, 2, 3, 5)
+
+    def test_refusal_messages(self):
+        # the genus, then the rank, then the rank cap, then the sides
+        bad = MultResult(FactoredChar({3: 1, 2: -1}))
+        cases = [
+            (ONE, 1, 2, DomainError, "genus must be >= 2, got 1"),
+            (ONE, 2, 0, DomainError, "rank must be >= 1, got 0"),
+            (ONE, 2, RANK_CAP + 1, ResourceLimitError, "GL_142 has 142 invariant degrees, above the cap 141"),
+            (ONE, 3.0, 2, DomainError, "genus must be an integer, got 3.0"),
+            (ONE, 3, 3.0, DomainError, "rank must be an integer, got 3.0"),
+            (ONE, True, 2, DomainError, "genus must be an integer, got True"),
+            (ONE, 3, True, DomainError, "rank must be an integer, got True"),
+            (ONE, 1, 0, DomainError, "genus must be >= 2, got 1"),
+            (ONE, 1.5, RANK_CAP + 1, DomainError, "genus must be an integer, got 1.5"),
+            (ONE, 2, 142.0, DomainError, "rank must be an integer, got 142.0"),
+            (bad, 1, 2, DomainError, "genus must be >= 2, got 1"),
+            (bad, 2, 0, DomainError, "rank must be >= 1, got 0"),
+            (bad, 2, RANK_CAP + 1, ResourceLimitError, "GL_142 has 142 invariant degrees, above the cap 141"),
+            (bad, True, 2, DomainError, "genus must be an integer, got True"),
+            (bad, 2, 2, DomainError, "the pairing needs polynomial multiplicities"),
+        ]
+        for side, g, n, error, message in cases:
+            for a, b in ((side, ONE), (ONE, side)):
+                with pytest.raises(error) as exc:
+                    euler_pairing_series(a, b, g, n, 5)
+                assert type(exc.value) is error and str(exc.value) == message
+
+    def test_pairing_reads_the_master(self):
+        # chi_T(Sym A*) = (1-t)^-(n^2(g-1)+1) / master against its definition,
+        # the base grading's negated terms, with type (n), type (1,2) and
+        # chain sides
+        chains = 0
+        for g in range(2, 13):
+            for n in range(1, 10):
+                sides = [mult_type_n(g, n), mult_type_n(g, 1), ONE]
+                sides += [mult_type12_rank3(g, w) for w in (1, g - 1, g, 3 * g - 4)]
+                for m in ([], [1] * (n - 1), [i % 3 for i in range(n - 1)], [2 * g - 3] * (n - 1)):
+                    c = chain_from_m(g, m)
+                    if chain.is_stable(c):
+                        sides.append(mult_type111(c))
+                        chains += 1
+                base = [(k, -d) for k, d in gl_hitchin_base_dims(g, n)]
+                for a, b in product(sides, repeat=2):
+                    expected = FactoredChar._merge([*base, *a.factored, *b.factored])
+                    assert multgl._pairing_factored(a, b, g, n) == expected, (g, n)
+        assert chains > 4 * 11 * 9 // 2, chains
 
     def test_against_oracle(self):
         a = mult_type_n(2, 2)  # (1+t)^3

@@ -15,6 +15,7 @@ from higgsmult.multsimple import (
     unit_multiplicity_factored,
 )
 from higgsmult.polyalg import (
+    FactoredChar,
     IntPoly,
     NotPolynomial,
     is_palindromic_monic,
@@ -22,6 +23,8 @@ from higgsmult.polyalg import (
     qbinom,
 )
 from higgsmult.rootsys import LieType, build, cominuscule_nodes, weyl_orbit_minuscule
+
+from test_rootsys import GRID
 
 A1 = build(LieType("A", 1))
 A2 = build(LieType("A", 2))
@@ -58,6 +61,17 @@ class TestMultSimple:
     def test_unit_node_out_of_range(self):
         with pytest.raises(DomainError, match="out of range"):
             unit_multiplicity_factored(C2, 3)
+
+    @pytest.mark.parametrize("family,rank", GRID + [("A", 60)])
+    def test_unit_forms_against_the_per_root_definition(self, family, rank):
+        # each positive root of height h with c_i = c gives (1 - t^(h+1))^c (1 - t^h)^-c
+        r = build(LieType(family, rank))
+        for i in range(1, rank + 1):
+            pairs = []
+            for root in r.positive_roots:
+                c, h = root.coeffs[i - 1], root.height
+                pairs += [(h + 1, c), (h, -c)]
+            assert unit_multiplicity_factored(r, i) == FactoredChar(pairs), (r.lie_type, i)
 
     @given(
         st.sampled_from([A2, C2, G2]),

@@ -601,7 +601,7 @@ class TestRecurrence:
             assert (path, cost) == (None, kernel)
 
     def test_dispatch_on_named_inputs(self):
-        from higgsmult.chain import chain_from_m, gl_hitchin_base_dims
+        from higgsmult.chain import chain_from_m
         from higgsmult.multgl import (
             _pairing_factored,
             _type_n_factored,
@@ -634,7 +634,7 @@ class TestRecurrence:
         plans = []
         for g, n, m, orders in cases:
             sides = mult_type_n(g, n), mult_type111(chain_from_m(g, m))
-            f = _pairing_factored(*sides, gl_hitchin_base_dims(g, n))
+            f = _pairing_factored(*sides, g, n)
             plans += [polyalg._series_plan(f, order + 1)[0] for order in orders]
         assert len(plans) == 3 * 5 + 9 * 5 and set(plans) == {polyalg._kernel}
 
