@@ -11,9 +11,10 @@ Each module imports what it uses, and the command line imports a
 subcommand's modules only when that subcommand runs.  The bases that
 several modules share live here: `Record`; `SparseMap`, the one
 canonical finite formal sum (exponent maps in `polyalg`, weight gradings
-and divisors in `chain`); and `ByteMemo`, the one memo, which keeps
-`polyalg`'s series and expansions and `rootsys`'s packed roots within
-byte budgets.
+and divisors in `chain`); and `_memo`, the one `ByteMemo` per process,
+which keeps `polyalg`'s series and expansions and `rootsys`'s packed
+root systems within one byte budget, `MEMO_BYTES`, and reports its
+counts through `memo_info()`.
 
 Every number a caller passes goes through `errors.check_int`, which
 converts it or refuses it: a sparse map's keys (lookups too) and counts
@@ -170,34 +171,39 @@ class SparseMap:
 
 MemoInfo = namedtuple("MemoInfo", "hits misses entries bytes budget")
 
+# The budget of the one memo, in bytes: room for A60's roots and Cartan
+# matrix (about 144 KB) within a quarter of it, and not for A80's.
+MEMO_BYTES = 896 << 10
+
 
 class ByteMemo(Mapping):
-    """A memo kept within a byte budget, least recently used first.
+    """A memo kept within MEMO_BYTES, least recently used first.
 
-    `size(key, value)` prices an entry in bytes.  `find` counts a hit or
-    a miss; `keep` replaces any entry for the key, keeps the new one
-    unless it costs more than a quarter of the budget, and then drops
+    `keep` takes an entry with its price in bytes, which the caller
+    reckons once; the memo stores the price beside the value and
+    subtracts it when the entry is replaced or evicted.  `find` counts a
+    hit or a miss; `keep` replaces any entry for the key, keeps the new
+    one unless it costs more than a quarter of the budget, and then drops
     the least recently used entries until the total is within it.  The
-    budget comes with each call, so a caller passes its module constant
-    as it reads at that moment.  It reads as a mapping (`in`, `[]`,
-    `get`, `len`, iteration, `items`), but is written only by `keep` and
-    emptied only by `clear`, which resets every count, so its byte count
-    is always the sum of its entries' prices.
+    budget is MEMO_BYTES as it reads at each call.  It reads as a mapping
+    (`in`, `[]`, `get`, `len`, iteration, `items`), but is written only
+    by `keep` and emptied only by `clear`, which resets every count, so
+    its byte count is always the sum of its entries' prices.
 
-    >>> memo = ByteMemo(lambda key, value: len(value))
-    >>> memo.keep("a", "xx", 8), memo.keep("b", "xxx", 8)
+    >>> memo = ByteMemo()
+    >>> memo.keep("a", "xx", 2), memo.keep("b", "xxx", MEMO_BYTES // 4 + 1)
     (True, False)
     >>> memo.find("a"), memo.find("b"), memo.find("a", fits=lambda v: len(v) > 2)
     ('xx', None, None)
-    >>> memo.info(8)
-    MemoInfo(hits=1, misses=2, entries=1, bytes=2, budget=8)
-    >>> memo.clear(); memo.info(8)
-    MemoInfo(hits=0, misses=0, entries=0, bytes=0, budget=8)
+    >>> memo.info() == (1, 2, 1, 2, MEMO_BYTES)
+    True
+    >>> memo.clear(); memo.info()[:4]
+    (0, 0, 0, 0)
     """
 
-    def __init__(self, size: "Callable[[object, object], int]") -> None:
-        self.size = size
+    def __init__(self) -> None:
         self._kept: OrderedDict = OrderedDict()
+        self._prices: dict = {}
         self.hits = self.misses = self.bytes = 0
 
     def __getitem__(self, key):
@@ -225,24 +231,38 @@ class ByteMemo(Mapping):
         self._kept.move_to_end(key)
         return kept
 
-    def keep(self, key, value, budget: int) -> bool:
-        """Offer value for key; True when it is kept."""
-        kept = self._kept
+    def keep(self, key, value, price: int) -> bool:
+        """Offer value for key at its price in bytes; True when it is kept."""
+        kept, prices = self._kept, self._prices
         if key in kept:
-            self.bytes -= self.size(key, kept.pop(key))
-        size = self.size(key, value)
-        if size > budget // 4:
+            del kept[key]
+            self.bytes -= prices.pop(key)
+        budget = MEMO_BYTES
+        if price > budget // 4:
             return False
-        kept[key], self.bytes = value, self.bytes + size
+        kept[key], prices[key] = value, price
+        self.bytes += price
         while self.bytes > budget:
-            self.bytes -= self.size(*kept.popitem(last=False))
+            self.bytes -= prices.pop(kept.popitem(last=False)[0])
         return True
 
     def clear(self) -> None:
         """Drop every entry and reset the byte count, hits and misses."""
         self._kept.clear()
+        self._prices.clear()
         self.hits = self.misses = self.bytes = 0
 
-    def info(self, budget: int) -> MemoInfo:
-        """Counts like lru_cache's cache_info, with the caller's budget."""
-        return MemoInfo(self.hits, self.misses, len(self._kept), self.bytes, budget)
+    def info(self) -> MemoInfo:
+        """Counts like lru_cache's cache_info, with the budget."""
+        return MemoInfo(self.hits, self.misses, len(self._kept), self.bytes, MEMO_BYTES)
+
+
+# The one memo per process: polyalg's series lists and expansions, keyed
+# by a factored form's terms, and rootsys's packed root systems, keyed by
+# the LieType, share it and its budget.
+_memo = ByteMemo()
+
+
+def memo_info() -> MemoInfo:
+    """Counts of this process's memo, like lru_cache's cache_info."""
+    return _memo.info()

@@ -48,8 +48,8 @@ the answer, building the IntPoly directly (an expanded polynomial's
 coefficients are ints with top coefficient +-1, so there is nothing to
 convert or trim), and the scan of `multsimple` calls it on series it
 builds by multiplying one kernel list in place.  `series_expand` runs a
-series to the requested order.  Both keep their results in one
-`ByteMemo` per process, `_memo`, keyed apart: `series_expand` (in
+series to the requested order.  Both keep their results in the
+package's one memo, `higgsmult._memo`, keyed apart: `series_expand` (in
 `_series`) keeps f.terms -> the longest list computed for f, whose
 prefixes serve shorter requests; `expand` keeps (f.terms,) -> its
 finished IntPoly or NotPolynomial and the kernel's admission cost of its
@@ -59,12 +59,13 @@ is within SERIES_WORK_CAP, since no plan refuses what the kernel admits;
 any other request is planned and cost-checked first, as a cold one, and
 a kept answer is then served without being run again.  The memo is only
 peeked at before that, so no refusal depends on earlier calls and none
-counts a lookup.  An entry counts by sys.getsizeof of what it holds (the
-key and its pairs; a list and its ints, or the answer Record, an
-IntPoly's coefficient tuple and each distinct int object once, so a
-palindrome's mirrored half is free unless negated) against
-SERIES_MEMO_BYTES, least recently used out first; an entry above a
-quarter of it is never kept.
+counts a lookup.  An entry is priced once, when it is offered, by
+sys.getsizeof of what it holds (the key and its pairs; a list and its
+ints, or the answer Record, an IntPoly's coefficient tuple and each
+distinct int object once, so a palindrome's mirrored half is free unless
+negated), against the memo's budget `higgsmult.MEMO_BYTES`, which the
+root systems of `rootsys` share; least recently used out first, and an
+entry above a quarter of it is never kept.
 `qbinom_factored` refuses k above `errors.RANK_CAP` (141, the largest
 rank a GL multiplicity asks).
 `value_at_one` reads f(1) off the cyclotomic exponents, with no
@@ -83,14 +84,13 @@ from math import ceil, isqrt, lgamma, log, log2
 from operator import mul, neg, sub
 from sys import getsizeof
 
-from . import ByteMemo, MemoInfo, Record, SparseMap
+from . import Record, SparseMap, _memo
 from .errors import RANK_CAP, DomainError, InternalError, check_cost, check_int
 
 # A series path whose up-front cost is above this is refused: kernel
 # coefficient updates, or recurrence word operations.  mult_type_n(16, 8)
 # costs 4.4e6 on the kernel and 3.0e6 on the recurrence.
 SERIES_WORK_CAP = 10 ** 7
-SERIES_MEMO_BYTES = 3 << 17  # the budget of the series memo (see _series)
 
 # Predicted recurrence time in kernel coefficient updates:
 # _RATIO * length * (deg Q + 1) + _SETUP, fitted on timings of both paths
@@ -464,8 +464,9 @@ def _recurrence(f: FactoredChar, length: int) -> list[int]:
 
 
 def _series_bytes(key: tuple, kept: "list[int] | tuple") -> int:
-    """A series memo entry's size, by sys.getsizeof of what it holds (for
-    an int, int.__sizeof__ is the same without its slower lookup).
+    """The price of a series entry in the memo, by sys.getsizeof of what it
+    holds (for an int, int.__sizeof__ is the same without its slower
+    lookup); reckoned once, when the entry is offered.
 
     A series list, under f.terms: the key tuple, its (k, e) pairs, the
     list and its ints.  An expansion, under (f.terms,): the key, f.terms
@@ -483,16 +484,6 @@ def _series_bytes(key: tuple, kept: "list[int] | tuple") -> int:
     else:
         ints = answer  # the witness's one int
     return size + sum(map(int.__sizeof__, {id(a): a for a in (work, *ints)}.values()))
-
-
-# f.terms -> the longest series list computed for f by series_expand;
-# (f.terms,) -> expand(f) and the kernel's admission cost of its series
-_memo = ByteMemo(_series_bytes)
-
-
-def series_memo_info() -> MemoInfo:
-    """Counts of this process's series memo, like lru_cache's cache_info."""
-    return _memo.info(SERIES_MEMO_BYTES)
 
 
 def _admit(f: FactoredChar, length: int) -> Callable:
@@ -522,7 +513,7 @@ def _series(f: FactoredChar, length: int) -> list[int]:
     if kept is not None:
         return kept[:length]
     c = run(f, length)
-    return c[:] if _memo.keep(key, c, SERIES_MEMO_BYTES) else c
+    return c[:] if _memo.keep(key, c, _series_bytes(key, c)) else c
 
 
 def expand(f: FactoredChar) -> "IntPoly | NotPolynomial":
@@ -559,7 +550,8 @@ def expand(f: FactoredChar) -> "IntPoly | NotPolynomial":
     if kept is not None:
         return kept[0]
     answer = _read_off(f, run(f, length))
-    _memo.keep(key, (answer, series_work(f, length)), SERIES_MEMO_BYTES)
+    kept = (answer, series_work(f, length))
+    _memo.keep(key, kept, _series_bytes(key, kept))
     return answer
 
 

@@ -25,13 +25,15 @@ only for a caller that iterates the view, once per view, or indexes it.
 `build` refuses systems with more than ROOT_CAP positive roots, and
 `weyl_orbit_minuscule` orbits with more than ORBIT_CAP weights.
 
-`build` keeps each type's two bytes objects in one `ByteMemo` per
-process, keyed by the LieType.  The cap check runs before the lookup, so
-no refusal depends on earlier calls; a hit skips the induction and wraps
-the kept bytes in a new view, and hit or miss, the number of heights is
-checked against the classical count.  Entries count by sys.getsizeof
-against ROOT_MEMO_BYTES, least recently used out first, and an entry
-above a quarter of it, such as A80's 262 KB, is never kept.
+`build` keeps each type's Cartan matrix and two bytes objects in the
+package's one memo, `higgsmult._memo`, keyed by the LieType.  The cap
+check runs before the lookup, so no refusal depends on earlier calls; a
+hit skips the Cartan matrix and the induction and wraps the kept bytes
+in a new view, and hit or miss, the number of heights is checked against
+the classical count.  An entry is priced once, by sys.getsizeof, against
+the budget `higgsmult.MEMO_BYTES` that polyalg's series share, least
+recently used out first; an entry above a quarter of it, such as A80's
+318 KB, is never kept, while A60's 144 KB is.
 """
 
 from __future__ import annotations
@@ -43,14 +45,12 @@ from math import prod
 from operator import add, index, not_
 from sys import getsizeof
 
-from . import ByteMemo, MemoInfo, Record
+from . import Record, _memo
 from .errors import DomainError, InternalError, check_cost, check_int
 
 # Root systems with more positive roots than this are refused before any
 # work (before the l x l Cartan matrix, too); it admits A140 (9870 roots).
 ROOT_CAP = 10_000
-# The budget of build's memo; A60's 112 KB of packed roots fit a quarter of it.
-ROOT_MEMO_BYTES = 1 << 19
 # Minuscule orbits with more weights than this are refused before the
 # search; it admits the middle node of A18 (92378) and refuses A20's (352716).
 ORBIT_CAP = 100_000
@@ -318,17 +318,13 @@ class RootSystem(Record, namedtuple("RootSystem", "lie_type cartan positive_root
         return self.positive_roots.coeffs[i - 1 :: self.rank]
 
 
-def _root_bytes(t: LieType, packed: tuple[bytes, bytes]) -> int:
-    """A root memo entry's size: the key, the pair and its two bytes."""
-    return sum(map(getsizeof, (t, packed, *packed)))
-
-
-_memo = ByteMemo(_root_bytes)  # LieType -> (coefficient bytes, height bytes)
-
-
-def root_memo_info() -> MemoInfo:
-    """Counts of this process's root memo, like lru_cache's cache_info."""
-    return _memo.info(ROOT_MEMO_BYTES)
+def _root_bytes(t: LieType, kept: tuple) -> int:
+    """The price of a root entry in the memo, (Cartan matrix, coefficient
+    bytes, height bytes) under the LieType: the key, the triple, the
+    matrix and its rows, and the two bytes objects.  The matrix entries
+    are small ints, which the interpreter caches, so they add nothing."""
+    cartan = kept[0]
+    return sum(map(getsizeof, (t, kept, *kept, *cartan)))
 
 
 def build(t: LieType) -> RootSystem:
@@ -337,12 +333,13 @@ def build(t: LieType) -> RootSystem:
     any work or lookup, when t has more than ROOT_CAP positive roots."""
     expected = _POSITIVE_COUNT[t.family](t.rank)
     check_cost(str(t), expected, ROOT_CAP, "positive roots")
-    cartan = cartan_matrix(t)
-    packed = _memo.find(t)
-    if packed is None:
-        packed = _positive_roots(cartan)
-        _memo.keep(t, packed, ROOT_MEMO_BYTES)
-    roots = PositiveRoots(*packed)
+    kept = _memo.find(t)
+    if kept is None:
+        cartan = cartan_matrix(t)
+        kept = (cartan, *_positive_roots(cartan))
+        _memo.keep(t, kept, _root_bytes(t, kept))
+    cartan, coeffs, heights = kept
+    roots = PositiveRoots(coeffs, heights)
     if len(roots) != expected:
         raise InternalError(
             f"{t}: found {len(roots)} positive roots, classical count is {expected}"

@@ -8,6 +8,7 @@ were computed with these.
 
 from fractions import Fraction
 from math import comb
+from sys import getsizeof
 
 
 def mul_lists(a, b):
@@ -111,3 +112,33 @@ def gaussian_binomial(n, k):
 
 def binomial(n, k):
     return comb(n, k)
+
+
+def memo_bytes(memo):
+    """The package memo's bytes by sys.getsizeof, counted afresh from its
+    entries.  A root system, under its LieType: the key, the (Cartan
+    matrix, coefficient bytes, height bytes) triple, the matrix and its
+    rows, and the two bytes objects.  A series list: its key tuple and
+    (k, e) pairs, the list and its coefficients.  An expansion: its
+    1-tuple key, the terms and their pairs, the (answer, work) pair, the
+    answer, an IntPoly's coefficient tuple, and each distinct int object
+    once."""
+    total = 0
+    for key, kept in memo.items():
+        if hasattr(key, "family"):
+            cartan, coeffs, heights = kept
+            total += getsizeof(key) + getsizeof(kept) + getsizeof(cartan)
+            total += sum(map(getsizeof, cartan)) + getsizeof(coeffs) + getsizeof(heights)
+        elif type(kept) is list:
+            total += getsizeof(key) + sum(map(getsizeof, key)) + getsizeof(kept) + sum(map(getsizeof, kept))
+        else:
+            (terms,), (answer, work) = key, kept
+            total += getsizeof(key) + getsizeof(terms) + sum(map(getsizeof, terms))
+            total += getsizeof(kept) + getsizeof(answer)
+            if hasattr(answer, "coeffs"):
+                total += getsizeof(answer.coeffs)
+                ints = [work, *answer.coeffs]
+            else:
+                ints = [work, answer.remainder_degree]
+            total += sum(getsizeof(a) for a in {id(a): a for a in ints}.values())
+    return total

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from higgsmult import ByteMemo, __version__
+import higgsmult
+from higgsmult import __version__, memo_info
 from higgsmult.cli import main, run
 from higgsmult.multgl import mult_type111, mult_type_n
 from higgsmult.chain import chain_from_m, chain_to_json
@@ -330,15 +331,15 @@ class TestWarmSeriesMemo:
             return out
 
         # a zero budget keeps nothing, so every series is computed afresh
+        higgsmult._memo.clear()
         with monkeypatch.context() as mp:
-            mp.setattr(polyalg, "SERIES_MEMO_BYTES", 0)
-            mp.setattr(polyalg, "_memo", ByteMemo(polyalg._series_bytes))
+            mp.setattr(higgsmult, "MEMO_BYTES", 0)
             cold = outputs()
-            assert polyalg.series_memo_info().entries == 0
-        monkeypatch.setattr(polyalg, "_memo", ByteMemo(polyalg._series_bytes))
+            assert memo_info().entries == 0
+        higgsmult._memo.clear()
         for _ in range(3):
             assert outputs() == cold
-        info = polyalg.series_memo_info()
+        info = memo_info()
         assert info.misses == 2 and info.hits == 7
 
     @pytest.mark.parametrize(
@@ -435,16 +436,27 @@ class TestWarmRootMemo:
             return out
 
         # a zero budget keeps nothing, so every type is built afresh
+        higgsmult._memo.clear()
         with monkeypatch.context() as mp:
-            mp.setattr(rootsys, "ROOT_MEMO_BYTES", 0)
-            mp.setattr(rootsys, "_memo", ByteMemo(rootsys._root_bytes))
+            mp.setattr(higgsmult, "MEMO_BYTES", 0)
             cold = outputs()
-            assert rootsys.root_memo_info().entries == 0
-        monkeypatch.setattr(rootsys, "_memo", ByteMemo(rootsys._root_bytes))
+            assert memo_info().entries == 0
+        higgsmult._memo.clear()
+        # the memo also keeps the mult calls' expansions: count the root lookups
+        found = []
+        real = higgsmult.ByteMemo.find
+
+        def find(memo, key, fits=None):
+            kept = real(memo, key, fits)
+            if type(key) is rootsys.LieType:
+                found.append(kept is not None)
+            return kept
+
+        monkeypatch.setattr(higgsmult.ByteMemo, "find", find)
         for _ in range(3):
             assert outputs() == cold
-        info = rootsys.root_memo_info()
-        assert (info.misses, info.entries, info.hits) == (7, 7, 3 * len(calls) - 7)
+        kept = sum(type(key) is rootsys.LieType for key in higgsmult._memo)
+        assert (found.count(False), kept, found.count(True)) == (7, 7, 3 * len(calls) - 7)
 
     def test_refused_rank_exits_3_after_a_warm_up(self, capsys):
         for warm in ("rootinfo --type A --rank 60", "rootinfo --type A --rank 140"):

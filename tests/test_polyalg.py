@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import higgsmult
 import higgsmult.polyalg
 from higgsmult import ByteMemo
 from higgsmult.chain import Divisor, Point, WeightDims, as_point
@@ -35,6 +36,7 @@ from oracles import (
     factored_series,
     factored_to_num_den,
     gaussian_binomial,
+    memo_bytes,
     mul_lists,
 )
 
@@ -676,58 +678,39 @@ class TestValueAtOne:
             value_at_one(FactoredChar({3: 5, 1: -6}))
 
 
-def _recount(memo):
-    """The memo's bytes by sys.getsizeof, counted afresh.  A series list:
-    its key tuple and (k, e) pairs, the list and its coefficients.  An
-    expansion: its 1-tuple key, the terms and their pairs, the (answer,
-    work) pair, the answer, an IntPoly's coefficient tuple, and each
-    distinct int object once."""
-    total = 0
-    for key, kept in memo.items():
-        if type(kept) is list:
-            total += getsizeof(key) + sum(map(getsizeof, key)) + getsizeof(kept) + sum(map(getsizeof, kept))
-            continue
-        (terms,), (answer, work) = key, kept
-        total += getsizeof(key) + getsizeof(terms) + sum(map(getsizeof, terms))
-        total += getsizeof(kept) + getsizeof(answer)
-        if isinstance(answer, IntPoly):
-            total += getsizeof(answer.coeffs)
-            ints = [work, *answer.coeffs]
-        else:
-            ints = [work, answer.remainder_degree]
-        total += sum(getsizeof(a) for a in {id(a): a for a in ints}.values())
-    return total
-
-
 def _key_bytes(f):
     """The price of an expansion's key: the 1-tuple, f.terms and its pairs."""
     return getsizeof((f.terms,)) + getsizeof(f.terms) + sum(map(getsizeof, f.terms))
 
 
 class TestByteMemo:
-    def test_clear_resets_every_count(self):
-        memo = ByteMemo(lambda key, value: len(value))
-        assert memo.keep("a", "xxxx", 16) and memo.find("a") == "xxxx" and memo.find("b") is None
+    def test_clear_resets_every_count(self, monkeypatch):
+        monkeypatch.setattr(higgsmult, "MEMO_BYTES", 16)
+        memo = ByteMemo()
+        assert memo.keep("a", "xxxx", 4) and memo.find("a") == "xxxx" and memo.find("b") is None
         memo.clear()
-        assert memo.info(16) == (0, 0, 0, 0, 16) and len(memo) == 0 and "a" not in memo
+        assert memo.info() == (0, 0, 0, 0, 16) and len(memo) == 0 and "a" not in memo
         # no phantom bytes shrink the memo: a smaller budget still keeps a fitting entry
-        assert memo.keep("c", "yy", 8) and memo.info(8) == (0, 0, 1, 2, 8)
+        monkeypatch.setattr(higgsmult, "MEMO_BYTES", 8)
+        assert memo.keep("c", "yy", 2) and memo.info() == (0, 0, 1, 2, 8)
 
-    def test_every_write_goes_through_keep(self):
-        memo = ByteMemo(lambda key, value: len(value))
-        memo.keep("a", "xx", 16)
+    def test_every_write_goes_through_keep(self, monkeypatch):
+        monkeypatch.setattr(higgsmult, "MEMO_BYTES", 16)
+        memo = ByteMemo()
+        memo.keep("a", "xx", 2)
         with pytest.raises(TypeError):
             memo["b"] = "yyyyyyyy"
         with pytest.raises(TypeError):
             del memo["a"]
         for name in ("pop", "popitem", "setdefault", "update", "move_to_end"):
             assert not hasattr(memo, name), name
-        assert memo.info(16) == (0, 0, 1, 2, 16)
+        assert memo.info() == (0, 0, 1, 2, 16)
 
-    def test_reads_are_a_mappings(self):
-        memo = ByteMemo(lambda key, value: len(value))
+    def test_reads_are_a_mappings(self, monkeypatch):
+        monkeypatch.setattr(higgsmult, "MEMO_BYTES", 64)
+        memo = ByteMemo()
         for key, value in (("a", "x"), ("b", "yy"), ("c", "zzz")):
-            memo.keep(key, value, 64)
+            memo.keep(key, value, len(value))
         memo.find("a")  # now the most recent
         assert list(memo) == ["b", "c", "a"] and len(memo) == 3
         assert dict(memo.items()) == {"a": "x", "b": "yy", "c": "zzz"}
@@ -736,26 +719,25 @@ class TestByteMemo:
         with pytest.raises(KeyError):
             memo["d"]
         # get and [] peek: no count, no move
-        assert memo.info(64)[:2] == (1, 0) and list(memo) == ["b", "c", "a"]
+        assert memo.info()[:2] == (1, 0) and list(memo) == ["b", "c", "a"]
 
 
 class TestSeriesMemo:
     @pytest.fixture(autouse=True)
-    def empty_memo(self, monkeypatch):
-        monkeypatch.setattr(higgsmult.polyalg, "_memo", ByteMemo(higgsmult.polyalg._series_bytes))
+    def empty_memo(self):
+        higgsmult._memo.clear()
 
     @given(wide_factors, st.lists(st.integers(1, 120), min_size=1, max_size=6))
     @settings(max_examples=100, deadline=None)
     def test_every_length_cold_and_warm_equals_the_kernel(self, exps, lengths):
         polyalg = higgsmult.polyalg
         f = FactoredChar(exps)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(polyalg, "_memo", ByteMemo(polyalg._series_bytes))
-            for length in lengths + lengths[::-1]:
-                expected = polyalg._kernel(f, length)
-                assert polyalg._series(f, length) == expected
-                assert expected == factored_series(exps, length - 1)
-            info = polyalg.series_memo_info()
+        higgsmult._memo.clear()
+        for length in lengths + lengths[::-1]:
+            expected = polyalg._kernel(f, length)
+            assert polyalg._series(f, length) == expected
+            assert expected == factored_series(exps, length - 1)
+        info = higgsmult.memo_info()
         assert info.hits + info.misses == 2 * len(lengths)
         assert info.misses <= len(lengths)
 
@@ -770,15 +752,15 @@ class TestSeriesMemo:
         short = series_expand(f, 100)
         assert calls == []
         assert short.coeffs == long.coeffs[:101]
-        assert polyalg.series_memo_info()[:3] == (1, 1, 1)
+        assert higgsmult.memo_info()[:3] == (1, 1, 1)
 
     def test_a_longer_order_replaces_the_kept_list(self):
         polyalg = higgsmult.polyalg
         f = FactoredChar({1: -20, 3: 5, 7: -2})
         assert series_expand(f, 100).coeffs == series_expand(f, 400).coeffs[:101]
-        info = polyalg.series_memo_info()
+        info = higgsmult.memo_info()
         assert (info.hits, info.misses, info.entries) == (0, 2, 1)
-        assert len(polyalg._memo[f.terms]) == 401 and info.bytes == _recount(polyalg._memo)
+        assert len(polyalg._memo[f.terms]) == 401 and info.bytes == memo_bytes(polyalg._memo)
 
     def test_returned_lists_can_be_mutated(self):
         polyalg = higgsmult.polyalg
@@ -790,7 +772,7 @@ class TestSeriesMemo:
             out[0] = 99
             out.append(7)
         assert polyalg._series(f, 60) == expected
-        assert polyalg.series_memo_info().hits == 3
+        assert higgsmult.memo_info().hits == 3
 
     def test_refusal_does_not_depend_on_the_memo(self):
         polyalg = higgsmult.polyalg
@@ -806,7 +788,7 @@ class TestSeriesMemo:
         cold = refusal()
         assert polyalg._series_plan(f, 300)[1] > 100
         polyalg._series(f, 300)
-        assert polyalg.series_memo_info().entries == 1
+        assert higgsmult.memo_info().entries == 1
         assert refusal() == cold
         assert cold.startswith("a series of 300 coefficients through 20 factors has ")
 
@@ -819,7 +801,7 @@ class TestSeriesMemo:
         monkeypatch.setattr(polyalg, "_series_plan", lambda *a: plans.append(a) or real(*a))
         assert series_expand(f, 100).coeffs == long.coeffs[:101]
         assert series_expand(f, 400) == long
-        assert plans == [] and polyalg.series_memo_info()[:3] == (2, 1, 1)
+        assert plans == [] and higgsmult.memo_info()[:3] == (2, 1, 1)
         # a longer request misses and is planned
         series_expand(f, 401)
         assert plans == [(f, 402)]
@@ -838,13 +820,13 @@ class TestSeriesMemo:
             return str(exc.value)
 
         cold = refusal()
-        assert polyalg.series_memo_info()[:3] == (0, 0, 0)
+        assert higgsmult.memo_info()[:3] == (0, 0, 0)
         series_expand(f, 59)
         series_expand(other, 20)
-        order, info = list(polyalg._memo), polyalg.series_memo_info()
+        order, info = list(polyalg._memo), higgsmult.memo_info()
         assert len(polyalg._memo[f.terms]) == 60 and polyalg.series_work(f, 40) > 10 ** 7
         assert refusal() == cold
-        assert polyalg.series_memo_info() == info and list(polyalg._memo) == order
+        assert higgsmult.memo_info() == info and list(polyalg._memo) == order
         assert cold == (
             "a series of 40 coefficients through 1000000 factors has 40000040 "
             "coefficient updates, above the cap 10000000"
@@ -852,13 +834,13 @@ class TestSeriesMemo:
 
     def test_a_flood_stays_within_the_budget(self):
         polyalg = higgsmult.polyalg
-        budget = polyalg.SERIES_MEMO_BYTES
+        budget = higgsmult.MEMO_BYTES
         for k in range(1, 41):
             for order in (200, 600):
                 series_expand(FactoredChar({1: -k, 2: 3, 3: -(k % 5)}), order)
-                info = polyalg.series_memo_info()
+                info = higgsmult.memo_info()
                 assert info.bytes <= budget and info.budget == budget
-                assert info.bytes == _recount(polyalg._memo)
+                assert info.bytes == memo_bytes(polyalg._memo)
         # the flood evicted: the last key is kept, the first is gone
         assert 0 < info.entries < 40 and info.misses == 80
         assert FactoredChar({1: -40, 2: 3}).terms in polyalg._memo
@@ -869,9 +851,9 @@ class TestSeriesMemo:
         chars = [FactoredChar({1: -2, k: 1}) for k in range(2, 7)]
         for f in chars[:4]:
             series_expand(f, 50)
-        sizes = [_recount({f.terms: polyalg._memo[f.terms]}) for f in chars[:4]]
+        sizes = [memo_bytes({f.terms: polyalg._memo[f.terms]}) for f in chars[:4]]
         # room for four entries only: the fifth evicts one
-        monkeypatch.setattr(polyalg, "SERIES_MEMO_BYTES", sum(sizes) + min(sizes) // 2)
+        monkeypatch.setattr(higgsmult, "MEMO_BYTES", sum(sizes) + min(sizes) // 2)
         series_expand(chars[0], 30)  # a hit: chars[0] is now the most recent
         series_expand(chars[4], 50)
         kept = [f.terms in polyalg._memo for f in chars]
@@ -882,16 +864,16 @@ class TestSeriesMemo:
         f = FactoredChar({1: -50})
         s = series_expand(f, 20000)
         assert s.coeffs[:3] == (1, 50, 1275) and len(s.coeffs) == 20001
-        info = polyalg.series_memo_info()
+        info = higgsmult.memo_info()
         assert (info.misses, info.entries, info.bytes) == (1, 0, 0)
-        assert _recount({f.terms: list(s.coeffs)}) > info.budget // 4
+        assert memo_bytes({f.terms: list(s.coeffs)}) > info.budget // 4
         # an entry of exactly a quarter of the budget is kept, one byte more is not
         f = FactoredChar({1: -3})
-        size = _recount({f.terms: polyalg._kernel(f, 500)})
+        size = memo_bytes({f.terms: polyalg._kernel(f, 500)})
         for budget, entries in ((4 * size - 1, 0), (4 * size, 1)):
-            monkeypatch.setattr(polyalg, "SERIES_MEMO_BYTES", budget)
+            monkeypatch.setattr(higgsmult, "MEMO_BYTES", budget)
             series_expand(f, 499)
-            assert polyalg.series_memo_info().entries == entries
+            assert higgsmult.memo_info().entries == entries
 
     def test_a_repeated_expansion_is_the_kept_answer(self, monkeypatch):
         from higgsmult.multgl import _type_n_factored
@@ -906,7 +888,7 @@ class TestSeriesMemo:
             monkeypatch.setattr(polyalg, name, lambda *a, real=real: calls.append(a) or real(*a))
         for f, answer in zip(chars, first):
             assert expand(f) is answer and expand(FactoredChar(f.terms)) is answer
-        assert calls == [] and polyalg.series_memo_info()[:3] == (6, 3, 3)
+        assert calls == [] and higgsmult.memo_info()[:3] == (6, 3, 3)
         assert isinstance(first[2], NotPolynomial) and first[0].coeffs == (1, 3, 3, 1)
 
     def test_an_expansion_is_kept_apart_from_the_series_list(self):
@@ -918,7 +900,7 @@ class TestSeriesMemo:
         assert f.terms in polyalg._memo and (f.terms,) in polyalg._memo
         assert type(polyalg._memo[f.terms]) is list and polyalg._memo[(f.terms,)][0] is p
         assert series_expand(f, 10) == s and expand(f) is p
-        assert polyalg.series_memo_info()[:3] == (2, 2, 2)
+        assert higgsmult.memo_info()[:3] == (2, 2, 2)
 
     def test_an_answer_is_priced_by_what_it_holds(self):
         from higgsmult.multgl import _type_n_factored
@@ -939,18 +921,18 @@ class TestSeriesMemo:
         assert sum(e for _, e in f) % 2 == 0
         assert len({id(a) for a in p.coeffs}) <= len(p.coeffs) // 2 + 1
         size = polyalg._series_bytes((f.terms,), polyalg._memo[(f.terms,)])
-        assert 60_000 < size < 64_000 and size < polyalg.SERIES_MEMO_BYTES // 4
-        assert polyalg.series_memo_info().bytes == _recount(polyalg._memo)
+        assert 60_000 < size < 64_000 and size < higgsmult.MEMO_BYTES // 4
+        assert higgsmult.memo_info().bytes == memo_bytes(polyalg._memo)
 
     def test_a_mixed_flood_counts_every_byte(self):
         polyalg = higgsmult.polyalg
-        budget = polyalg.SERIES_MEMO_BYTES
+        budget = higgsmult.MEMO_BYTES
         for k in range(1, 41):
             f = FactoredChar({1: -k, 2: 3, 3: -(k % 5)})
             for call in (lambda: series_expand(f, 300), lambda: expand(f * FactoredChar({k + 4: k + 3}))):
                 call()
-                info = polyalg.series_memo_info()
-                assert info.bytes <= budget and info.bytes == _recount(polyalg._memo)
+                info = higgsmult.memo_info()
+                assert info.bytes <= budget and info.bytes == memo_bytes(polyalg._memo)
         kinds = {type(kept) for kept in polyalg._memo.values()}
         assert kinds == {list, tuple} and 0 < info.entries < 80 and info.misses == 80
 
@@ -968,12 +950,12 @@ class TestSeriesMemo:
             return str(exc.value)
 
         cold = refusal()
-        assert polyalg.series_memo_info()[:3] == (0, 0, 0)
+        assert higgsmult.memo_info()[:3] == (0, 0, 0)
         answer = expand(f)
         expand(FactoredChar({2: 3, 1: -3}))
-        order, info = list(polyalg._memo), polyalg.series_memo_info()
+        order, info = list(polyalg._memo), higgsmult.memo_info()
         assert refusal() == cold
-        assert polyalg.series_memo_info() == info and list(polyalg._memo) == order
+        assert higgsmult.memo_info() == info and list(polyalg._memo) == order
         assert cold == (
             "a series of 176 coefficients through 240 factors has 42416 "
             "coefficient updates, above the cap 7000"
@@ -997,4 +979,4 @@ class TestSeriesMemo:
             monkeypatch.setattr(polyalg, name, lambda *a, run=run: calls.append(a) or run(*a))
         assert expand(f) is answer
         assert plans == [(f, 176)] and calls == []
-        assert polyalg.series_memo_info()[:3] == (1, 1, 1)
+        assert higgsmult.memo_info()[:3] == (1, 1, 1)

@@ -4,11 +4,11 @@ import time
 from collections import Counter
 from fractions import Fraction
 from math import comb, factorial, prod
-from sys import getsizeof
 
 import pytest
 
-from higgsmult import ByteMemo, Record, rootsys
+import higgsmult
+from higgsmult import Record, memo_info, rootsys
 from higgsmult.errors import DomainError, InternalError, ResourceLimitError
 from higgsmult.multsimple import unit_multiplicity_factored
 from higgsmult.polyalg import FactoredChar
@@ -29,6 +29,8 @@ from higgsmult.rootsys import (
     levi_degrees,
     weyl_orbit_minuscule,
 )
+
+from oracles import memo_bytes
 
 
 def classical_degrees(family, rank):
@@ -497,27 +499,22 @@ class TestScale:
         assert comb(19, 9) <= ORBIT_CAP < comb(21, 10)
 
 
-def _recount(memo):
-    """The root memo's bytes by sys.getsizeof, counted afresh: each key, its
-    (coefficient bytes, height bytes) pair and the two bytes objects."""
-    return sum(getsizeof(t) + getsizeof(packed) + sum(map(getsizeof, packed)) for t, packed in memo.items())
-
-
 class TestRootMemo:
     @pytest.fixture(autouse=True)
-    def empty_memo(self, monkeypatch):
-        monkeypatch.setattr(rootsys, "_memo", ByteMemo(rootsys._root_bytes))
+    def empty_memo(self):
+        higgsmult._memo.clear()
 
     @pytest.mark.parametrize("family,rank", GRID + [("A", 60)])
     def test_cold_warm_and_unkept_builds_agree(self, family, rank, monkeypatch):
         t = LieType(family, rank)
         cold, warm = build(t), build(t)
-        assert rootsys.root_memo_info()[:3] == (1, 1, 1)
-        monkeypatch.setattr(rootsys, "ROOT_MEMO_BYTES", 0)
-        monkeypatch.setattr(rootsys, "_memo", ByteMemo(rootsys._root_bytes))
+        assert memo_info()[:3] == (1, 1, 1)
+        monkeypatch.setattr(higgsmult, "MEMO_BYTES", 0)
+        higgsmult._memo.clear()
         unkept = build(t)
-        assert rootsys.root_memo_info()[:3] == (0, 1, 0)
+        assert memo_info()[:3] == (0, 1, 0)
         assert cold == warm == unkept and cold is not warm
+        assert warm.cartan == unkept.cartan == cartan_matrix(t)
         assert [root.coeffs for root in warm.positive_roots] == reference_positive_roots(
             cartan_matrix(t)
         )
@@ -536,7 +533,7 @@ class TestRootMemo:
 
         cold = refusal()
         build(t)
-        assert rootsys.root_memo_info().entries == 1
+        assert memo_info().entries == 1
         assert refusal() == cold == "A20 has 210 positive roots, above the cap 100"
 
     def test_a_hit_still_checks_the_classical_count(self, monkeypatch):
@@ -545,41 +542,58 @@ class TestRootMemo:
         monkeypatch.setitem(rootsys._POSITIVE_COUNT, "B", lambda l: l * l + 1)
         with pytest.raises(InternalError, match="B4: found 16 positive roots, classical count is 17"):
             build(t)
-        assert rootsys.root_memo_info().hits == 1
+        assert memo_info().hits == 1
 
     def test_a_flood_stays_within_the_budget(self):
-        budget = rootsys.ROOT_MEMO_BYTES
+        budget = higgsmult.MEMO_BYTES
         for l in range(1, 101):
             build(LieType("A", l))
-            info = rootsys.root_memo_info()
+            info = memo_info()
             assert info.bytes <= budget and info.budget == budget
-            assert info.bytes == _recount(rootsys._memo)
+            assert info.bytes == memo_bytes(higgsmult._memo)
         # the flood evicted the oldest types and never kept the largest
         assert info.misses == 100 and 0 < info.entries < 100
-        assert LieType("A", 1) not in rootsys._memo and LieType("A", 100) not in rootsys._memo
+        assert LieType("A", 1) not in higgsmult._memo and LieType("A", 100) not in higgsmult._memo
 
-    def test_a60_is_kept_and_a80_never(self):
-        budget = rootsys.ROOT_MEMO_BYTES
+    def test_a60_is_kept_and_a80_never(self, monkeypatch):
+        budget = higgsmult.MEMO_BYTES
+        made = []
+        for name in ("cartan_matrix", "_positive_roots"):
+            real = getattr(rootsys, name)
+            monkeypatch.setattr(rootsys, name, lambda *a, real=real: made.append(real.__name__) or real(*a))
         for rank in (60, 80, 80):
             build(LieType("A", rank))
-        info = rootsys.root_memo_info()
+        info = memo_info()
         assert (info.hits, info.misses, info.entries) == (0, 3, 1)
-        assert _recount(rootsys._memo) == info.bytes <= budget // 4
-        a80 = rootsys._positive_roots(cartan_matrix(LieType("A", 80)))
-        assert _recount({LieType("A", 80): a80}) > budget // 4
+        # A80 is rebuilt in full, its Cartan matrix too, on every call
+        assert made == ["cartan_matrix", "_positive_roots"] * 3
+        assert memo_bytes(higgsmult._memo) == info.bytes <= budget // 4
+        # A60's roots and Cartan matrix take about 144 KB of the 224 KiB quarter
+        assert 140_000 < info.bytes < 148_000
+        cartan = cartan_matrix(LieType("A", 80))
+        a80 = (cartan, *rootsys._positive_roots(cartan))
+        assert memo_bytes({LieType("A", 80): a80}) > budget // 4
+
+    def test_a_hit_reads_the_kept_cartan_matrix(self, monkeypatch):
+        t = LieType("E", 8)
+        cold = build(t)
+        monkeypatch.setattr(rootsys, "cartan_matrix", lambda t: pytest.fail("a hit built the Cartan matrix"))
+        warm = build(t)
+        # the test module's name is the real function: a fresh matrix
+        assert warm.cartan is cold.cartan and warm.cartan == cartan_matrix(t)
 
     def test_eviction_is_least_recently_used(self, monkeypatch):
         types = [LieType(*t) for t in (("B", 5), ("C", 5), ("A", 7), ("F", 4), ("D", 5))]
         for t in types[:4]:
             build(t)
-        sizes = [_recount({t: rootsys._memo[t]}) for t in types[:4]]
+        sizes = [memo_bytes({t: higgsmult._memo[t]}) for t in types[:4]]
         # room for four entries only: the fifth evicts one
         budget = sum(sizes) + min(sizes) // 2
-        monkeypatch.setattr(rootsys, "ROOT_MEMO_BYTES", budget)
+        monkeypatch.setattr(higgsmult, "MEMO_BYTES", budget)
         build(types[0])  # a hit: B5 is now the most recent
         build(types[4])
-        assert _recount({types[4]: rootsys._memo[types[4]]}) <= budget // 4
-        assert [t in rootsys._memo for t in types] == [True, False, True, True, True]
+        assert memo_bytes({types[4]: higgsmult._memo[types[4]]}) <= budget // 4
+        assert [t in higgsmult._memo for t in types] == [True, False, True, True, True]
 
 
 # The per-Root loops the queries ran before they read the packed bytes,
@@ -721,9 +735,9 @@ class TestPositiveRoots:
         unpack, root = PositiveRoots._unpack, rootsys.Root
         monkeypatch.setattr(PositiveRoots, "_unpack", lambda self: made.append("unpack") or unpack(self))
         monkeypatch.setattr(rootsys, "Root", lambda *fields: made.append("root") or root(*fields))
-        hits = rootsys.root_memo_info().hits
+        hits = memo_info().hits
         r = build(t)
-        assert rootsys.root_memo_info().hits == hits + 1
+        assert memo_info().hits == hits + 1
         degrees(r)
         cominuscule_nodes(r)
         for i in range(1, t.rank + 1):
