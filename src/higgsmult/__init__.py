@@ -182,9 +182,10 @@ class ByteMemo(Mapping):
     `keep` takes an entry with its price in bytes, which the caller
     reckons once; the memo stores the price beside the value and
     subtracts it when the entry is replaced or evicted.  `find` counts a
-    hit or a miss; `keep` replaces any entry for the key, keeps the new
-    one unless it costs more than a quarter of the budget, and then drops
-    the least recently used entries until the total is within it.  The
+    hit or a miss; `keep` refuses an entry that costs more than a quarter
+    of the budget, leaving any entry kept for its key in place, and
+    otherwise replaces that entry with the new one and drops the least
+    recently used entries until the total is within the budget.  The
     budget is MEMO_BYTES as it reads at each call.  It reads as a mapping
     (`in`, `[]`, `get`, `len`, iteration, `items`), but is written only
     by `keep` and emptied only by `clear`, which resets every count, so
@@ -233,13 +234,13 @@ class ByteMemo(Mapping):
 
     def keep(self, key, value, price: int) -> bool:
         """Offer value for key at its price in bytes; True when it is kept."""
+        budget = MEMO_BYTES
+        if price > budget // 4:  # refused: any entry kept for key stays
+            return False
         kept, prices = self._kept, self._prices
         if key in kept:
             del kept[key]
             self.bytes -= prices.pop(key)
-        budget = MEMO_BYTES
-        if price > budget // 4:
-            return False
         kept[key], prices[key] = value, price
         self.bytes += price
         while self.bytes > budget:

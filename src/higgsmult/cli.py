@@ -77,12 +77,18 @@ def _load_chain(path: str):
 
 
 def _mult_payload(result) -> dict:
-    """The report fields of a polyalg.MultResult; a polynomial's value at 1
-    and largest coefficient pass `check_digits` after the capped expansion."""
+    """The report fields of a polyalg.MultResult.  A polynomial's series is
+    admitted first, so the series cap's refusal comes before any other;
+    its value at 1, read off the factored form, passes `check_digits`
+    before the expansion runs, and its largest coefficient after."""
+    from .polyalg import admit_expansion
+
     payload: dict = {"factored": [[k, e] for k, e in result.factored]}
     if result.is_polynomial:
-        coeffs, value = result.polynomial.coeffs, result.value_at_1
+        admit_expansion(result.factored)
+        value = result.value_at_1
         check_digits("the value at 1", value)
+        coeffs = result.polynomial.coeffs
         check_digits("the largest coefficient", max(map(abs, coeffs)))
         payload["polynomial"] = list(coeffs)
         payload["value"] = str(value)

@@ -44,14 +44,19 @@ fits, `errors.check_cost` refuses the series before any list exists.
 (each (1 - t^k) is anti-palindromic); for a non-polynomial it runs only
 through N', the numerator degree in lowest terms, which the same
 symmetry shows to hold the witness; `_read_off` turns such a series into
-the answer, building the IntPoly directly (an expanded polynomial's
-coefficients are ints with top coefficient +-1, so there is nothing to
-convert or trim), and the scan of `multsimple` calls it on series it
-builds by multiplying one kernel list in place.  `series_expand` runs a
-series to the requested order.  Both keep their results in the
-package's one memo, `higgsmult._memo`, keyed apart: `series_expand` (in
-`_series`) keeps f.terms -> the longest list computed for f, whose
-prefixes serve shorter requests; `expand` keeps (f.terms,) -> its
+the answer, and `_unfold` mirrors a polynomial's half, building the
+IntPoly directly (an expanded polynomial's coefficients are ints with top
+coefficient +-1, so there is nothing to convert or trim).  The scan of
+`multsimple` unfolds its polynomial points from series it builds by
+multiplying one kernel list in place, and reads each non-polynomial
+point's witness through `expand` when it is first asked for.
+`admit_expansion` runs expand's admission alone, so a caller can refuse
+before the work: the CLI gates a value's digits between the two.
+`series_expand` runs a series to the requested order.  Both keep their
+results in the package's one memo, `higgsmult._memo`, keyed apart:
+`series_expand` (in `_series`) keeps f.terms -> the longest list
+computed for f, whose prefixes serve shorter requests; `expand` keeps
+(f.terms,) -> its
 finished IntPoly or NotPolynomial and the kernel's admission cost of its
 series, so a repeat returns the same object from one lookup.  A kept list
 long enough, or a kept answer, is served with no plan when `series_work`
@@ -65,7 +70,8 @@ ints, or the answer Record, an IntPoly's coefficient tuple and each
 distinct int object once, so a palindrome's mirrored half is free unless
 negated), against the memo's budget `higgsmult.MEMO_BYTES`, which the
 root systems of `rootsys` share; least recently used out first, and an
-entry above a quarter of it is never kept.
+entry above a quarter of it is never kept (nor does its offer drop the
+entry kept for its key).
 `qbinom_factored` refuses k above `errors.RANK_CAP` (141, the largest
 rank a GL multiplicity asks).
 `value_at_one` reads f(1) off the cyclotomic exponents, with no
@@ -542,17 +548,28 @@ def expand(f: FactoredChar) -> "IntPoly | NotPolynomial":
     NotPolynomial(remainder_degree=5)
     """
     key = (f.terms,)
-    kept = _memo.get(key)
-    if kept is None or kept[1] > SERIES_WORK_CAP:
-        length = _expand_length(f)
-        run = _admit(f, length)
+    plan = admit_expansion(f)
     kept = _memo.find(key)
     if kept is not None:
         return kept[0]
+    run, length = plan
     answer = _read_off(f, run(f, length))
     kept = (answer, series_work(f, length))
     _memo.keep(key, kept, _series_bytes(key, kept))
     return answer
+
+
+def admit_expansion(f: FactoredChar) -> "tuple[Callable, int] | None":
+    """Refuse `expand(f)` with ResourceLimitError exactly when it would be
+    refused, before any series exists: the path and length of its series,
+    or None when a kept answer is served with no plan.
+
+    The memo is only peeked at, so the verdict depends on f alone."""
+    kept = _memo.get((f.terms,))
+    if kept is not None and kept[1] <= SERIES_WORK_CAP:
+        return None
+    length = _expand_length(f)
+    return _admit(f, length), length
 
 
 def _read_off(f: FactoredChar, c: list[int]) -> "IntPoly | NotPolynomial":
@@ -561,16 +578,22 @@ def _read_off(f: FactoredChar, c: list[int]) -> "IntPoly | NotPolynomial":
     the degree."""
     degree = sum(k * e for k, e in f)
     if is_polynomial(f):
-        mirrored = c[: degree - degree // 2]
-        mirrored.reverse()
-        if sum(e for _, e in f) % 2:
-            mirrored = map(neg, mirrored)
-        # ints already, and the top coefficient is +-1: skip IntPoly.__new__
-        return IntPoly._make(((*c, *mirrored),))
+        return _unfold(c, degree, sum(e for _, e in f) % 2)
     for j in range(max(degree + 1, 0), len(c)):
         if c[j]:
             return NotPolynomial(remainder_degree=sum(k * e for k, e in f if e > 0) - j)
     raise InternalError("a non-polynomial character left no remainder")
+
+
+def _unfold(c: list[int], degree: int, odd: int) -> IntPoly:
+    """The polynomial p of the given degree whose lower half, through
+    degree // 2, is c, with t^degree p(1/t) = (-1)^odd p(t)."""
+    mirrored = c[: degree - degree // 2]
+    mirrored.reverse()
+    if odd:
+        mirrored = map(neg, mirrored)
+    # ints already, and the top coefficient is +-1: skip IntPoly.__new__
+    return IntPoly._make(((*c, *mirrored),))
 
 
 class MultResult(Record, namedtuple("MultResult", "factored")):

@@ -264,6 +264,24 @@ class TestExitCodes:
         assert code == 3 and out == ""
         assert err == f"ResourceLimitError: {message}, above the cap 4300\n"
 
+    def test_value_at_1_is_gated_before_the_expansion(self, capsys, monkeypatch):
+        # admission is priced from the factored form, then the value's
+        # digits; the refused series is never run
+        from higgsmult import polyalg
+
+        factored = mult_type_n(4763, 2).factored
+        runs = []
+        kernel = polyalg._kernel
+        monkeypatch.setattr(
+            polyalg, "_kernel", lambda f, *args: runs.append(f) or kernel(f, *args)
+        )
+        monkeypatch.setattr(polyalg, "_recurrence", lambda f, *args: pytest.fail("recurrence"))
+        code, out, err = invoke(capsys, "mult gl --type n --g 4763 --n 2".split())
+        assert (code, out) == (3, "")
+        assert err == "ResourceLimitError: the value at 1 has 4301 digits, above the cap 4300\n"
+        # the kernel runs only the small cyclotomic stencils of the price
+        assert factored not in runs and all(sum(k * e for k, e in f) < 100 for f in runs)
+
     @given(g=st.integers(4763, 9000))
     @settings(
         max_examples=15, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
@@ -628,6 +646,17 @@ class TestScan:
     def test_lexicographic(self, capsys):
         result = report(capsys, ["scan", "--type", "A", "--rank", "2", "--bound", "1"])["result"]
         assert [e["m"] for e in result["entries"]] == [[0, 0], [0, 1], [1, 0], [1, 1]]
+
+
+    def test_non_polynomial_points_are_never_expanded(self, capsys, monkeypatch):
+        from higgsmult import polyalg
+
+        # the one polynomial point is m = 0, whose series needs no kernel pass
+        monkeypatch.setattr(polyalg, "expand", lambda f: pytest.fail(f"expanded {f}"))
+        monkeypatch.setattr(polyalg, "_kernel", lambda f, *args: pytest.fail(f"ran {f}"))
+        result = report(capsys, ["scan", "--type", "G", "--rank", "2", "--bound", "4"])["result"]
+        assert (result["polynomial_count"], result["non_polynomial_count"]) == (1, 24)
+        assert [e["polynomial"] for e in result["entries"]] == [[1]] + [None] * 24
 
 
 class TestCapDefaults:

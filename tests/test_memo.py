@@ -85,3 +85,18 @@ def test_a_hot_root_entry_survives_a_series_sweep(monkeypatch):
     # A60, the most recent entry after each of them, was never evicted
     assert sweep[0].terms not in higgsmult._memo and t in higgsmult._memo
     assert runs == [t]
+
+
+def test_a_refused_replacement_leaves_the_kept_entry():
+    # the list of 101 coefficients is kept; 20001 of them cost more than a
+    # quarter of the budget, so that offer is refused and the short list stays
+    f = FactoredChar({1: -50})
+    short = series_expand(f, 100)
+    assert memo_info().entries == 1
+    long = series_expand(f, 20000)
+    assert long.coeffs[:101] == short.coeffs
+    assert memo_info().entries == 1 and len(higgsmult._memo[f.terms]) == 101
+    hits = memo_info().hits
+    assert series_expand(f, 100) == short
+    assert memo_info().hits == hits + 1
+    assert memo_info().bytes == memo_bytes(higgsmult._memo)

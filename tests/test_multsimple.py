@@ -8,6 +8,7 @@ from higgsmult import multsimple, polyalg, rootsys
 from higgsmult.errors import DomainError, ResourceLimitError
 from higgsmult.multsimple import (
     SCAN_CAP,
+    ScanEntry,
     gross_check,
     mult_cominuscule,
     mult_simple,
@@ -264,22 +265,72 @@ class TestScan:
         polynomiality_scan(C2, 3)
 
     def test_work_cap_refuses_before_any_expansion(self, monkeypatch):
-        # the walk's cost: each prefix of m holds a series as long as the
-        # longest any point under it reads, multiplied `bound` times by the
-        # next unit at (sum |e| + 1) updates per coefficient
-        units = [unit_multiplicity_factored(G2, i) for i in (1, 2)]
-        lengths = {}
-        for m in itertools.product(range(4), repeat=2):
-            length = polyalg._expand_length(power_product(zip(units, m)))
-            for i in range(2):
-                lengths[m[:i]] = max(lengths.get(m[:i], 0), length)
-        total = sum(
-            length * 3 * (sum(abs(e) for _, e in units[len(prefix)]) + 1)
-            for prefix, length in lengths.items()
-        )
+        # the walk's price: each prefix of m with a polynomial point under it
+        # holds a series as long as the longest half-length any of them
+        # reads, multiplied `bound` times by the next unit at (sum |e| + 1)
+        # updates per coefficient; non-polynomial points add nothing
+        r, bound = build(LieType("B", 3)), 3
+        units = [unit_multiplicity_factored(r, i) for i in (1, 2, 3)]
+        lengths, total, last = {}, 0, None
+        for m in itertools.product(range(bound + 1), repeat=3):
+            f = power_product(zip(units, m))
+            if not polyalg.is_polynomial(f):
+                continue
+            length = polyalg._expand_length(f)
+            for i in range(3):
+                grown = length - lengths.get(m[:i], 0)
+                if grown > 0:
+                    total += grown * bound * (sum(abs(e) for _, e in units[i]) + 1)
+                    lengths[m[:i]] = length
+                    last = m
+        report = polynomiality_scan(r, bound)
+        assert 0 < report.polynomial_count < len(report.entries)
         monkeypatch.setattr(polyalg, "SERIES_WORK_CAP", total)
-        assert len(polynomiality_scan(G2, 3).entries) == 16
+        assert polynomiality_scan(r, bound) == report
         monkeypatch.setattr(polyalg, "SERIES_WORK_CAP", total - 1)
         monkeypatch.setattr(polyalg, "_kernel", lambda *args: pytest.fail("expanded"))
-        with pytest.raises(ResourceLimitError, match=r"at m = \[3, 3\]"):
-            polynomiality_scan(G2, 3)
+        with pytest.raises(ResourceLimitError) as exc:
+            polynomiality_scan(r, bound)
+        assert str(exc.value) == (
+            f"scan of B3 to bound 3 at m = {list(last)} has {total} units of series work, "
+            f"above the cap {total - 1}"
+        )
+
+    @pytest.mark.parametrize("family, rank, bound", [("B", 3, 3), ("E", 6, 2), ("F", 4, 3)])
+    def test_vector_verdicts_match_mult_simple(self, monkeypatch, family, rank, bound):
+        r = build(LieType(family, rank))
+        points = itertools.product(range(bound + 1), repeat=rank)
+        expected = [mult_simple(r, m).is_polynomial for m in points]
+        monkeypatch.setattr(polyalg, "expand", lambda f: pytest.fail("expanded"))
+        report = polynomiality_scan(r, bound)
+        assert [e.is_polynomial for e in report.entries] == expected
+        assert report.polynomial_count == sum(expected)
+        assert report.non_polynomial_count == len(expected) - sum(expected)
+
+    def test_witnesses_are_expanded_once_on_first_read(self, monkeypatch):
+        report = polynomiality_scan(G2, 2)
+        expected = mult_simple(G2, (0, 1)).polynomial
+        calls = []
+        expand = polyalg.expand
+        monkeypatch.setattr(polyalg, "expand", lambda f: calls.append(f) or expand(f))
+        entry = report.entries[1]
+        assert not entry.is_polynomial and calls == []
+        witness = entry.result
+        assert entry.result is witness and len(calls) == 1
+        assert witness == expected
+        # equal, hashed and printed as the entry built with its witness
+        eager = ScanEntry((0, 1), witness)
+        assert entry == eager and hash(entry) == hash(eager) and repr(entry) == repr(eager)
+        assert tuple(entry) == ((0, 1), witness) and entry[1] is witness
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "family, rank, bound, polynomial, points",
+        [("E", 6, 4, 25, 15625), ("E", 7, 2, 3, 2187), ("E", 8, 2, 1, 6561), ("F", 4, 10, 1, 14641)],
+    )
+    def test_large_grids_of_few_polynomials_are_admitted(
+        self, family, rank, bound, polynomial, points
+    ):
+        # each was refused by SERIES_WORK_CAP while every point was walked
+        report = polynomiality_scan(build(LieType(family, rank)), bound)
+        assert (report.polynomial_count, len(report.entries)) == (polynomial, points)
