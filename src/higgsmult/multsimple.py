@@ -13,15 +13,16 @@ i-th simple root.  The product usually fails to be a polynomial; this module
 evaluates it exactly, provides the always-polynomial closed form attached to
 cominuscule nodes (a quotient of invariant-degree factors), cross-checks the
 latter against minuscule Weyl orbits, and runs polynomiality scans over
-grids of m, which decide each point from its cyclotomic exponents and
-expand only the polynomials.
+grids of m.  A scan reads the polynomial points off the unit forms'
+cyclotomic exponents once, as the face of the grid that is zero on a
+set of barred nodes, and expands only the points of that face.
 """
 from __future__ import annotations
 
 import itertools
 from collections import Counter, namedtuple
 from collections.abc import Sequence
-from operator import add, mul
+from operator import mul
 
 from . import Record
 from .errors import DomainError, InternalError, check_cost, check_int
@@ -30,7 +31,7 @@ from .polyalg import FactoredChar, IntPoly, MultResult, NotPolynomial, power_pro
 from .rootsys import RootSystem, cominuscule_nodes, degrees, levi_degrees, weyl_orbit_minuscule
 
 # Grids larger than this are refused; (bound+1)**rank grows fast and every
-# point's verdict is a vector sum of its own.
+# point gets an entry of its own.
 SCAN_CAP = 100_000
 
 
@@ -166,89 +167,86 @@ class ScanReport(Record, namedtuple("ScanReport", "lie_type bound entries")):
         return len(self.entries) - self.polynomial_count
 
 
+def _barred_nodes(r: RootSystem, units: Sequence[FactoredChar]) -> set[int]:
+    """The nodes (0-based) where every polynomial scan point is zero.
+
+    A cyclotomic row (c_d(u_1), ..., c_d(u_l)) of the unit forms with no
+    positive entry bars each node where it is negative, as an m positive
+    there has c_d(m) = sum m_i c_d(u_i) < 0.  If the unit form at every
+    other node is a polynomial, m is one exactly when it is zero on the
+    barred nodes; otherwise InternalError is raised.
+    """
+    ds = {d for u in units for d in u._cyclotomic}
+    rows = [[u._cyclotomic.get(d, 0) for u in units] for d in ds]
+    barred = {i for row in rows if max(row) <= 0 for i, c in enumerate(row) if c < 0}
+    for i, u in enumerate(units):
+        if i not in barred and not polyalg.is_polynomial(u):
+            raise InternalError(
+                f"the unit form at node {i + 1} of {r.lie_type} is not a polynomial, yet unbarred"
+            )
+    return barred
+
+
 def polynomiality_scan(r: RootSystem, bound: int, cap: int = SCAN_CAP) -> ScanReport:
     """Evaluate mult_simple on every m with 0 <= m_i <= bound.
 
     Entries come out in lexicographic order of m, so the all-zero vector
-    (always polynomial, value 1) is first.  Each point's verdict comes
-    from a sum of the unit forms' cyclotomic exponent vectors, c_d(m) =
-    sum m_i c_d(u_i), one vector sum per point taken depth first; no
-    factored form is built for a point.  Only the polynomial points are
-    expanded, by one depth-first walk: each prefix of m with a polynomial
-    point under it holds one running series, as long as the longest half
-    D(m) // 2 + 1 of a polynomial under it (D(m) = sum m_i deg u_i); each
-    such child starts from a prefix slice of it, and between siblings it
-    is multiplied in place by the next unit factored form u_i.  A point's
-    polynomial is unfolded from the slice of its length, as `expand`
-    unfolds its own series.  The walk costs at most, summed over the
-    prefixes it visits, length * bound * (sum |e(u_i)| + 1) kernel
-    updates; it is priced polynomial point by polynomial point in
+    (always polynomial, value 1) is first.  The polynomial points are
+    those zero on the `_barred_nodes`: the product of one axis per node,
+    (0,) where barred and 0..bound elsewhere.  Only they are expanded,
+    by one depth-first walk over the axes: each prefix of m holds one
+    running series, as long as the longest half D(m) // 2 + 1 of a point
+    under it (D(m) = sum m_i deg u_i); each child starts from a prefix
+    slice of it, and between siblings it is multiplied in place by the
+    next unit factored form u_i.  A point's polynomial is unfolded from
+    the slice of its length, as `expand` unfolds its own series.  The
+    walk costs at most, summed over its prefixes, length * bound *
+    (sum |e(u_i)| + 1) kernel updates; it is priced point by point in
     lexicographic order before any series exists, and refused at the
-    first one that takes it past polyalg.SERIES_WORK_CAP.  Grids of more
-    than `cap` points are refused first.  A non-polynomial point's
+    first point that takes it past polyalg.SERIES_WORK_CAP.  Grids of
+    more than `cap` points are refused first.  A non-polynomial point's
     witness is expanded only when its entry's `result` is read (see
     ScanEntry), so the price leaves it out.
     """
     bound, cap = check_int("scan bound", bound, 1), check_int("cap", cap)
     check_cost("scan grid", (bound + 1) ** r.rank, cap, "points")
     units = tuple(unit_multiplicity_factored(r, i) for i in range(1, r.rank + 1))
-    ds = sorted({d for u in units for d in u._cyclotomic})
-    vectors = [[u._cyclotomic.get(d, 0) for d in ds] for u in units]
+    barred = _barred_nodes(r, units)
+    axes = [(0,) if i in barred else range(bound + 1) for i in range(r.rank)]
     degrees = [sum(k * e for k, e in u) for u in units]
     steps = [bound * (sum(abs(e) for _, e in u) + 1) for u in units]
-    verdicts: list[bool] = []  # by index of m in lexicographic order
     lengths: dict[tuple[int, ...], int] = {}  # prefix of m -> its series length
-    last: dict[tuple[int, ...], int] = {}  # prefix of m -> its last child walked
     work = 0
-
-    def decide(prefix: tuple[int, ...], c: list[int]) -> None:
-        """Decide each point under prefix, in order, from c, the
-        exponents c_d of prefix, and price each polynomial among them."""
-        nonlocal work
-        i = len(prefix)
-        for k in range(bound + 1):
-            if k:
-                c = list(map(add, c, vectors[i]))
-            m = prefix + (k,)
-            if i + 1 < r.rank:
-                decide(m, c)
-                continue
-            verdicts.append(min(c, default=0) >= 0)
-            if not verdicts[-1]:
-                continue
-            length = sum(map(mul, m, degrees)) // 2 + 1
-            for j, step in enumerate(steps):
-                head = m[:j]
-                last[head] = m[j]
-                grown = length - lengths.get(head, 0)
-                if grown > 0:
-                    work += grown * step
-                    lengths[head] = length
-            if work > polyalg.SERIES_WORK_CAP:  # the message is built only to refuse
-                what = f"scan of {r.lie_type} to bound {bound} at m = {list(m)}"
-                check_cost(what, work, polyalg.SERIES_WORK_CAP, "units of series work")
-
-    decide((), [0] * len(ds))
+    for m in itertools.product(*axes):
+        length = sum(map(mul, m, degrees)) // 2 + 1
+        for j, step in enumerate(steps):
+            head = m[:j]
+            grown = length - lengths.get(head, 0)
+            if grown > 0:
+                work += grown * step
+                lengths[head] = length
+        if work > polyalg.SERIES_WORK_CAP:  # the message is built only to refuse
+            what = f"scan of {r.lie_type} to bound {bound} at m = {list(m)}"
+            check_cost(what, work, polyalg.SERIES_WORK_CAP, "units of series work")
     totals = [sum(e for _, e in u) for u in units]
-    results: list = [None] * len(verdicts)  # the polynomials, by index
+    results: dict[tuple[int, ...], IntPoly] = {}
 
-    def walk(prefix: tuple[int, ...], series: list[int], index: int) -> None:
+    def walk(prefix: tuple[int, ...], series: list[int]) -> None:
         i = len(prefix)
-        for k in range(last[prefix] + 1):
+        for k in axes[i]:
             if k:
                 polyalg._kernel(units[i], len(series), series)
             m = prefix + (k,)
             if i + 1 < r.rank:
-                if m in lengths:
-                    walk(m, series[: lengths[m]], (index + k) * (bound + 1))
-            elif verdicts[index + k]:
+                walk(m, series[: lengths[m]])
+            else:
                 degree = sum(map(mul, m, degrees))
                 odd = sum(map(mul, m, totals)) % 2
-                results[index + k] = polyalg._unfold(series[: degree // 2 + 1], degree, odd)
+                results[m] = polyalg._unfold(series[: degree // 2 + 1], degree, odd)
 
-    walk((), [1] + [0] * (lengths[()] - 1), 0)
+    walk((), [1] + [0] * (lengths[()] - 1))
     entries = tuple(
-        ScanEntry(m, _Witness(units, m) if result is None else result)
-        for m, result in zip(itertools.product(range(bound + 1), repeat=r.rank), results)
+        ScanEntry(m, results[m] if m in results else _Witness(units, m))
+        for m in itertools.product(range(bound + 1), repeat=r.rank)
     )
     return ScanReport(lie_type=r.lie_type, bound=bound, entries=entries)

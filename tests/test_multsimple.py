@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from higgsmult import multsimple, polyalg, rootsys
-from higgsmult.errors import DomainError, ResourceLimitError
+from higgsmult.errors import DomainError, InternalError, ResourceLimitError
 from higgsmult.multsimple import (
     SCAN_CAP,
     ScanEntry,
@@ -196,6 +196,13 @@ class TestGrossCheck:
             assert len(calls) == 1
 
 
+# Types whose polynomial face holds a node that is not cominuscule, at
+# bounds that keep each grid small: B7 and C7 to 1 have 4 polynomial
+# points of 128, D5 to 2 81 of 243, D7 to 1 16 of 128, C3 to 3 16 of
+# 64 (as B3 to 3, which the tests below list on their own).
+SPORADIC = [("B", 7, 1), ("C", 7, 1), ("D", 5, 2), ("D", 7, 1), ("C", 3, 3)]
+
+
 class TestScan:
     def test_g2_bound_2(self):
         report = polynomiality_scan(G2, 2)
@@ -216,10 +223,11 @@ class TestScan:
         assert [e.m for e in report.entries] == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
     def test_matches_pointwise_mult_simple(self):
-        # every type of rank <= 4 at bound 2, and E6 at bound 1
+        # every type of rank <= 4 at bound 2, E6 at bound 1, and faces with
+        # a node that is not cominuscule (B3 at bound 3 and SPORADIC)
         grid = [("A", l, 2) for l in (1, 2, 3, 4)]
         grid += [(f, l, 2) for f in "BC" for l in (2, 3, 4)]
-        grid += [("D", 4, 2), ("F", 4, 2), ("G", 2, 2), ("E", 6, 1)]
+        grid += [("D", 4, 2), ("F", 4, 2), ("G", 2, 2), ("E", 6, 1), ("B", 3, 3)] + SPORADIC
         for family, rank, bound in grid:
             r = build(LieType(family, rank))
             report = polynomiality_scan(r, bound)
@@ -243,11 +251,35 @@ class TestScan:
         r = build(LieType("A", len(units)))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(multsimple, "unit_multiplicity_factored", lambda _, i: units[i - 1])
-            report = polynomiality_scan(r, bound)
+            try:
+                report = polynomiality_scan(r, bound)
+            except InternalError:
+                # refused only when a non-polynomial unit is negative in no
+                # cyclotomic row that has no positive entry
+                exponents = [
+                    {d: sum(e for k, e in u if k % d == 0) for d in range(1, 7)} for u in units
+                ]
+                rows = [[c[d] for c in exponents] for d in range(1, 7)]
+                nonpositive = [row for row in rows if max(row) <= 0]
+                assert any(
+                    min(c.values()) < 0 and all(row[i] == 0 for row in nonpositive)
+                    for i, c in enumerate(exponents)
+                )
+                return
         points = list(itertools.product(range(bound + 1), repeat=len(units)))
         assert [e.m for e in report.entries] == points
         for entry in report.entries:
             assert entry.result == polyalg.expand(power_product(zip(units, entry.m)))
+
+    def test_guard_refuses_polynomial_points_off_a_coordinate_face(self, monkeypatch):
+        # (1 - t)/(1 - t^2) and (1 - t^2)/(1 - t): m = (1, 1) gives 1 but
+        # (1, 0) no polynomial, and the one row (c_2) has mixed signs
+        units = [FactoredChar({1: 1, 2: -1}), FactoredChar({1: -1, 2: 1})]
+        assert polyalg.expand(power_product(zip(units, (1, 1)))) == IntPoly.one()
+        assert not polyalg.is_polynomial(power_product(zip(units, (1, 0))))
+        monkeypatch.setattr(multsimple, "unit_multiplicity_factored", lambda _, i: units[i - 1])
+        with pytest.raises(InternalError, match="node 1 of A2 is not a polynomial"):
+            polynomiality_scan(A2, 1)
 
     def test_e6_bound_2_is_admitted(self):
         report = polynomiality_scan(build(LieType("E", 6)), 2)
@@ -296,7 +328,9 @@ class TestScan:
             f"above the cap {total - 1}"
         )
 
-    @pytest.mark.parametrize("family, rank, bound", [("B", 3, 3), ("E", 6, 2), ("F", 4, 3)])
+    @pytest.mark.parametrize(
+        "family, rank, bound", [("B", 3, 3), ("E", 6, 2), ("F", 4, 3)] + SPORADIC
+    )
     def test_vector_verdicts_match_mult_simple(self, monkeypatch, family, rank, bound):
         r = build(LieType(family, rank))
         points = itertools.product(range(bound + 1), repeat=rank)
