@@ -8,8 +8,10 @@ Every subcommand prints a single JSON report on standard output:
 with sorted keys, so reports are byte-stable for identical inputs and
 version apart from the timing field.  Counts and evaluations at t = 1 are
 serialized as decimal strings (they outgrow 53-bit JSON consumers fast);
-coefficient arrays stay native integers.  ``--format text`` prints the same
-result as aligned ``key = value`` lines instead of the envelope.
+coefficient arrays stay native integers.  The arrays are the package's own
+tuples, which `json` writes as arrays, so a report copies none of them.
+``--format text`` prints the same result as aligned ``key = value`` lines
+instead of the envelope.
 
 Exit codes: 0 success, 2 domain error, 3 resource limit, 64 usage, 70
 internal error (a broken invariant, i.e. a bug; EX_SOFTWARE).  Codes 2, 3
@@ -83,14 +85,14 @@ def _mult_payload(result) -> dict:
     before the expansion runs, and its largest coefficient after."""
     from .polyalg import admit_expansion
 
-    payload: dict = {"factored": [[k, e] for k, e in result.factored]}
+    payload: dict = {"factored": result.factored.terms}
     if result.is_polynomial:
         admit_expansion(result.factored)
         value = result.value_at_1
         check_digits("the value at 1", value)
         coeffs = result.polynomial.coeffs
         check_digits("the largest coefficient", max(map(abs, coeffs)))
-        payload["polynomial"] = list(coeffs)
+        payload["polynomial"] = coeffs
         payload["value"] = str(value)
     else:
         payload["polynomial"] = None
@@ -122,7 +124,7 @@ def _cmd_mult_gl(ns) -> tuple[dict, dict]:
             if ns.g is None:
                 raise _UsageError("--type 111 with --m needs --g")
             inputs["g"] = ns.g
-            inputs["m"] = list(ns.m)
+            inputs["m"] = ns.m
             inputs["top_degree"] = ns.top_degree
             chain = chain_from_m(ns.g, ns.m, top_degree=ns.top_degree)
         else:
@@ -142,7 +144,7 @@ def _cmd_mult_simple(ns) -> tuple[dict, dict]:
     from .rootsys import LieType, build
 
     lie_type = LieType(ns.type, ns.rank)
-    inputs = {"type": ns.type, "rank": ns.rank, "m": list(ns.m)}
+    inputs = {"type": ns.type, "rank": ns.rank, "m": ns.m}
     result = _mult_payload(mult_simple(build(lie_type), ns.m))
     result["numbering"] = "bourbaki"
     return inputs, result
@@ -185,9 +187,9 @@ def _cmd_rootinfo(ns) -> tuple[dict, dict]:
         "type": str(system.lie_type),
         "rank": system.rank,
         "numbering": "bourbaki",
-        "positive_roots": [list(root.coeffs) for root in system.positive_roots],
-        "height_histogram": [[h, c] for h, c in sorted(height_histogram(system).items())],
-        "degrees": list(d),
+        "positive_roots": [root.coeffs for root in system.positive_roots],
+        "height_histogram": list(height_histogram(system).items()),
+        "degrees": d,
         "weyl_order": str(d.weyl_order),
         "cominuscule_nodes": sorted(cominuscule_nodes(system)),
     }
@@ -203,10 +205,7 @@ def _cmd_scan(ns) -> tuple[dict, dict]:
     inputs = {"type": ns.type, "rank": ns.rank, "bound": ns.bound, "cap": cap}
     report = polynomiality_scan(system, ns.bound, cap=cap)
     entries = [
-        {
-            "m": list(entry.m),
-            "polynomial": list(entry.result.coeffs) if entry.is_polynomial else None,
-        }
+        {"m": entry.m, "polynomial": entry.result.coeffs if entry.is_polynomial else None}
         for entry in report.entries
     ]
     result = {
@@ -247,7 +246,7 @@ def _cmd_pair(ns) -> tuple[dict, dict]:
         raise _UsageError(str(exc))
     series = euler_pairing_series(side_a, side_b, ns.g, ns.n, ns.order)
     check_digits("the largest series coefficient", max(map(abs, series.coeffs)))
-    return inputs, {"order": ns.order, "series": list(series.coeffs)}
+    return inputs, {"order": ns.order, "series": series.coeffs}
 
 
 def _cmd_count(ns) -> tuple[dict, dict]:
@@ -258,11 +257,7 @@ def _cmd_count(ns) -> tuple[dict, dict]:
     inputs = {"chain_file": ns.chain_file, "enumerate": ns.enumerate, "cap": cap}
     result: dict = {"count": str(intersection_count(chain))}
     if ns.enumerate:
-        points = intersection_enumerate(chain, cap=cap)
-        result["points"] = [
-            [[list(slot_key), list(subset)] for slot_key, subset in point]
-            for point in points
-        ]
+        result["points"] = list(intersection_enumerate(chain, cap=cap))
     return inputs, result
 
 
@@ -368,15 +363,11 @@ def run(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 64
-    except ResourceLimitError as exc:
+    except (ResourceLimitError, DomainError, InternalError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
-    except DomainError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except InternalError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 70
+        if isinstance(exc, ResourceLimitError):
+            return 3
+        return 2 if isinstance(exc, DomainError) else 70
     _emit(ns.format, ns.command_path, inputs, result, elapsed_ms)
     return 0
 

@@ -93,8 +93,16 @@ def cases() -> list[str]:
                        ("B", 3, "1,0,0"), ("D", 4, "0,1,0,0"), ("E", 6, "1,0,0,0,0,0"),
                        ("A", 3, "0,0,0"), ("F", 4, "0,0,0,1")]:
         out.append(f"mult simple --type {t} --rank {rank} --m {m}")
+    out += [
+        "mult simple --type C --rank 2 --m 0,1 --format text",
+        "mult simple --type G --rank 2 --m 1,0 --format text",
+    ]
     for t, rank, bound in [("G", 2, 2), ("A", 2, 2), ("B", 2, 1), ("A", 1, 5), ("C", 3, 1)]:
         out.append(f"scan --type {t} --rank {rank} --bound {bound}")
+    out += [
+        "scan --type G --rank 2 --bound 2 --format text",
+        "scan --type B --rank 3 --bound 2 --format text",
+    ]
     out += [
         "pair --g 2 --n 2 --order 20 --a n --b 1",
         "pair --g 3 --n 3 --order 60 --a 1,2 --b n",
@@ -104,6 +112,10 @@ def cases() -> list[str]:
     ]
     for name in ("very-stable.json", "repeated.json", "rank3.json", "rank4.json", "unstable.json"):
         out += [f"classify --chain-file {{{name}}}", f"count --chain-file {{{name}}}"]
+    out += [
+        "classify --chain-file {very-stable.json} --format text",
+        "classify --chain-file {repeated.json} --format text",
+    ]
     out += [
         "count --chain-file {rank3.json} --enumerate",
         "count --chain-file {very-stable.json} --enumerate --format text",
@@ -116,6 +128,10 @@ def cases() -> list[str]:
         out.append(f"hecke --chain-file {{very-stable.json}} --move {moves}")
     for moves in ["add:2:x", "remove:2:b", "remove:3:b", "add:3:x", "add:1:x --move remove:2:x"]:
         out.append(f"hecke --chain-file {{rank3.json}} --move {moves}")
+    out += [
+        "hecke --chain-file {very-stable.json} --move remove:1:q --move add:1:q --format text",
+        "hecke --chain-file {rank3.json} --move add:2:x --format text",
+    ]
     # integer refusals and usage errors the handlers raise themselves
     out += [
         "mult gl --type n --g 1 --n 2",

@@ -3,6 +3,7 @@ import json
 import re
 import signal
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -295,18 +296,23 @@ class TestExitCodes:
         assert code == 3 and out == ""
         assert err.startswith("ResourceLimitError: ") and err.count("\n") == 1
 
-    def test_internal_error_is_70(self, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "error, expected",
+        [("ResourceLimitError", 3), ("DomainError", 2), ("UnstableResultError", 2),
+         ("InternalError", 70)],
+    )
+    def test_package_errors_exit_with_their_code(self, capsys, monkeypatch, error, expected):
         import higgsmult.cli
-        from higgsmult.errors import InternalError
+        from higgsmult import errors
 
         def broken(ns):
-            raise InternalError("invariant broken")
+            raise getattr(errors, error)("invariant broken")
 
         monkeypatch.setattr(higgsmult.cli, "_cmd_rootinfo", broken)
         code, out, err = invoke(capsys, ["rootinfo", "--type", "A", "--rank", "2"])
-        assert code == 70
+        assert code == expected
         assert out == ""
-        assert err == "InternalError: invariant broken\n"
+        assert err == f"{error}: invariant broken\n"
 
     def test_main_exits(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -705,6 +711,23 @@ class TestCount:
     def test_not_very_stable(self, capsys, wobbly_file):
         code, _, err = invoke(capsys, ["count", "--chain-file", wobbly_file])
         assert code == 2 and "very stable" in err
+
+    def test_enumeration_report_copies_no_point(self, capsys, tmp_path):
+        # 12 500 points; a copy of each point into lists takes the peak near 20 MB
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(chain_to_json(chain_from_m(3, (2, 1, 1, 1)))))
+        argv = ["count", "--chain-file", str(path)]
+        assert run(argv) == 0  # imports the handler's modules before the trace
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            code = run(argv + ["--enumerate"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert len(json.loads(capsys.readouterr().out)["result"]["points"]) == 12500
+        assert peak < 10 * 2**20, peak
 
 
 class TestTextFormat:
